@@ -521,10 +521,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             line += (f"   seed {row['seed_seconds']:>8.2f}s   "
                      f"speedup {row['speedup']:.2f}x")
         print(line)
-    for row in payload.get("executors", []):
-        print(f"{row['name']:<27} {row['cells_per_sec']:>12,.0f} "
-              f"cells/s ({row['cells']} trivial cells, "
-              f"{row['seconds']:.3f}s)")
     for row in payload.get("sweep_fabric", []):
         print(f"{row['name']:<27} {row['cells_per_sec']:>12,.0f} "
               f"cells/s ({row['cells']} analytic cells, "
@@ -684,8 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "long with outstanding cells and no workers")
     p.add_argument("--batch-size", type=int, default=1,
                    help="cells per dispatch batch for the process and "
-                        "remote backends (default 1 = one cell per "
-                        "task/wire message; raise to ~256 for "
+                        "remote backends; each batch is cached as it "
+                        "completes (default 1: a killed sweep resumes "
+                        "per cell, for slow cells; raise to ~256 for "
                         "stress-scale grids of cheap cells)")
     p.add_argument("--cache-batch", type=int, default=512,
                    help="cells per batched cache probe/write "

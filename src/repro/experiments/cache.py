@@ -10,8 +10,13 @@ one cache directory never observe torn files.
 Entries are grouped into one subdirectory per scenario
 (``<dir>/<scenario>/<cell_key>.json``) so maintenance commands can
 enumerate or prune a scenario's cells without parsing payloads; the
-legacy flat layout (``<dir>/<cell_key>.json``) is still used when no
-scenario is given, which keeps ad-hoc ``put``/``get`` callers working.
+legacy flat layout (``<dir>/<cell_key>.json``) is still used when an
+item's scenario is ``None``.
+
+All traffic is batched: :meth:`ResultCache.get_many` probes and
+:meth:`ResultCache.put_many` writes a list of entries per call (a
+single entry is a list of one), which is also the only shape the
+cache service puts on the wire.
 
 The key is **configuration-addressed, not code-addressed**: the
 package version covers releases, but uncommitted edits to the
@@ -156,7 +161,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        #: unreadable entries quarantined to ``<name>.corrupt`` by get()
+        #: unreadable entries quarantined to ``<name>.corrupt`` by
+        #: get_many()
         self.corrupt = 0
         self._persisted = {"hits": 0, "misses": 0, "writes": 0,
                            "corrupt": 0}
@@ -177,8 +183,8 @@ class ResultCache:
 
         Renaming (rather than deleting) preserves the torn bytes for
         post-mortem while guaranteeing the entry is only ever counted
-        once: subsequent gets see a plain miss and the next put writes
-        a fresh entry.  ``.corrupt`` files are invisible to
+        once: subsequent probes see a plain miss and the next write
+        lands a fresh entry.  ``.corrupt`` files are invisible to
         ``_iter_entries`` so they never pollute entry counts.
         """
         self.corrupt += 1
@@ -187,54 +193,18 @@ class ResultCache:
         except OSError:
             pass
 
-    def get(self, key: str,
-            scenario: Optional[str] = None) -> Optional[Dict[str, Any]]:
-        """The cached payload, or None on miss / unreadable entry.
-
-        An entry that exists but does not parse is quarantined to
-        ``<name>.corrupt`` (counted in ``stats()["corrupt"]``) instead
-        of being silently re-missed forever.
-        """
-        path = self._path(key, scenario)
-        # raw os.open/os.read instead of the io stack: a warm
-        # million-cell resume does one get per cell, and the buffered
-        # file object costs more than the payload read itself
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            buf = os.read(fd, 1 << 18)
-            if len(buf) == 1 << 18:
-                # regular files only short-read at EOF
-                parts = [buf]
-                while parts[-1]:
-                    parts.append(os.read(fd, 1 << 18))
-                buf = b"".join(parts)
-        finally:
-            os.close(fd)
-        try:
-            # decode before loads: json.loads on bytes pays a
-            # detect_encoding call per entry (we always write UTF-8)
-            payload = json.loads(buf.decode("utf-8"))
-        except ValueError:
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
     def get_many(self, items: Sequence[Tuple[str, Optional[str]]]
                  ) -> List[Optional[Dict[str, Any]]]:
-        """Payloads for ``(key, scenario)`` pairs, in input order.
+        """Payloads for ``(key, scenario)`` pairs, in input order
+        (``None`` on a miss).
 
         The batch probe used by ``SweepRunner.stream()``: one call per
-        chunk of cells instead of one ``get`` per cell.  Locally it is
-        a tight loop (the win is fewer Python frames per probe — the
-        body inlines the hit path and batches the counter updates);
-        over the cache service the same surface collapses a chunk into
-        a single round-trip.
+        chunk of cells.  Locally it is a tight loop (few Python frames
+        per probe, batched counter updates); over the cache service the
+        same surface collapses a chunk into a single round-trip.  An
+        entry that exists but does not parse is quarantined to
+        ``<name>.corrupt`` (counted in ``stats()["corrupt"]``) instead
+        of being silently re-missed forever.
         """
         out: List[Optional[Dict[str, Any]]] = []
         append = out.append
@@ -252,6 +222,9 @@ class ResultCache:
                 prefix = (os.path.join(directory, scenario, "")
                           if scenario else os.path.join(directory, ""))
             path = prefix + key + ".json"
+            # raw os.open/os.read instead of the io stack: a warm
+            # million-cell resume probes every cell, and a buffered
+            # file object costs more than the payload read itself
             try:
                 fd = os.open(path, os.O_RDONLY)
             except OSError:
@@ -270,6 +243,8 @@ class ResultCache:
             finally:
                 os.close(fd)
             try:
+                # decode before loads: json.loads on bytes pays a
+                # detect_encoding call per entry (we always write UTF-8)
                 append(loads(buf.decode("utf-8")))
             except ValueError:
                 self._quarantine(path)
@@ -281,44 +256,6 @@ class ResultCache:
         self.misses += misses
         return out
 
-    def put(self, key: str, payload: Dict[str, Any],
-            scenario: Optional[str] = None) -> None:
-        self.writes += 1
-        target = self._path(key, scenario)
-        parent = os.path.dirname(target)
-        if parent not in self._made_dirs:
-            os.makedirs(parent, exist_ok=True)
-            self._made_dirs.add(parent)
-        # unique-per-writer tmp name + atomic rename: same torn-file
-        # guarantee as mkstemp, without the extra open/close/fstat of
-        # creating a securely-named file we immediately rename away.
-        # Raw os.open/os.write keeps a cold million-cell sweep's write
-        # path at open+write+close+rename — no buffered-IO object per
-        # entry.
-        tmp = (f"{target}.{os.getpid()}."
-               f"{threading.get_ident()}.tmp")
-        data = json.dumps(payload, sort_keys=True).encode("utf-8")
-        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-        try:
-            try:
-                fd = os.open(tmp, flags, 0o666)
-            except FileNotFoundError:
-                # the memoized parent was removed behind our back
-                # (clear()/prune() mid-run) — recreate and retry once
-                os.makedirs(parent, exist_ok=True)
-                fd = os.open(tmp, flags, 0o666)
-            try:
-                os.write(fd, data)
-            finally:
-                os.close(fd)
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     def put_many(self, items: Sequence[Tuple[str, Dict[str, Any],
                                              Optional[str]]]) -> None:
         """Write ``(key, payload, scenario)`` triples in order.
@@ -328,8 +265,42 @@ class ResultCache:
         batch over in one call — and so the cache service can absorb
         it in one round-trip.
         """
+        # unique-per-writer tmp name + atomic rename: same torn-file
+        # guarantee as mkstemp, without the extra open/close/fstat of
+        # creating a securely-named file we immediately rename away.
+        # Raw os.open/os.write keeps a cold million-cell sweep's write
+        # path at open+write+close+rename — no buffered-IO object per
+        # entry.
+        tmp_suffix = f".{os.getpid()}.{threading.get_ident()}.tmp"
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
         for key, payload, scenario in items:
-            self.put(key, payload, scenario)
+            self.writes += 1
+            target = self._path(key, scenario)
+            parent = os.path.dirname(target)
+            if parent not in self._made_dirs:
+                os.makedirs(parent, exist_ok=True)
+                self._made_dirs.add(parent)
+            tmp = target + tmp_suffix
+            data = json.dumps(payload, sort_keys=True).encode("utf-8")
+            try:
+                try:
+                    fd = os.open(tmp, flags, 0o666)
+                except FileNotFoundError:
+                    # the memoized parent was removed behind our back
+                    # (clear()/prune() mid-run) — recreate, retry once
+                    os.makedirs(parent, exist_ok=True)
+                    fd = os.open(tmp, flags, 0o666)
+                try:
+                    os.write(fd, data)
+                finally:
+                    os.close(fd)
+                os.replace(tmp, target)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
 
     # -- maintenance (the `repro cache` subcommand) --------------------
 

@@ -13,9 +13,6 @@ The wire format is the fabric's newline-delimited JSON
 =============  ==================================  ====================
 op             request fields                      response
 =============  ==================================  ====================
-``get``        ``key``, ``scenario``               ``payload`` (null on
-                                                   miss)
-``put``        ``key``, ``scenario``, ``payload``  —
 ``get_many``   ``items``: list of ``{key,          ``payloads`` (input
                scenario}``                         order, null on miss)
 ``put_many``   ``items``: list of ``{key,          —
@@ -28,21 +25,23 @@ op             request fields                      response
 ``ping``       —                                   —
 =============  ==================================  ====================
 
-The ``_many`` pair exists for sweep-scale traffic: probing a
-million-cell grid one ``get`` round-trip at a time costs a network
-RTT *per cell*; batched, the probe amortizes to one RTT per ~512
-cells (``SweepRunner.cache_batch``).
+Entry traffic is batched only — one entry is a list of one.  Probing
+a million-cell grid one round-trip per cell would cost a network RTT
+*per cell*; batched, the probe amortizes to one RTT per ~512 cells
+(``SweepRunner.cache_batch``).
 
-Every response carries ``ok``; failures carry ``error`` instead of
-tearing the connection down.  The cache's lifetime hit/miss/write
-counters become *server* metrics: they accumulate across every
-connected client and land in the on-disk sidecar via ``persist``
-(also folded automatically at server shutdown).
+Every response carries ``ok``; failures (an unknown or malformed
+``op``, missing fields) carry ``error`` instead of tearing the
+connection down.  The cache's lifetime hit/miss/write counters become
+*server* metrics: they accumulate across every connected client and
+land in the on-disk sidecar via ``persist`` (also folded
+automatically at server shutdown).
 
 :class:`CacheClient` is the matching :class:`ResultCache`-compatible
-proxy — ``get``/``put``/``stats``/``persist_stats``/``__len__`` over
-one persistent connection — so :class:`~repro.experiments.sweep.SweepRunner`
-never knows whether its cache is a directory or a service.
+proxy — ``get_many``/``put_many``/``stats``/``persist_stats``/
+``__len__`` over one persistent connection — so
+:class:`~repro.experiments.sweep.SweepRunner` never knows whether its
+cache is a directory or a service.
 """
 
 from __future__ import annotations
@@ -110,16 +109,10 @@ class CacheServer:
     def handle_request(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         op = msg.get("op")
         with self._lock:
-            self.requests[op] = self.requests.get(op, 0) + 1
             try:
-                if op == "get":
-                    payload = self.cache.get(str(msg["key"]),
-                                             msg.get("scenario"))
-                    return {"ok": True, "payload": payload}
-                if op == "put":
-                    self.cache.put(str(msg["key"]), msg["payload"],
-                                   msg.get("scenario"))
-                    return {"ok": True}
+                if not isinstance(op, str):
+                    raise TypeError(f"op must be a string, got {op!r}")
+                self.requests[op] = self.requests.get(op, 0) + 1
                 if op == "get_many":
                     payloads = self.cache.get_many(
                         [(str(item["key"]), item.get("scenario"))
@@ -179,10 +172,10 @@ class CacheServer:
 class CacheClient:
     """A :class:`ResultCache`-shaped proxy over one TCP connection.
 
-    Mirrors the cache surface the sweep layer uses — ``get``/``put``/
-    ``stats``/``lifetime_stats``/``persist_stats``/``__len__`` — and
-    keeps its *own* hit/miss/write counters for this client's traffic
-    (the server's counters aggregate every client).  One reconnect is
+    Mirrors the cache surface the sweep layer uses — ``get_many``/
+    ``put_many``/``stats``/``lifetime_stats``/``persist_stats``/
+    ``__len__`` — and keeps its *own* hit/miss/write counters for this
+    client's traffic (the server's counters aggregate every client).  One reconnect is
     attempted per request, so a bounced server costs a retry, not a
     sweep.
     """
@@ -244,22 +237,6 @@ class CacheClient:
         self.close()
 
     # -- ResultCache surface -------------------------------------------
-
-    def get(self, key: str,
-            scenario: Optional[str] = None) -> Optional[Dict[str, Any]]:
-        payload = self._request({"op": "get", "key": key,
-                                 "scenario": scenario})["payload"]
-        if payload is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: Dict[str, Any],
-            scenario: Optional[str] = None) -> None:
-        self.writes += 1
-        self._request({"op": "put", "key": key, "scenario": scenario,
-                       "payload": payload})
 
     def get_many(self, items: Sequence[Tuple[str, Optional[str]]]
                  ) -> List[Optional[Dict[str, Any]]]:

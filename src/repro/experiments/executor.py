@@ -6,24 +6,21 @@ implements this interface:
 
 * :meth:`Executor.submit_cells` hands the backend every cell that
   needs simulating (cache hits never reach an executor);
-* :meth:`Executor.results` yields ``(cell, status, payload)`` tuples
-  in *completion* order — streaming, one tuple the moment a worker
-  finishes, exactly like the pool's ``imap_unordered`` did.  The
-  runner re-sorts by cell index afterwards, so completion order never
-  leaks into a :class:`~repro.experiments.sweep.SweepResult` and every
-  backend is byte-identical to every other at any worker count;
-* :meth:`Executor.results_batched` is the same stream grouped into
-  dispatch batches — the runner consumes this form so a whole batch
-  can be written to the cache in one ``put_many``.  With
-  ``batch_size=1`` (the default everywhere) batches are singletons
-  and the two forms are indistinguishable.
+* :meth:`Executor.results_batched` yields lists of ``(cell, status,
+  payload)`` tuples, one list per dispatch batch, in *completion*
+  order — streaming, one batch the moment a worker finishes it.  The
+  runner writes each batch to the cache in one ``put_many`` and
+  re-sorts by cell index afterwards, so completion order never leaks
+  into a :class:`~repro.experiments.sweep.SweepResult` and every
+  backend is byte-identical to every other at any worker count.
 
-``batch_size > 1`` amortizes per-task constant costs for cheap
-analytic cells: the process pool ships one pickled *list* of jobs per
-task instead of one job, and the remote protocol packs a batch into a
-single ``cells``/``results`` message pair instead of one
-message-per-cell.  Completion order, heartbeats, dead-worker
-re-queue, and collected bytes are unchanged at any batch size.
+There is one dispatch path at every ``batch_size``: a batch of one is
+a batch.  The process pool ships one pickled *list* of jobs per task
+and the remote protocol one ``cells``/``results`` message pair per
+batch; ``batch_size > 1`` only amortizes those per-task constants
+across more cells, for cheap analytic grids.  Completion order,
+heartbeats, dead-worker re-queue, and collected bytes are unchanged
+at any batch size.
 
 Backends:
 
@@ -33,15 +30,15 @@ Backends:
 * :class:`ProcessPoolExecutor` — the historical ``multiprocessing``
   pool, forking where the platform allows it;
 * :class:`RemoteExecutor` — a TCP work-queue server: remote workers
-  (``python -m repro worker --connect host:port``) pull cells and
-  push results back over length-delimited JSON, with per-worker
+  (``python -m repro worker --connect host:port``) pull cell batches
+  and push results back over length-delimited JSON, with per-worker
   heartbeats, dead-worker re-queue, and late-joining workers picked
   up as they connect.
 
 Executors are **single-sweep** objects: one :meth:`submit_cells`, one
-:meth:`results` drain, then :meth:`close` (or use the instance as a
-context manager).  The runner constructs one per ``_execute`` call
-when none is injected.
+:meth:`results_batched` drain, then :meth:`close` (or use the instance
+as a context manager).  The runner constructs one per ``_execute``
+call when none is injected.
 """
 
 from __future__ import annotations
@@ -53,7 +50,8 @@ import socket
 import threading
 import time
 import traceback
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.experiments.net import MessageStream
 from repro.experiments.registry import get_scenario
@@ -118,19 +116,10 @@ class Executor(abc.ABC):
         """Hand the backend every cell to simulate (exactly once)."""
 
     @abc.abstractmethod
-    def results(self) -> Iterator[CellOutcome]:
-        """Yield one ``(cell, status, payload)`` per submitted cell,
-        in completion order."""
-
-    def results_batched(self) -> Iterator["list"]:
-        """Yield lists of outcomes, one list per dispatch batch.
-
-        The default wraps :meth:`results` in singleton batches;
-        batching backends override this with the *native* stream and
-        derive :meth:`results` from it instead.
-        """
-        for outcome in self.results():
-            yield [outcome]
+    def results_batched(self) -> Iterator[List[CellOutcome]]:
+        """Yield one list of ``(cell, status, payload)`` outcomes per
+        dispatch batch, in completion order, covering every submitted
+        cell exactly once."""
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""
@@ -157,11 +146,11 @@ class InlineExecutor(Executor):
     def submit_cells(self, cells: Sequence["SweepCell"]) -> None:
         self._record_submit(cells)
 
-    def results(self) -> Iterator[CellOutcome]:
+    def results_batched(self) -> Iterator[List[CellOutcome]]:
         for slot, cell in enumerate(self._cells or ()):
-            index, status, payload = run_cell(
+            _slot, status, payload = run_cell(
                 (slot, cell.scenario, cell.params))
-            yield cell, status, payload
+            yield [(cell, status, payload)]
 
 
 class ProcessPoolExecutor(Executor):
@@ -183,34 +172,20 @@ class ProcessPoolExecutor(Executor):
         self.workers = workers
         self.batch_size = batch_size
 
-    def results(self) -> Iterator[CellOutcome]:
-        for batch in self.results_batched():
-            yield from batch
-
-    def results_batched(self) -> Iterator["list"]:
+    def results_batched(self) -> Iterator[List[CellOutcome]]:
         cells = self._cells or ()
-        if not cells:
-            return
         jobs = [(slot, c.scenario, c.params)
                 for slot, c in enumerate(cells)]
-        if self.workers == 1 or len(jobs) == 1:
-            for job in jobs:
-                slot, status, payload = run_cell(job)
-                yield [(cells[slot], status, payload)]
+        chunks = [jobs[i:i + self.batch_size]
+                  for i in range(0, len(jobs), self.batch_size)]
+        if self.workers == 1 or len(chunks) <= 1:
+            for chunk in chunks:
+                yield [(cells[slot], status, payload)
+                       for slot, status, payload in run_cell_batch(chunk)]
             return
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
-        if self.batch_size == 1:
-            # historical path: one pickled job per pool task
-            with ctx.Pool(processes=min(self.workers,
-                                        len(jobs))) as pool:
-                for slot, status, payload in pool.imap_unordered(
-                        run_cell, jobs, chunksize=1):
-                    yield [(cells[slot], status, payload)]
-            return
-        chunks = [jobs[i:i + self.batch_size]
-                  for i in range(0, len(jobs), self.batch_size)]
         with ctx.Pool(processes=min(self.workers, len(chunks))) as pool:
             for outcomes in pool.imap_unordered(
                     run_cell_batch, chunks, chunksize=1):
@@ -226,14 +201,17 @@ class RemoteExecutor(Executor):
 
     The executor *listens*; workers connect (any time — before the
     sweep, mid-sweep, after another worker died) and loop pulling one
-    cell, running it, pushing the result.  While a worker is
-    simulating it sends ``ping`` heartbeats; a connection that goes
-    silent for :attr:`heartbeat_timeout_s` (or drops) is declared dead
-    and its in-flight cell goes back on the queue for the next worker.
-    Duplicate results from a worker that was declared dead but raced a
-    late result are discarded — each cell completes exactly once.
+    batch of up to :attr:`batch_size` cells, running it, pushing the
+    results.  While a worker is simulating it sends ``ping``
+    heartbeats; a connection that goes silent for
+    :attr:`heartbeat_timeout_s` (or drops) is declared dead and its
+    in-flight batch goes back on the queue for the next worker.  A
+    connection that replies for a slot outside its current assignment
+    is treated the same way — nothing it sent is recorded.  Duplicate
+    results from a worker that was declared dead but raced a late
+    result are discarded — each cell completes exactly once.
 
-    :meth:`results` raises :class:`ExecutorError` if work is
+    :meth:`results_batched` raises :class:`ExecutorError` if work is
     outstanding and no worker has been connected for
     :attr:`idle_timeout_s` (a sweep that would otherwise hang forever
     on a typo'd port now fails loudly).
@@ -250,9 +228,7 @@ class RemoteExecutor(Executor):
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.idle_timeout_s = idle_timeout_s
-        #: cells per assignment message; 1 keeps the legacy ``cell``/
-        #: ``result`` wire shape (old workers keep working), >1 packs
-        #: assignments into ``cells``/``results`` message pairs
+        #: most cells per ``cells`` assignment message
         self.batch_size = batch_size
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -261,7 +237,7 @@ class RemoteExecutor(Executor):
         self._sock.settimeout(0.2)
         self.address: Tuple[str, int] = self._sock.getsockname()[:2]
         self._pending: "queue.Queue[int]" = queue.Queue()
-        #: completed outcome *batches* (singletons at batch_size=1)
+        #: completed outcome batches, as ``(slot, status, payload)``
         self._results: "queue.Queue[list]" = queue.Queue()
         self._lock = threading.Lock()
         self._completed: set = set()
@@ -285,14 +261,10 @@ class RemoteExecutor(Executor):
             daemon=True)
         self._accept_thread.start()
 
-    def results(self) -> Iterator[CellOutcome]:
-        for batch in self.results_batched():
-            yield from batch
-
-    def results_batched(self) -> Iterator["list"]:
+    def results_batched(self) -> Iterator[List[CellOutcome]]:
         cells = self._cells
         if cells is None:
-            raise ExecutorError("results() before submit_cells()")
+            raise ExecutorError("results_batched() before submit_cells()")
         produced = 0
         self._last_worker_seen = time.monotonic()
         while produced < len(cells):
@@ -344,13 +316,9 @@ class RemoteExecutor(Executor):
         with self._lock:
             return len(self._completed) >= len(self._cells or ())
 
-    def _finish(self, slot: int, status: str, payload: Any) -> bool:
-        """Record one result; False for duplicates (dead-worker race)."""
-        return self._finish_batch([(slot, status, payload)]) > 0
-
-    def _finish_batch(self, triples: "list") -> int:
+    def _finish_batch(self, triples: "list") -> None:
         """Record a batch of results; duplicates (dead-worker races)
-        are dropped.  Returns how many were fresh."""
+        are dropped."""
         fresh = []
         with self._lock:
             for slot, status, payload in triples:
@@ -360,7 +328,6 @@ class RemoteExecutor(Executor):
                 fresh.append((slot, status, payload))
         if fresh:
             self._results.put(fresh)
-        return len(fresh)
 
     def _take_batch(self) -> "list":
         """Pull up to ``batch_size`` pending slots (at least one, with
@@ -400,42 +367,37 @@ class RemoteExecutor(Executor):
                 if not batch:
                     continue
                 in_flight = list(batch)
-                if self.batch_size == 1:
-                    cell = cells[batch[0]]
-                    stream.send({"type": "cell", "slot": batch[0],
-                                 "scenario": cell.scenario,
-                                 "params": cell.params})
-                else:
-                    stream.send({"type": "cells", "cells": [
-                        {"slot": slot,
-                         "scenario": cells[slot].scenario,
-                         "params": cells[slot].params}
-                        for slot in batch]})
+                stream.send({"type": "cells", "cells": [
+                    {"slot": slot,
+                     "scenario": cells[slot].scenario,
+                     "params": cells[slot].params}
+                    for slot in batch]})
                 outstanding = set(batch)
                 while outstanding:
                     msg = stream.recv()
                     if msg is None:
-                        raise ConnectionError("worker closed mid-cell")
+                        raise ConnectionError("worker closed mid-batch")
                     mtype = msg.get("type")
                     if mtype == "ping":
                         continue
-                    if mtype == "result":
-                        slot = int(msg["slot"])
-                        self._finish(slot, str(msg["status"]),
-                                     msg["payload"])
-                        outstanding.discard(slot)
-                    elif mtype == "results":
-                        triples = [(int(r["slot"]), str(r["status"]),
-                                    r["payload"])
-                                   for r in msg["results"]]
-                        self._finish_batch(triples)
-                        for slot, _status, _payload in triples:
-                            outstanding.discard(slot)
-                    else:
+                    if mtype != "results":
                         raise ConnectionError(
                             f"unexpected worker message {mtype!r}")
+                    triples = [(int(r["slot"]), str(r["status"]),
+                                r["payload"])
+                               for r in msg["results"]]
+                    slots = {slot for slot, _status, _payload in triples}
+                    # only slots this connection holds and has not yet
+                    # answered: a forged or stray reply must never be
+                    # recorded (or index past the cell list)
+                    if not slots <= outstanding:
+                        raise ConnectionError(
+                            f"worker replied for unassigned slot(s) "
+                            f"{sorted(slots - outstanding)}")
+                    self._finish_batch(triples)
+                    outstanding.difference_update(slots)
                 in_flight = []
-        except (OSError, ConnectionError, ValueError):
+        except (OSError, ValueError, KeyError, TypeError):
             pass
         finally:
             if in_flight:

@@ -12,8 +12,16 @@ pickling — a worker can be any Python that can import ``repro``.
 * :func:`connect_with_retry` — dial with backoff so workers may start
   before the sweep is listening (or vice versa);
 * :func:`run_worker` — the ``python -m repro worker`` loop: connect to
-  a :class:`~repro.experiments.executor.RemoteExecutor`, pull cells,
-  push results, heartbeat while simulating.
+  a :class:`~repro.experiments.executor.RemoteExecutor`, pull
+  ``cells`` batches, push one ``results`` message per batch, heartbeat
+  while simulating.
+
+The worker protocol is ``hello`` from the worker, then repeated
+``cells`` assignments (a list of ``{slot, scenario, params}``)
+answered by ``results`` (a list of ``{slot, status, payload}``), with
+``ping`` heartbeats in between and a final ``shutdown``.  A batch of
+one cell is still a ``cells``/``results`` pair: there is no per-cell
+message shape.
 """
 
 from __future__ import annotations
@@ -129,12 +137,11 @@ def run_worker(address: Tuple[str, int], heartbeat_s: float = 2.0,
                max_cells: Optional[int] = None,
                fail_after: Optional[int] = None,
                log=None) -> int:
-    """Serve one sweep: pull cells, run them, push results back.
+    """Serve one sweep: pull cell batches, run them, push results back.
 
-    Handles both assignment shapes: the legacy one-``cell`` /
-    one-``result`` pair and the batched ``cells``/``results`` pair a
-    ``batch_size>1`` executor sends (the whole batch runs under one
-    heartbeat and returns in one message).
+    Each ``cells`` assignment runs under one heartbeat and returns in
+    one ``results`` message, so per-message JSON and syscall costs
+    amortize across the batch.
 
     Returns the number of cells completed.  Exits when the executor
     says ``shutdown``, the connection closes, or ``max_cells`` is
@@ -143,7 +150,7 @@ def run_worker(address: Tuple[str, int], heartbeat_s: float = 2.0,
     drops the connection *on its next assignment, without replying* —
     from the executor's point of view, a worker killed mid-cell.
     """
-    from repro.experiments.executor import run_cell
+    from repro.experiments.executor import run_cell_batch
 
     sock = connect_with_retry(address, timeout_s=connect_timeout_s)
     # a worker stuck in a simulation cannot notice a half-closed TCP
@@ -158,44 +165,24 @@ def run_worker(address: Tuple[str, int], heartbeat_s: float = 2.0,
             msg = stream.recv()
             if msg is None or msg.get("type") == "shutdown":
                 break
-            mtype = msg.get("type")
-            if mtype == "cell":
-                if fail_after is not None and completed >= fail_after:
-                    # simulate a mid-cell crash: cell accepted, no
-                    # result
-                    return completed
-                slot = int(msg["slot"])
-                if log is not None:
-                    log(f"cell slot={slot} "
-                        f"scenario={msg['scenario']}")
-                with _Heartbeat(stream, heartbeat_s):
-                    _slot, status, payload = run_cell(
-                        (slot, msg["scenario"], msg["params"]))
-                stream.send({"type": "result", "slot": slot,
-                             "status": status, "payload": payload})
-                completed += 1
-            elif mtype == "cells":
-                # batched assignment: run the whole batch under one
-                # heartbeat, reply with one `results` message — per
-                # message JSON+syscall cost amortizes across the batch
-                if fail_after is not None and completed >= fail_after:
-                    return completed
-                jobs = msg["cells"]
-                if log is not None:
-                    log(f"batch of {len(jobs)} cells "
-                        f"(first slot={jobs[0]['slot'] if jobs else '-'})")
-                outcomes = []
-                with _Heartbeat(stream, heartbeat_s):
-                    for job in jobs:
-                        slot = int(job["slot"])
-                        _slot, status, payload = run_cell(
-                            (slot, job["scenario"], job["params"]))
-                        outcomes.append({"slot": slot, "status": status,
-                                         "payload": payload})
-                        completed += 1
-                stream.send({"type": "results", "results": outcomes})
-            else:
+            if msg.get("type") != "cells":
                 continue
+            if fail_after is not None and completed >= fail_after:
+                # simulate a mid-batch crash: assignment accepted, no
+                # results
+                return completed
+            jobs = msg["cells"]
+            if log is not None:
+                log(f"batch of {len(jobs)} cell(s) "
+                    f"(first slot={jobs[0]['slot'] if jobs else '-'})")
+            with _Heartbeat(stream, heartbeat_s):
+                outcomes = run_cell_batch(
+                    [(int(job["slot"]), job["scenario"], job["params"])
+                     for job in jobs])
+            completed += len(outcomes)
+            stream.send({"type": "results", "results": [
+                {"slot": slot, "status": status, "payload": payload}
+                for slot, status, payload in outcomes]})
             if max_cells is not None and completed >= max_cells:
                 break
     except (OSError, ValueError):

@@ -61,11 +61,10 @@ from repro.experiments.executor import (
     Executor,
     InlineExecutor,
     ProcessPoolExecutor,
-    run_cell,
 )
 from repro.experiments.registry import get_scenario
 
-#: Anything with the ResultCache get/put/persist_stats surface —
+#: Anything with the ResultCache get_many/put_many/persist_stats surface —
 #: a local directory cache or a :class:`~repro.experiments.cache_service.CacheClient`.
 CacheLike = Any
 
@@ -386,11 +385,6 @@ def _iter_cells(resolved: Sequence[Tuple[SweepSpec, Any]]
             index += 1
 
 
-#: Backward-compatible alias: the worker entry point moved to
-#: :mod:`repro.experiments.executor` with the backend split.
-_run_cell = run_cell
-
-
 def _chunked(iterable: Iterator[Any], size: int
              ) -> Iterator[List[Any]]:
     """Consume an iterator into lists of at most ``size`` items."""
@@ -399,28 +393,6 @@ def _chunked(iterable: Iterator[Any], size: int
         if not chunk:
             return
         yield chunk
-
-
-def _cache_get_many(cache: CacheLike,
-                    items: Sequence[Tuple[str, Optional[str]]]
-                    ) -> List[Optional[Dict[str, Any]]]:
-    """Batch probe, falling back to per-key ``get`` for cache objects
-    that predate the batch surface (duck-typed test doubles)."""
-    get_many = getattr(cache, "get_many", None)
-    if get_many is not None:
-        return get_many(items)
-    return [cache.get(key, scenario) for key, scenario in items]
-
-
-def _cache_put_many(cache: CacheLike,
-                    items: Sequence[Tuple[str, Dict[str, Any],
-                                          Optional[str]]]) -> None:
-    put_many = getattr(cache, "put_many", None)
-    if put_many is not None:
-        put_many(items)
-        return
-    for key, payload, scenario in items:
-        cache.put(key, payload, scenario)
 
 
 class SweepRunner:
@@ -454,20 +426,20 @@ class SweepRunner:
                  cache: Optional[CacheLike] = None,
                  executor: Optional[Executor] = None,
                  cache_batch: int = DEFAULT_CACHE_BATCH,
-                 batch_size: Optional[int] = None):
+                 batch_size: int = 1):
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
         if cache_batch < 1:
             raise ValueError(f"cache_batch must be >= 1: {cache_batch}")
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
         self.workers = workers
         self.cache = cache
         self.executor = executor
         #: keys per get_many/put_many call when probing/writing the cache
         self.cache_batch = cache_batch
-        #: cells per dispatch batch for the auto-built process backend;
-        #: ``None`` keeps the legacy one-cell-per-task granularity
+        #: cells per dispatch batch for the auto-built process backend
+        #: (1: every cell is its own batch, persisted as it completes)
         self.batch_size = batch_size
 
     def run(self, request: Union[SweepRequest, SweepSpec,
@@ -539,8 +511,8 @@ class SweepRunner:
         the rest in completion order.  Injected executors are
         single-use, so they receive all misses as one segment.)  Each
         simulated result batch is written to the cache *before* any of
-        its cells is yielded (batch size 1 for the inline backend,
-        i.e. the historical per-cell granularity), so an interrupted
+        its cells is yielded (one cell per batch for the inline backend
+        and at the default ``batch_size=1``), so an interrupted
         consumer loses at most the in-flight cells — a restart
         re-simulates only what never finished.
         """
@@ -568,8 +540,7 @@ class SweepRunner:
                 if cache is None:
                     segment.extend(chunk)
                 else:
-                    payloads = _cache_get_many(
-                        cache,
+                    payloads = cache.get_many(
                         [(cell.key, cell.scenario) for cell in chunk])
                     for cell, payload in zip(chunk, payloads):
                         if payload is None:
@@ -589,10 +560,10 @@ class SweepRunner:
                 exhausted = True
 
             # Phase 2 — execute the segment's misses.  Results arrive
-            # in batches (size 1 for the inline backend,
-            # dispatch-batch-sized otherwise); each batch is written
-            # to the cache *before* any of its cells is yielded,
-            # preserving the resume contract at batch granularity.
+            # in dispatch batches (one cell each for the inline
+            # backend); each batch is written to the cache *before*
+            # any of its cells is yielded, preserving the resume
+            # contract at batch granularity.
             # The explicit close() in the finally propagates a
             # consumer's early abandonment (GeneratorExit) into the
             # executor generator immediately, so worker pools shut
@@ -608,8 +579,7 @@ class SweepRunner:
                             break
                         completed.append(item)
                     if cache is not None and completed:
-                        _cache_put_many(
-                            cache,
+                        cache.put_many(
                             [(cell.key, payload, cell.scenario)
                              for cell, _status, payload in completed])
                     for cell, _status, payload in completed:
@@ -647,9 +617,8 @@ class SweepRunner:
         if self.workers == 1 or len(cells) == 1:
             backend: Executor = InlineExecutor()
         else:
-            backend = ProcessPoolExecutor(
-                workers=self.workers,
-                batch_size=self.batch_size or 1)
+            backend = ProcessPoolExecutor(workers=self.workers,
+                                          batch_size=self.batch_size)
         with backend:
             backend.submit_cells(cells)
             yield from backend.results_batched()

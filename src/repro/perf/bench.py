@@ -336,62 +336,6 @@ def bench_metrics_plane(steps: int = 200_000, repeat: int = 3,
     return entry
 
 
-# ---------------------------------------------------------------------------
-# executor dispatch overhead
-# ---------------------------------------------------------------------------
-
-def bench_executor_overhead(cells: int = 24, repeat: int = 1
-                            ) -> List[Dict[str, Any]]:
-    """Per-cell dispatch cost of each sweep execution backend.
-
-    Runs a grid of trivial analytic cells (standby-sizing: closed-form
-    math, microseconds each) through every backend, so the measured
-    wall-clock is almost entirely fabric overhead — pool fork/pickle
-    for ``process``, socket round-trips for ``remote`` (two loopback
-    in-process workers).  Reported as ``cells_per_sec`` per backend;
-    not ratio-gated (absolute dispatch cost is hardware-bound), but
-    tracked in the payload so regressions are visible run to run.
-    """
-    spec = SweepSpec("standby-sizing",
-                     grid={"machines": [64 + i for i in range(cells)]})
-
-    def time_inline() -> float:
-        t0 = time.perf_counter()
-        SweepRunner(workers=1).run(spec)
-        return time.perf_counter() - t0
-
-    def time_process() -> float:
-        t0 = time.perf_counter()
-        SweepRunner(workers=2).run(spec)
-        return time.perf_counter() - t0
-
-    def time_remote() -> float:
-        import threading
-        executor = RemoteExecutor()
-        workers = [threading.Thread(target=run_worker,
-                                    args=(executor.address,),
-                                    daemon=True) for _ in range(2)]
-        for w in workers:
-            w.start()
-        t0 = time.perf_counter()
-        with executor:
-            SweepRunner(executor=executor).run(spec)
-        elapsed = time.perf_counter() - t0
-        for w in workers:
-            w.join(timeout=5.0)
-        return elapsed
-
-    rows = []
-    for name, fn in (("inline", time_inline),
-                     ("process", time_process),
-                     ("remote", time_remote)):
-        seconds = _best_of(fn, repeat)
-        rows.append({"name": f"executor:{name}", "cells": cells,
-                     "seconds": seconds,
-                     "cells_per_sec": cells / seconds})
-    return rows
-
-
 def bench_sweep_fabric(sizes: Sequence[int] = (10_000, 100_000,
                                                1_000_000),
                        workers: int = 2, batch_size: int = 256,
@@ -557,8 +501,6 @@ def run_benchmarks(quick: bool = False, include_xl: bool = True,
         scenarios.append(bench_scenario(name, params,
                                         repeat=scenario_repeat,
                                         with_seed_baseline=baseline))
-    executors = bench_executor_overhead(cells=12 if quick else 48,
-                                        repeat=1 if quick else 2)
     # fabric throughput at stress scale; quick mode shrinks the grid
     # sizes (CI smoke runs in seconds) but keeps all three backends so
     # the gated floors stay exercised on every PR
@@ -573,6 +515,5 @@ def run_benchmarks(quick: bool = False, include_xl: bool = True,
         "platform": platform.platform(),
         "microbench": micro,
         "scenarios": scenarios,
-        "executors": executors,
         "sweep_fabric": fabric,
     }

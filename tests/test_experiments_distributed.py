@@ -18,6 +18,7 @@ The load-bearing properties:
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -47,6 +48,7 @@ from repro.experiments import (
     make_executor,
     run_worker,
 )
+from repro.experiments.net import MessageStream
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -68,15 +70,43 @@ def start_workers(address, count, **kwargs):
     return threads
 
 
+def rogue_reply(address, forged_slot):
+    """Connect as a worker, take one assignment, and answer it for
+    ``forged_slot`` instead.  Returns the assignment and the
+    executor's next message (None once it hangs up)."""
+    stream = MessageStream(socket.create_connection(address, timeout=10))
+    try:
+        stream.send({"type": "hello", "proto": 1})
+        assignment = stream.recv()
+        stream.send({"type": "results", "results": [
+            {"slot": forged_slot, "status": "ok",
+             "payload": {"forged": True}}]})
+        try:
+            return assignment, stream.recv()
+        except OSError:
+            return assignment, None
+    finally:
+        stream.close()
+
+
 class TestExecutorApi:
     def test_inline_executor_runs_all_cells(self):
         cells = list(expand_cells([SPEC]))
         with InlineExecutor() as ex:
             ex.submit_cells(cells)
-            outcomes = list(ex.results())
+            batches = list(ex.results_batched())
+        # the inline backend dispatches every cell as a batch of one
+        assert [len(batch) for batch in batches] == [1] * len(cells)
+        outcomes = [outcome for batch in batches for outcome in batch]
         assert [c.index for c, _s, _p in outcomes] \
             == [c.index for c in cells]
         assert all(status == "ok" for _c, status, _p in outcomes)
+
+    @pytest.mark.parametrize("backend", ("inline", "process"))
+    def test_empty_submission_yields_no_batches(self, backend):
+        with make_executor(backend, workers=2) as ex:
+            ex.submit_cells([])
+            assert list(ex.results_batched()) == []
 
     def test_executors_are_single_use(self):
         ex = InlineExecutor()
@@ -169,6 +199,39 @@ class TestRemoteExecutor:
         assert warm.cache_hits == len(warm.results)
         assert warm.simulated == 0
 
+    @pytest.mark.parametrize("forged_slot", (2, 7))
+    def test_reply_for_unassigned_slot_is_a_lost_worker(self, tmp_path,
+                                                        forged_slot):
+        """A connection assigned slot 0 that replies for another slot
+        (one held by nobody, or past the end of the sweep) is dropped
+        like a dead worker: nothing it sent is recorded or cached."""
+        spec = SweepSpec("standby-sizing",
+                         grid={"machines": [64, 128, 256]})
+        reference = canonical(SweepRunner(workers=1).run(spec))
+        ex = RemoteExecutor(heartbeat_timeout_s=5.0)
+        seen = []
+
+        def rogue_then_worker():
+            seen.append(rogue_reply(ex.address, forged_slot))
+            start_workers(ex.address, 1)
+
+        rogue = threading.Thread(target=rogue_then_worker, daemon=True)
+        rogue.start()
+        with ex:
+            got = SweepRunner(executor=ex,
+                              cache=ResultCache(tmp_path / "c")).run(spec)
+        rogue.join(timeout=10)
+        assert not rogue.is_alive()
+        assignment, reply = seen[0]
+        assert [c["slot"] for c in assignment["cells"]] == [0]
+        assert reply is None              # the executor hung up on it
+        assert canonical(got) == reference
+        assert ex.stats["workers_lost"] == 1
+        assert ex.stats["requeued"] == 1
+        warm = SweepRunner(cache=ResultCache(tmp_path / "c")).run(spec)
+        assert warm.cache_hits == 3
+        assert canonical(warm) == reference
+
     def test_idle_timeout_fails_loudly_without_workers(self):
         ex = RemoteExecutor(idle_timeout_s=0.3)
         with ex:
@@ -221,14 +284,15 @@ class TestCacheService:
         with CacheServer(tmp_path).start() as server:
             with CacheClient(server.address) as client:
                 assert client.ping()
-                assert client.get("k1", "scen") is None
-                client.put("k1", {"x": 1}, "scen")
-                assert client.get("k1", "scen") == {"x": 1}
+                assert client.get_many([("k1", "scen")]) == [None]
+                client.put_many([("k1", {"x": 1}, "scen")])
+                assert client.get_many([("k1", "scen")]) == [{"x": 1}]
                 assert len(client) == 1
                 assert client.stats() == {"hits": 1, "misses": 1,
                                           "writes": 1}
         # entries live on disk under the scenario subdirectory
-        assert ResultCache(tmp_path).get("k1", "scen") == {"x": 1}
+        assert ResultCache(tmp_path).get_many([("k1", "scen")]) \
+            == [{"x": 1}]
 
     def test_sweep_through_service_matches_local_cache(self, tmp_path):
         local = SweepRunner(workers=1,
@@ -246,22 +310,22 @@ class TestCacheService:
         with CacheServer(tmp_path).start() as server:
             with CacheClient(server.address) as a, \
                     CacheClient(server.address) as b:
-                a.put("k", {"v": 1}, "s")
-                assert b.get("k", "s") == {"v": 1}
-                assert b.get("missing", "s") is None
+                a.put_many([("k", {"v": 1}, "s")])
+                assert b.get_many([("k", "s")]) == [{"v": 1}]
+                assert b.get_many([("missing", "s")]) == [None]
                 view = a.server_stats()
         # one write (a) + one hit and one miss (b), aggregated
         assert view["stats"] == {"hits": 1, "misses": 1, "writes": 1,
                                  "corrupt": 0}
         assert view["entries"] == 1
-        assert view["requests"]["get"] == 2
-        assert view["requests"]["put"] == 1
+        assert view["requests"]["get_many"] == 2
+        assert view["requests"]["put_many"] == 1
 
     def test_lifetime_counters_persist_to_sidecar(self, tmp_path):
         with CacheServer(tmp_path).start() as server:
             with CacheClient(server.address) as client:
-                client.put("k", {"v": 1}, "s")
-                client.get("k", "s")
+                client.put_many([("k", {"v": 1}, "s")])
+                client.get_many([("k", "s")])
                 client.persist_stats()
                 assert client.lifetime_stats()["writes"] == 1
         # server close also persists; a fresh local cache sees them
@@ -275,15 +339,38 @@ class TestCacheService:
                     client._request({"op": "frobnicate"})
                 assert client.ping()      # connection still serviceable
 
+    @pytest.mark.parametrize("op", (["get"], {"op": 1}, None, 7))
+    def test_malformed_op_is_an_error_not_a_hangup(self, tmp_path, op):
+        with CacheServer(tmp_path).start() as server:
+            with CacheClient(server.address) as client:
+                assert client.ping()
+                stream = client._stream
+                with pytest.raises(CacheServiceError,
+                                   match="op must be a string"):
+                    client._request({"op": op})
+                # same connection, no reconnect: the handler survived
+                assert client.ping()
+                assert client._stream is stream
+
+    def test_per_cell_ops_are_gone(self, tmp_path):
+        with CacheServer(tmp_path).start() as server:
+            with CacheClient(server.address) as client:
+                for op in ("get", "put"):
+                    with pytest.raises(CacheServiceError,
+                                       match="unknown op"):
+                        client._request({"op": op, "key": "k",
+                                         "scenario": "s",
+                                         "payload": {}})
+
     def test_client_reconnects_after_server_bounce(self, tmp_path):
         server = CacheServer(tmp_path).start()
         host, port = server.address
         client = CacheClient((host, port))
-        client.put("k", {"v": 1}, "s")
+        client.put_many([("k", {"v": 1}, "s")])
         server.close()
         bounced = CacheServer(tmp_path, host=host, port=port).start()
         try:
-            assert client.get("k", "s") == {"v": 1}
+            assert client.get_many([("k", "s")]) == [{"v": 1}]
         finally:
             client.close()
             bounced.close()
@@ -291,7 +378,7 @@ class TestCacheService:
     def test_unreachable_service_raises(self, tmp_path):
         client = CacheClient(("127.0.0.1", 1), connect_timeout_s=0.2)
         with pytest.raises((CacheServiceError, OSError)):
-            client.get("k", "s")
+            client.get_many([("k", "s")])
 
 
 class TestSweepRequestShims:
@@ -340,8 +427,8 @@ class TestSweepRequestShims:
 
     def test_result_cache_accepts_pathlib_path(self, tmp_path):
         cache = ResultCache(Path(tmp_path) / "p")
-        cache.put("k", {"v": 1}, "s")
-        assert cache.get("k", "s") == {"v": 1}
+        cache.put_many([("k", {"v": 1}, "s")])
+        assert cache.get_many([("k", "s")]) == [{"v": 1}]
         assert isinstance(cache.directory, str)
 
     def test_specs_are_validated(self):

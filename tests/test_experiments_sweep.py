@@ -271,7 +271,7 @@ class TestCacheMaintenance:
     def test_entries_grouped_by_scenario(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
         SweepRunner(workers=1, cache=cache).run(ANALYTIC_SPEC)
-        cache.put("flatkey", {"x": 1})
+        cache.put_many([("flatkey", {"x": 1}, None)])
         counts = cache.entries_by_scenario()
         assert counts == {"standby-sizing": 4, "": 1}
         assert len(cache) == 5
@@ -316,7 +316,7 @@ class TestCacheMaintenance:
         (tmp_path / "data").mkdir()
         (tmp_path / "data" / "model.bin").write_text("keep me too")
         cache = ResultCache(str(tmp_path))
-        cache.put("deadbeef", {"x": 1}, scenario="dense")
+        cache.put_many([("deadbeef", {"x": 1}, "dense")])
         assert cache.clear() == 1
         assert (tmp_path / "notes.txt").exists()
         assert (tmp_path / "data" / "model.bin").exists()
@@ -369,9 +369,9 @@ class TestReportLayer:
 class TestResultCache:
     def test_round_trip_and_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
-        assert cache.get("deadbeef") is None
-        cache.put("deadbeef", {"x": 1})
-        assert cache.get("deadbeef") == {"x": 1}
+        assert cache.get_many([("deadbeef", None)]) == [None]
+        cache.put_many([("deadbeef", {"x": 1}, None)])
+        assert cache.get_many([("deadbeef", None)]) == [{"x": 1}]
         assert len(cache) == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
@@ -379,16 +379,15 @@ class TestResultCache:
         path = os.path.join(str(tmp_path), "abc.json")
         with open(path, "w") as fh:
             fh.write("{not json")
-        assert cache.get("abc") is None
+        assert cache.get_many([("abc", None)]) == [None]
 
     def test_traffic_counters(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
         assert cache.stats() == {"hits": 0, "misses": 0, "writes": 0,
                                  "corrupt": 0}
-        cache.get("nope")                       # miss
-        cache.put("key", {"x": 1})              # write
-        cache.get("key")                        # hit
-        cache.get("key")                        # hit
+        cache.get_many([("nope", None)])                 # miss
+        cache.put_many([("key", {"x": 1}, None)])        # write
+        cache.get_many([("key", None), ("key", None)])   # two hits
         assert cache.stats() == {"hits": 2, "misses": 1, "writes": 1,
                                  "corrupt": 0}
 
@@ -396,7 +395,7 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path))
         with open(os.path.join(str(tmp_path), "bad.json"), "w") as fh:
             fh.write("{not json")
-        cache.get("bad")
+        cache.get_many([("bad", None)])
         assert cache.stats()["misses"] == 1
 
 

@@ -16,7 +16,6 @@ from repro.perf import (
     bench_scenario,
     bench_scheduler_ticks,
 )
-from repro.perf.bench import bench_executor_overhead
 
 
 def test_oneshot_events_tiny():
@@ -67,9 +66,3 @@ def test_scenario_cell_without_baseline():
     assert entry["fast_seconds"] > 0
     assert "speedup" not in entry
 
-
-def test_executor_overhead_rows():
-    rows = bench_executor_overhead(cells=2, repeat=1)
-    assert [r["name"] for r in rows] == [
-        "executor:inline", "executor:process", "executor:remote"]
-    assert all(r["cells_per_sec"] > 0 for r in rows)

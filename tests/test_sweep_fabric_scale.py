@@ -8,12 +8,12 @@ Covers the batched/lazy layers added for stress-scale grids:
 * empty-grid validation — a grid key with zero values fails fast with
   the key named, instead of silently expanding to nothing;
 * batched cache traffic — ``get_many``/``put_many`` on the local
-  cache and over the cache-service wire protocol, equivalent to the
-  per-key calls they replace;
+  cache and over the cache-service wire protocol (the only cache
+  surface: a single entry is a batch of one);
 * corrupt-entry quarantine — undecodable payloads are renamed to
   ``*.corrupt`` (once), counted, and surfaced by ``repro cache``;
-* batched dispatch — process-pool and remote backends produce
-  byte-identical results at any ``batch_size``;
+* batched dispatch — every backend reproduces pinned golden bytes at
+  any ``batch_size``, 1 included;
 * deterministic teardown — abandoning a ``stream()`` mid-sweep closes
   the executor the runner created;
 * ``StreamingSummary`` — folding results in *any* completion order,
@@ -25,6 +25,7 @@ Covers the batched/lazy layers added for stress-scale grids:
   cells/s benchmark with its absolute-floor regression gate.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -63,6 +64,16 @@ STRESS_SPEC = SweepSpec("sweep-stress", grid={"shard": range(6)})
 ANALYTIC_SPEC = SweepSpec("standby-sizing",
                           grid={"machines": [64, 128, 256],
                                 "quantile": [0.9, 0.99]})
+
+#: pinned sha256 of ``canonical(SweepRunner(...).run(spec))``: every
+#: backend at every batch size must reproduce these bytes, cell keys
+#: included, so cached entries written by earlier runs keep hitting
+GOLDEN_DIGESTS = (
+    (ANALYTIC_SPEC,
+     "e7e415a727b4b8a8cb573f15e4d6dfe3e4a275d43a4c72d0b488b440b695fd8e"),
+    (SweepSpec("sweep-stress", grid={"shard": range(0, 64)}, base_seed=7),
+     "d4c91092640853d50b48d4b8393af8737ae8809177288f4300fc85e0851c805c"),
+)
 
 
 def canonical(result) -> str:
@@ -264,8 +275,8 @@ class TestBatchedCache:
                 assert client.get_many(
                     [("a", "s"), ("missing", "s"), ("b", "s")]) \
                     == [{"v": 1}, None, {"v": 2}]
-                assert client.get("a", "s") == {"v": 1}
-                assert client.stats() == {"hits": 3, "misses": 1,
+                assert client.get_many([]) == []
+                assert client.stats() == {"hits": 2, "misses": 1,
                                           "writes": 2}
                 view = client.server_stats()
         assert view["requests"]["get_many"] == 1
@@ -293,10 +304,10 @@ class TestQuarantine:
     def test_corrupt_entry_quarantined_once(self, tmp_path):
         cache = ResultCache(tmp_path)
         path = self.corrupt(tmp_path)
-        assert cache.get("bad") is None
+        assert cache.get_many([("bad", None)]) == [None]
         assert not os.path.exists(path)
         assert os.path.exists(path[:-len(".json")] + ".corrupt")
-        assert cache.get("bad") is None       # now a plain miss
+        assert cache.get_many([("bad", None)]) == [None]  # plain miss
         stats = cache.stats()
         assert stats["corrupt"] == 1 and stats["misses"] == 2
         assert len(cache) == 0                # quarantined ≠ entry
@@ -304,7 +315,7 @@ class TestQuarantine:
     def test_quarantine_persists_and_clears(self, tmp_path):
         cache = ResultCache(tmp_path)
         self.corrupt(tmp_path)
-        cache.get("bad")
+        cache.get_many([("bad", None)])
         cache.persist_stats()
         assert ResultCache(tmp_path).lifetime_stats()["corrupt"] == 1
         cache.clear()
@@ -314,7 +325,7 @@ class TestQuarantine:
     def test_cli_surfaces_corrupt_count(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
         self.corrupt(tmp_path)
-        cache.get("bad")
+        cache.get_many([("bad", None)])
         cache.persist_stats()
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -342,6 +353,22 @@ class TestBatchedDispatch:
             warm = SweepRunner(cache=cache).run(STRESS_SPEC)
             assert warm.cache_hits == len(warm.results)
             assert canonical(warm) == reference
+
+    @pytest.mark.parametrize("batch_size", (1, 5))
+    @pytest.mark.parametrize("backend", ("inline", "process", "remote"))
+    def test_golden_bytes_on_every_backend(self, backend, batch_size):
+        for spec, digest in GOLDEN_DIGESTS:
+            if backend == "remote":
+                ex = RemoteExecutor(batch_size=batch_size)
+                start_workers(ex.address, 2)
+                with ex:
+                    got = SweepRunner(executor=ex).run(spec)
+            else:
+                workers = 1 if backend == "inline" else 2
+                got = SweepRunner(workers=workers,
+                                  batch_size=batch_size).run(spec)
+            assert hashlib.sha256(canonical(got).encode()).hexdigest() \
+                == digest, (backend, batch_size, spec.scenario)
 
     def test_batch_size_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
