@@ -6,9 +6,7 @@ Commands
 ``run``
     Run any registered scenario once and print (or save) its report:
     ``repro run dense --set mtbf_scale=0.01``.  Every entry point
-    resolves through the scenario registry — the legacy
-    ``run-dense`` / ``run-moe`` spellings remain as hidden deprecated
-    aliases of ``run dense`` / ``run moe``.
+    resolves through the scenario registry.
 
 ``list-scenarios``
     Print every scenario in the registry
@@ -76,13 +74,11 @@ Commands
     ``--prune <scenario>`` and ``--clear``.
 
 ``perf``
-    Run the simulation-core benchmark suite (:mod:`repro.perf`) —
-    engine microbenchmarks and end-to-end scenario wall-clock, each
-    measured against the preserved seed implementation — and write the
-    ``BENCH_sim.json`` payload.  ``--quick`` shrinks sizes for CI
-    smoke runs::
+    Run one registered scenario under cProfile and print the hotspot
+    table (top functions by cumulative time); ``--output`` saves the
+    JSON payload.  Performance is measured by ``perfbench/run.py``::
 
-        python -m repro perf --quick --output BENCH_sim.json
+        python -m repro perf --profile fleet-quarter --top 40
 
 ``standby-size``
     Print the P99 standby pool size for a fleet (Table 5's math).
@@ -124,20 +120,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             json.dump(payload, fh, indent=2)
         print(f"\nfull report written to {args.output}")
     return 0
-
-
-def _cmd_run_legacy(args: argparse.Namespace) -> int:
-    """The pre-registry ``run-dense`` / ``run-moe`` spellings."""
-    print(f"warning: `repro run-{args.flavor}` is deprecated; use "
-          f"`repro run {args.flavor} --set num_machines=... "
-          f"--set duration_s=...` (see `repro list-scenarios`)",
-          file=sys.stderr)
-    args.scenario = args.flavor
-    args.set = [f"num_machines={args.machines}",
-                f"duration_s={args.hours * 3600.0}",
-                f"seed={args.seed}",
-                f"mtbf_scale={args.mtbf_scale}"]
-    return _cmd_run(args)
 
 
 #: ``--grid key=A..B`` integer spans (inclusive), e.g. ``shard=0..999``.
@@ -482,53 +464,19 @@ def _cmd_cache_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    if args.profile:
-        from repro.experiments import ScenarioError
-        from repro.perf.profile import format_profile, profile_scenario
+    from repro.experiments import ScenarioError
+    from repro.perf.profile import format_profile, profile_scenario
 
-        try:
-            payload = profile_scenario(args.profile, top=args.top)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_profile(payload))
-        if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-            print(f"\nprofile payload written to {args.output}")
-        return 0
-
-    from repro.perf import run_benchmarks
-
-    payload = run_benchmarks(quick=args.quick,
-                             include_xl=not args.no_xl,
-                             with_seed_baseline=not args.no_baseline,
-                             repeat=args.repeat)
-    print(f"# BENCH_sim (schema {payload['schema']}, "
-          f"{'quick' if payload['quick'] else 'full'} mode, "
-          f"python {payload['python']})")
-    for row in payload["microbench"]:
-        line = (f"micro {row['name']:<18} "
-                f"{row['fast']['events_per_sec']:>12,.0f} ev/s")
-        if "speedup" in row:
-            line += (f"   seed {row['seed']['events_per_sec']:>12,.0f} "
-                     f"ev/s   speedup {row['speedup']:.2f}x")
-        print(line)
-    for row in payload["scenarios"]:
-        line = (f"scenario {row['name']:<18} "
-                f"{row['fast_seconds']:>8.2f}s")
-        if "speedup" in row:
-            line += (f"   seed {row['seed_seconds']:>8.2f}s   "
-                     f"speedup {row['speedup']:.2f}x")
-        print(line)
-    for row in payload.get("sweep_fabric", []):
-        print(f"{row['name']:<27} {row['cells_per_sec']:>12,.0f} "
-              f"cells/s ({row['cells']} analytic cells, "
-              f"batch {row['batch_size']}, {row['seconds']:.3f}s)")
+    try:
+        payload = profile_scenario(args.profile, top=args.top)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(format_profile(payload))
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"\nbenchmark payload written to {args.output}")
+        print(f"\nprofile payload written to {args.output}")
     return 0
 
 
@@ -610,8 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="ByteRobust reproduction — simulated robust LLM "
                     "training infrastructure")
-    # metavar hides the deprecated aliases from the usage line; only
-    # parsers registered with help= appear in --help
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
 
@@ -626,20 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", type=str, default=None,
                    help="write the full JSON report here")
     p.set_defaults(func=_cmd_run)
-
-    # deprecated aliases (hidden from --help): the pre-registry
-    # spellings, kept so existing invocations keep working
-    for flavor in ("dense", "moe"):
-        p = sub.add_parser(f"run-{flavor}")
-        p.add_argument("--machines", type=int, default=8)
-        p.add_argument("--hours", type=float, default=24.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mtbf-scale", type=float, default=0.01,
-                       help="compress the fleet MTBF (small fleets need "
-                            "small values to see incidents)")
-        p.add_argument("--output", type=str, default=None,
-                       help="write the full JSON report here")
-        p.set_defaults(func=_cmd_run_legacy, flavor=flavor)
 
     p = sub.add_parser("list-scenarios",
                        help="list registered scenarios and their "
@@ -775,24 +707,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cache_serve)
 
     p = sub.add_parser("perf",
-                       help="simulation-core benchmarks "
-                            "(BENCH_sim.json)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke sizes (seconds, not minutes)")
-    p.add_argument("--no-xl", action="store_true",
-                   help="skip the ~10k-GPU dense-xl scenario")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="skip the seed-baseline comparison runs")
-    p.add_argument("--repeat", type=int, default=None,
-                   help="microbench repetitions (default: 1 quick, 3 full)")
-    p.add_argument("--output", type=str, default=None,
-                   help="write the BENCH_sim.json payload here")
-    p.add_argument("--profile", type=str, default=None, metavar="SCENARIO",
-                   help="instead of benchmarking, run SCENARIO once "
-                        "under cProfile and print the hotspot table")
+                       help="profile one scenario run under cProfile "
+                            "(hotspot table)")
+    p.add_argument("--profile", type=str, required=True,
+                   metavar="SCENARIO",
+                   help="run SCENARIO once under cProfile and print the "
+                        "hotspot table")
     p.add_argument("--top", type=int, default=25,
-                   help="rows in the --profile hotspot table "
-                        "(default: 25)")
+                   help="rows in the hotspot table (default: 25)")
+    p.add_argument("--output", type=str, default=None,
+                   help="write the JSON profile payload here")
     p.set_defaults(func=_cmd_perf)
 
     p = sub.add_parser("standby-size", help="P99 standby pool sizing")

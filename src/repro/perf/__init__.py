@@ -1,34 +1,17 @@
-"""Performance benchmarking for the simulation core (``BENCH_sim``).
+"""Profiling and reference oracles for the simulation core.
 
-The package measures two things, both against the *seed* (pre-fast-path)
-implementation preserved in :mod:`repro.sim._reference` and
-:mod:`repro.perf.baseline`:
+* :func:`profile_scenario` / :func:`format_profile` — the
+  ``repro perf --profile <scenario>`` cProfile hotspot report;
+* :func:`seed_baseline` — restores the seed (pre-fast-path) hot paths
+  so the equivalence suite can assert that the fast path produces
+  byte-identical reports.
 
-* **engine microbenchmarks** — events/sec through the raw simulator for
-  one-shot scheduling, cancellation-heavy traffic, and the coalesced
-  periodic-tick scheduler (the headline O(tasks) → O(1) win);
-* **scenario wall-clock** — end-to-end runtime of registered scenarios
-  (``dense``, ``degraded-network``, optionally ``dense-xl``) through
-  the sweep API, fast path vs seed baseline.
-
-:func:`run_benchmarks` returns the ``BENCH_sim.json`` payload;
-``python -m repro perf`` writes it.  CI's ``perf-smoke`` job gates on
-the *speedup ratios* (machine-independent) via
-``benchmarks/perf/check_regression.py``.
+Performance itself is measured by the repository benchmark,
+``perfbench/run.py`` (declared in ``BENCHMARK.json``): absolute
+end-to-end metrics per workload plus a per-layer time split.
 """
 
 from repro.perf.baseline import seed_baseline
-from repro.perf.bench import (
-    BENCH_SCHEMA_VERSION,
-    bench_cancellation,
-    bench_fault_health_substrate,
-    bench_metrics_plane,
-    bench_oneshot_events,
-    bench_scenario,
-    bench_scheduler_ticks,
-    bench_sweep_fabric,
-    run_benchmarks,
-)
 from repro.perf.profile import (
     PROFILE_SCHEMA_VERSION,
     format_profile,
@@ -36,17 +19,8 @@ from repro.perf.profile import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "PROFILE_SCHEMA_VERSION",
-    "bench_cancellation",
-    "bench_fault_health_substrate",
-    "bench_metrics_plane",
-    "bench_oneshot_events",
-    "bench_scenario",
-    "bench_scheduler_ticks",
-    "bench_sweep_fabric",
     "format_profile",
     "profile_scenario",
-    "run_benchmarks",
     "seed_baseline",
 ]

@@ -1,13 +1,13 @@
 """Seed-mode baseline: run scenarios the way the pre-fast-path code did.
 
 :func:`seed_baseline` is a context manager that temporarily restores
-the seed behavior of every hot path this PR optimized:
+the seed behavior of every hot path the fast path optimized:
 
 * the event engine — :class:`~repro.sim._reference.ReferenceSimulator`
   (object handles on the heap, ``step()`` per event, one heap push per
   periodic tick) is swapped in for every newly built
   :class:`~repro.core.byterobust.ByteRobustSystem` and
-  :class:`~repro.core.platform.Platform`;
+  :class:`~repro.core.platform.TrainingPlatform`;
 * the inspection sweeps — the seed per-component scans below (no O(1)
   health rollup, ``cluster.machine()`` lookups per machine) replace the
   fast-path sweeps;
@@ -20,12 +20,12 @@ the seed behavior of every hot path this PR optimized:
   draws and health sweeps take the per-machine reference loops
   instead of the struct-of-arrays masks.
 
-Everything else (collector ring buffers, scenario wiring) is left in
-place: its wall-clock contribution is negligible at benchmark scales,
-and keeping the patch surface small keeps the baseline trustworthy.
-Both modes produce byte-identical reports — the equivalence suite
-asserts it — so the ratio between their wall-clocks is a pure speed
-measurement.
+It is a test oracle: ``tests/test_sim_equivalence.py`` asserts that
+both modes produce byte-identical reports, and
+``tests/test_metrics_plane.py`` checks the cached loss blocks against
+:func:`_seed_noise` / :func:`_seed_grad_norm`.  Everything else
+(collector ring buffers, scenario wiring) is left in place, which
+keeps the patch surface small and the oracle trustworthy.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def seed_baseline() -> Iterator[None]:
 
     Systems *built* inside the context run on the reference engine and
     the seed sweep/loss implementations; on exit every patch is
-    reverted.  Not reentrant, not thread-safe — it is a benchmarking
-    harness, not an execution mode.
+    reverted.  Not reentrant, not thread-safe — it is a test oracle,
+    not an execution mode.
     """
     saved = (
         _core.Simulator,

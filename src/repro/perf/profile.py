@@ -48,8 +48,12 @@ def profile_scenario(scenario: str,
     overrides = dict(params or {})
     profiler = cProfile.Profile()
     profiler.enable()
-    handle.build(**overrides).run()
-    profiler.disable()
+    try:
+        handle.build(**overrides).run()
+    finally:
+        # a build or run that raises must not leave the profiler
+        # installed, or the next enable() fails
+        profiler.disable()
 
     stats = pstats.Stats(profiler)
     entries = sorted(stats.stats.items(),  # type: ignore[attr-defined]

@@ -2,15 +2,15 @@
 
 This module preserves the original (pre-fast-path) engine: per-event
 :class:`ReferenceEventHandle` objects on the heap, a ``step()`` call per
-event, and one heap push per periodic tick.  It exists for two reasons:
+event, and one heap push per periodic tick.  It is a test oracle:
 
 * **Equivalence testing** — ``tests/test_sim_equivalence.py`` drives
   identical workloads through this engine and the optimized one in
   :mod:`repro.sim.engine` and asserts byte-identical execution order
   and scenario reports.
-* **Benchmark baselining** — :mod:`repro.perf` measures the optimized
-  engine's speedup against this one, so ``BENCH_sim.json`` carries a
-  machine-independent before/after ratio rather than a bare number.
+* **Seed mode** — :func:`repro.perf.baseline.seed_baseline` swaps this
+  engine in for whole scenarios, so the same suite can compare full
+  reports built on the seed hot paths against the fast path's.
 
 Apart from the ``every_tick`` shim (which maps onto per-task
 ``ReferencePeriodicTask`` loops, i.e. the seed semantics for the same

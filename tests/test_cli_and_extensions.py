@@ -40,9 +40,10 @@ class TestCli:
 
     def test_run_dense_with_json_output(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
-        assert main(["run-dense", "--machines", "4", "--hours", "2",
-                     "--mtbf-scale", "0.01", "--output",
-                     str(out_file)]) == 0
+        assert main(["run", "dense", "--set", "num_machines=4",
+                     "--set", "duration_s=7200",
+                     "--set", "mtbf_scale=0.01",
+                     "--output", str(out_file)]) == 0
         data = json.loads(out_file.read_text())
         assert 0.0 <= data["cumulative_ettr"] <= 1.0
         assert "ettr_curve" in data
@@ -65,25 +66,10 @@ class TestCli:
                      "--set", "warp_factor=9"]) == 2
         assert "warp_factor" in capsys.readouterr().err
 
-    def test_legacy_alias_warns_and_matches_run(self, tmp_path, capsys):
-        legacy_file = tmp_path / "legacy.json"
-        new_file = tmp_path / "new.json"
-        assert main(["run-dense", "--machines", "4", "--hours", "2",
-                     "--mtbf-scale", "0.01", "--output",
-                     str(legacy_file)]) == 0
-        assert "deprecated" in capsys.readouterr().err
-        assert main(["run", "dense", "--set", "num_machines=4",
-                     "--set", "duration_s=7200", "--set", "seed=0",
-                     "--set", "mtbf_scale=0.01", "--output",
-                     str(new_file)]) == 0
-        assert "deprecated" not in capsys.readouterr().err
-        assert legacy_file.read_text() == new_file.read_text()
-
     def test_legacy_aliases_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
-        assert "run-dense" not in out
         assert "cache-serve" in out and "worker" in out
 
 

@@ -1,6 +1,7 @@
 """``repro perf --profile`` and the cProfile hotspot harness."""
 
 import json
+import sys
 
 import pytest
 
@@ -62,3 +63,20 @@ def test_cli_perf_profile(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["schema"] == PROFILE_SCHEMA_VERSION
     assert data["rows"]
+
+
+def test_failed_profile_run_uninstalls_the_profiler():
+    with pytest.raises(ScenarioError):
+        profile_scenario("standby-sizing", params={"no_such_param": 1})
+    assert sys.getprofile() is None
+    if sys.version_info >= (3, 12):
+        assert sys.monitoring.get_tool(sys.monitoring.PROFILER_ID) is None
+    # the next profile installs cleanly
+    assert profile_scenario("standby-sizing", top=3)["rows"]
+
+
+def test_cli_perf_requires_profile(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["perf"])
+    assert exc.value.code == 2
+    assert "--profile" in capsys.readouterr().err

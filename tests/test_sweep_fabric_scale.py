@@ -21,22 +21,18 @@ Covers the batched/lazy layers added for stress-scale grids:
   ``summarize()`` exactly; ``keep_rows=False`` keeps the digest
   available at O(1) memory;
 * the ``sweep-stress`` scenario family, ``A..B`` grid spans and
-  ``sweep --live`` in the CLI, and the ``bench_sweep_fabric``
-  cells/s benchmark with its absolute-floor regression gate.
+  ``sweep --live`` in the CLI.
 """
 
 import hashlib
 import json
 import os
-import subprocess
-import sys
 import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.cli import _parse_assignments, main
 from repro.experiments import (
     CacheClient,
@@ -53,9 +49,6 @@ from repro.experiments import (
     run_worker,
     summarize,
 )
-
-REPO_ROOT = os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(repro.__file__))))
 
 SETTINGS = dict(max_examples=10, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -539,37 +532,3 @@ class TestCliScale:
         assert "10 served from cache, 0 streamed" \
             in capsys.readouterr().out
 
-
-class TestFabricBench:
-    def test_bench_rows_and_floors(self):
-        from repro.perf import bench_sweep_fabric
-
-        rows = bench_sweep_fabric(sizes=(200,), workers=2,
-                                  batch_size=16, remote_cap=0)
-        assert [r["backend"] for r in rows] == ["inline", "process"]
-        for row in rows:
-            assert row["name"] == f"sweep_fabric:{row['backend']}"
-            assert row["cells"] == 200
-            assert row["cells_per_sec"] > 0
-        assert rows[0]["batch_size"] == 1     # inline has no batching
-        assert rows[1]["batch_size"] == 16
-
-    def test_regression_gate_enforces_absolute_floor(self, tmp_path):
-        gate = os.path.join(REPO_ROOT, "benchmarks", "perf",
-                            "check_regression.py")
-        baseline = {"sweep_fabric": [
-            {"backend": "inline", "cells_per_sec": 1000}]}
-        for rate, expect in ((5000, 0), (100, 1)):
-            current = {"sweep_fabric": [
-                {"name": "sweep_fabric:inline", "backend": "inline",
-                 "cells_per_sec": rate}]}
-            cur = tmp_path / f"cur{rate}.json"
-            base = tmp_path / "base.json"
-            cur.write_text(json.dumps(current))
-            base.write_text(json.dumps(baseline))
-            proc = subprocess.run(
-                [sys.executable, gate, "--current", str(cur),
-                 "--baseline", str(base)],
-                capture_output=True, text=True)
-            assert proc.returncode == expect, proc.stdout + proc.stderr
-            assert "fabric:inline" in proc.stdout
