@@ -25,15 +25,18 @@ Gates (exit 1 on any failure):
 ``sweep-stress-smoke``): a ~50k-cell ``sweep-stress`` grid through
 ``--live`` digest-only aggregation — inline, then the remote backend
 with two workers and ``--batch-size 256``, then a warm resume from
-the populated cache — gated on per-phase wall-clock ceilings, a
-peak-child-RSS ceiling, digest equality across all three runs, and
-the warm resume serving every cell from cache.
+the populated cache, then a cold cached sweep SIGKILLed once its cache
+holds records and resumed — gated on per-phase wall-clock ceilings, a
+peak-child-RSS ceiling, digest equality across all four runs, the
+warm resume serving every cell from cache, and the killed sweep's
+resume serving some.
 """
 
 import argparse
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -103,7 +106,8 @@ STRESS_GRID = ["--scenario", "sweep-stress",
 #: Generous per-phase wall ceilings — the gate exists to catch the
 #: fabric falling off a throughput cliff (per-cell round-trips or
 #: pickles reintroduced), not to benchmark CI runners.
-STRESS_WALL_S = {"inline": 120.0, "remote": 180.0, "warm": 60.0}
+STRESS_WALL_S = {"inline": 120.0, "remote": 180.0, "warm": 60.0,
+                 "resume": 120.0}
 STRESS_RSS_BYTES = 1 << 30       # 1 GiB peak for any child process
 
 
@@ -119,6 +123,47 @@ def digest_payload(path: str, ignore_provenance: bool = False) -> str:
         digest = {k: v for k, v in digest.items()
                   if k not in ("cached", "simulated")}
     return json.dumps(digest, sort_keys=True)
+
+
+SERVED_RE = re.compile(r"(\d+) cells, (\d+) served from cache")
+
+
+def cache_holds_records(cache_dir: str) -> bool:
+    """Whether any segment log under ``cache_dir`` holds a record."""
+    for root, _dirs, names in os.walk(cache_dir):
+        for name in names:
+            if name.endswith(".log"):
+                try:
+                    if os.path.getsize(os.path.join(root, name)):
+                        return True
+                except OSError:
+                    pass
+    return False
+
+
+def killed_and_resumed(cache_dir: str, out_json: str, children) -> str:
+    """SIGKILL a cold cached inline sweep once its cache holds
+    records, then rerun it to completion; returns the rerun's output."""
+    argv = repro("sweep", *STRESS_GRID, "--live", "--cache-dir",
+                 cache_dir, "--quiet", "--output", out_json)
+    victim = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    children.append(victim)
+    deadline = time.monotonic() + 60.0
+    while not cache_holds_records(cache_dir):
+        if victim.poll() is not None:
+            raise RuntimeError("the sweep to be killed exited "
+                               f"{victim.returncode} first")
+        if time.monotonic() > deadline:
+            raise RuntimeError("the sweep to be killed wrote no "
+                               "cache records in 60s")
+        time.sleep(0.01)
+    victim.send_signal(signal.SIGKILL)
+    victim.wait(timeout=30)
+    if victim.returncode != -signal.SIGKILL:
+        raise RuntimeError("the sweep to be killed finished first "
+                           f"(exit {victim.returncode})")
+    return timed("resume", lambda: run_checked(argv))
 
 
 def timed(label: str, fn):
@@ -190,6 +235,23 @@ def stress() -> int:
             raise RuntimeError("stress warm resume re-simulated cells "
                                "that should have been cache hits")
 
+        print("== stress: SIGKILL a cold cached sweep, then resume",
+              file=sys.stderr)
+        resume_json = os.path.join(tmp, "resume.json")
+        resume_out = killed_and_resumed(
+            os.path.join(tmp, "killed-cache"), resume_json, children)
+        served = SERVED_RE.search(resume_out)
+        if served is None or int(served.group(2)) == 0:
+            raise RuntimeError("the killed sweep's resume served no "
+                               "cells from its cache")
+        print(f"[stress] resume after SIGKILL: {served.group(2)} of "
+              f"{served.group(1)} cells served from cache",
+              file=sys.stderr)
+        if digest_payload(resume_json, ignore_provenance=True) != \
+                digest_payload(inline_json, ignore_provenance=True):
+            raise RuntimeError("stress resume-after-kill digest "
+                               "differs from inline")
+
         if digest_payload(remote_json) != digest_payload(inline_json):
             raise RuntimeError("stress remote digest differs from "
                                "inline")
@@ -208,8 +270,8 @@ def stress() -> int:
                 f"stress peak child RSS {rss / (1 << 20):,.0f} MiB "
                 f"exceeds {STRESS_RSS_BYTES / (1 << 20):,.0f} MiB")
         print(f"sweep-stress smoke OK: {STRESS_CELLS} cells, "
-              f"inline == remote == warm resume, RSS and wall "
-              f"ceilings held")
+              f"inline == remote == warm resume == resume after "
+              f"SIGKILL, RSS and wall ceilings held")
         return 0
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"sweep-stress smoke FAILED: {exc}", file=sys.stderr)

@@ -405,7 +405,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"  {label:<24} {by_scenario[scenario]:>6}")
     print(f"lifetime: {stats['hits']} hits, {stats['misses']} misses, "
           f"{stats['writes']} writes, "
-          f"{stats.get('corrupt', 0)} corrupt quarantined")
+          f"{stats.get('corrupt', 0)} corrupt records dropped")
     return 0
 
 

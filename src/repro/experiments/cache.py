@@ -3,15 +3,38 @@
 A cell is identified by a *stable* content hash of everything that
 determines its output: scenario name, fully-resolved parameters, seed,
 the package version, and a schema version bumped whenever the report
-format changes.  Cache entries are single JSON files named by that
-hash, written atomically (tmp + rename) so concurrent workers sharing
-one cache directory never observe torn files.
+format changes.
 
-Entries are grouped into one subdirectory per scenario
-(``<dir>/<scenario>/<cell_key>.json``) so maintenance commands can
-enumerate or prune a scenario's cells without parsing payloads; the
-legacy flat layout (``<dir>/<cell_key>.json``) is still used when an
-item's scenario is ``None``.
+Entries live in append-only segment logs, one set per scenario, after
+Bitcask (Sheehy & Smith, 2010)::
+
+    <dir>/<scenario>/<writer-id>.log    entries of one scenario
+    <dir>/<writer-id>.log               entries whose scenario is None
+
+A record is one line: the cell key, a tab, the payload exactly as
+``json.dumps(payload, sort_keys=True)`` writes it, and a newline.  The
+writer id (``<pid>-<12 hex digits>``) is unique to each process, so
+two processes never append to the same file, and each
+:meth:`ResultCache.put_many` is one ``O_APPEND`` write per scenario.
+Nothing is fsynced: a killed process loses at most the batch it was
+writing, and an operating-system crash whatever the page cache had
+not yet written back.
+
+Probes are dict lookups in an in-memory index from key to record.
+Each process keeps one index per (directory, scenario), shared by
+every :class:`ResultCache` over that directory and guarded by a lock.
+It is built by one scan of the segments and revalidated on every
+:meth:`~ResultCache.get_many` with one ``listdir`` and one ``stat`` per
+segment: appended bytes are read, and a segment that shrank, vanished
+or was replaced forces a rebuild.  So a probe sees other writers'
+appends and never serves an entry after :meth:`~ResultCache.clear`.
+
+Bytes after a segment's last newline (a torn tail left by a killed
+writer) are skipped; the next append to that segment ends them with
+a newline first.  A record that does not decode is a miss: it is
+counted once in ``stats()["corrupt"]`` and dropped from the index,
+and the next write of its key supersedes it (the last record of a
+key wins).
 
 All traffic is batched: :meth:`ResultCache.get_many` probes and
 :meth:`ResultCache.put_many` writes a list of entries per call (a
@@ -26,9 +49,10 @@ to avoid being served stale numbers.
 
 Because keys embed the package/schema versions, entries written under
 an older version can never hit again; they still show up in
-``repro cache`` entry counts and bytes until removed.  Run
-``repro cache --clear`` after upgrading to reclaim the space (the
-next sweep re-simulates and repopulates).
+``repro cache`` entry counts and bytes until removed.  Entries of the
+older one-file-per-cell layout (``<key>.json``) are never read.  Run
+``repro cache --clear`` after upgrading to reclaim the space of both
+(the next sweep re-simulates and repopulates).
 """
 
 from __future__ import annotations
@@ -37,11 +61,11 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import tempfile
 import threading
+import weakref
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import __version__
 
@@ -145,8 +169,186 @@ def cell_key(scenario: str, params: Dict[str, Any], seed: int) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: A segment log's file name: ``<pid>-<12 hex digits>.log``.
+_SEGMENT_NAME = re.compile(r"\d+-[0-9a-f]{12}\.log\Z").match
+
+#: Bytes read per step while indexing a segment, so catching up with a
+#: million-record log never holds the whole file in memory.
+_READ_CHUNK = 1 << 22
+
+_APPEND_FLAGS = os.O_RDWR | os.O_APPEND | os.O_CREAT
+
+#: (pid, segment name) of this process's writer; a forked child sees a
+#: foreign pid and draws its own name.
+_writer: Tuple[int, str] = (-1, "")
+
+
+def _segment_name() -> str:
+    """This process's segment file name."""
+    global _writer
+    pid = os.getpid()
+    if _writer[0] != pid:
+        _writer = (pid, f"{pid}-{os.urandom(6).hex()}.log")
+    return _writer[1]
+
+
+def _is_cache_file(name: str) -> bool:
+    """Segments, plus the ``*.json`` entries and ``*.corrupt``
+    quarantine files of the one-file-per-cell layout (removed by
+    ``clear``/``prune``, never read)."""
+    return name != STATS_FILENAME and (
+        _SEGMENT_NAME(name) is not None
+        or name.endswith((".json", ".corrupt")))
+
+
+def _index_records(records: Dict[str, str], blob: bytes) -> None:
+    """Add the newline-terminated records in ``blob`` to ``records``."""
+    try:
+        lines = blob.decode("utf-8").split("\n")
+        lines.pop()
+        records.update(line.split("\t", 1) for line in lines)
+    except ValueError:
+        # a record that is not UTF-8, or a line without a tab: go line
+        # by line, keeping every addressable record; a payload that
+        # does not decode is indexed as "" so its probe is a miss
+        for raw in blob.split(b"\n")[:-1]:
+            key, sep, payload = raw.partition(b"\t")
+            if sep:
+                try:
+                    text = payload.decode("utf-8")
+                except UnicodeDecodeError:
+                    text = ""
+                records[key.decode("utf-8", "replace")] = text
+
+
+class _SegmentIndex:
+    """One directory's segment logs, as this process has read them.
+
+    ``records`` maps key to payload text; ``seen`` maps segment name
+    to ``(inode, bytes indexed, bytes read)`` — the two differ by a
+    torn tail.  ``lock`` guards both and this process's appends.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.lock = threading.Lock()
+        self.records: Dict[str, str] = {}
+        self.seen: Dict[str, Tuple[int, int, int]] = {}
+
+    def remove_files(self) -> None:
+        """Delete the cache-shaped files here and forget them."""
+        with self.lock:
+            try:
+                names = os.listdir(self.path)
+            except OSError:
+                names = []
+            for name in names:
+                if _is_cache_file(name):
+                    try:
+                        os.unlink(os.path.join(self.path, name))
+                    except OSError:
+                        pass
+            self.records = {}
+            self.seen = {}
+
+    def refresh(self) -> Dict[str, str]:
+        """Catch up with the segments on disk; returns the records."""
+        with self.lock:
+            try:
+                names = [name for name in os.listdir(self.path)
+                         if _SEGMENT_NAME(name)]
+            except OSError:
+                names = []
+            current = {}
+            for name in names:
+                try:
+                    current[name] = os.stat(os.path.join(self.path, name))
+                except OSError:
+                    pass
+            seen = self.seen
+            for name, (ino, _done, size) in seen.items():
+                st = current.get(name)
+                if st is None or st.st_ino != ino or st.st_size < size:
+                    # shrank, vanished or replaced: start over
+                    self.records = {}
+                    self.seen = seen = {}
+                    break
+            for name, st in current.items():
+                ino, done, size = seen.get(name, (st.st_ino, 0, 0))
+                if st.st_size != size:
+                    try:
+                        seen[name] = (ino, *self._read(name, done))
+                    except OSError:
+                        pass
+            return self.records
+
+    def _read(self, name: str, start: int) -> Tuple[int, int]:
+        """Index one segment's complete records from ``start``; returns
+        the offsets after its last newline and at its end."""
+        done = start
+        tail = b""
+        with open(os.path.join(self.path, name), "rb", buffering=0) as fh:
+            fh.seek(start)
+            while True:
+                chunk = fh.read(_READ_CHUNK)
+                if not chunk:
+                    break
+                blob = tail + chunk
+                cut = blob.rfind(b"\n") + 1
+                _index_records(self.records, blob[:cut])
+                tail = blob[cut:]
+                done += cut
+        return done, done + len(tail)
+
+    def append(self, records: List[Tuple[str, str]]) -> None:
+        """Append ``(key, payload text)`` records to this process's
+        segment in one write."""
+        name = _segment_name()
+        path = os.path.join(self.path, name)
+        data = "".join([f"{key}\t{text}\n"
+                        for key, text in records]).encode("utf-8")
+        with self.lock:
+            try:
+                fd = os.open(path, _APPEND_FLAGS, 0o666)
+            except FileNotFoundError:
+                os.makedirs(self.path, exist_ok=True)
+                fd = os.open(path, _APPEND_FLAGS, 0o666)
+            try:
+                st = os.fstat(fd)
+                start = st.st_size
+                torn = bool(start) and os.pread(fd, 1, start - 1) != b"\n"
+                if torn:
+                    # end the torn tail first, so it cannot swallow the
+                    # first new record
+                    data = b"\n" + data
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            if not torn and self.seen.get(name, (st.st_ino, 0, 0)) == \
+                    (st.st_ino, start, start):
+                self.records.update(records)
+                end = start + len(data)
+                self.seen[name] = (st.st_ino, end, end)
+            else:
+                # the segment changed behind the index (a torn tail, or
+                # cleared by another process): rebuild on the next probe
+                self.records = {}
+                self.seen = {}
+
+
+#: (directory, scenario label) -> index, shared by every ResultCache of
+#: this process, so a driver holding one cache per sweep pass over one
+#: directory holds one copy of the records; an index lives as long as
+#: some cache holds it.
+_INDEXES: "weakref.WeakValueDictionary[Tuple[str, str], _SegmentIndex]" = \
+    weakref.WeakValueDictionary()
+_INDEXES_LOCK = threading.Lock()
+
+
 class ResultCache:
-    """A directory of ``<scenario>/<cell_key>.json`` payloads.
+    """A directory of per-scenario segment logs of cell payloads.
 
     The instance counts its own traffic (:attr:`hits`, :attr:`misses`,
     :attr:`writes`) so sweep drivers can report cache effectiveness —
@@ -158,40 +360,38 @@ class ResultCache:
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = os.fspath(directory)
+        self._root = os.path.abspath(self.directory)
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        #: unreadable entries quarantined to ``<name>.corrupt`` by
+        #: undecodable records met (and dropped from the index) by
         #: get_many()
         self.corrupt = 0
         self._persisted = {"hits": 0, "misses": 0, "writes": 0,
                            "corrupt": 0}
-        self._made_dirs: set = set()
+        #: scenario label -> shared index (holding it keeps it alive)
+        self._indexes: Dict[str, _SegmentIndex] = {}
 
-    def _path(self, key: str, scenario: Optional[str] = None) -> str:
-        if scenario:
-            return os.path.join(self.directory, scenario, f"{key}.json")
-        return os.path.join(self.directory, f"{key}.json")
+    def _index(self, scenario: Optional[str]) -> _SegmentIndex:
+        label = scenario or ""
+        index = self._indexes.get(label)
+        if index is None:
+            if label in (".", "..") or os.sep in label or (
+                    os.altsep and os.altsep in label):
+                raise ValueError(f"scenario {scenario!r} is not a "
+                                 f"plain directory name")
+            with _INDEXES_LOCK:
+                index = _INDEXES.get((self._root, label))
+                if index is None:
+                    index = _SegmentIndex(os.path.join(self._root, label))
+                    _INDEXES[(self._root, label)] = index
+            self._indexes[label] = index
+        return index
 
     def stats(self) -> Dict[str, int]:
         """Traffic counters since construction (for logs/CI summaries)."""
         return {"hits": self.hits, "misses": self.misses,
                 "writes": self.writes, "corrupt": self.corrupt}
-
-    def _quarantine(self, path: str) -> None:
-        """Move an unreadable entry aside as ``<name>.corrupt``.
-
-        Renaming (rather than deleting) preserves the torn bytes for
-        post-mortem while guaranteeing the entry is only ever counted
-        once: subsequent probes see a plain miss and the next write
-        lands a fresh entry.  ``.corrupt`` files are invisible to
-        ``_iter_entries`` so they never pollute entry counts.
-        """
-        self.corrupt += 1
-        try:
-            os.replace(path, path[:-len(".json")] + ".corrupt")
-        except OSError:
-            pass
 
     def get_many(self, items: Sequence[Tuple[str, Optional[str]]]
                  ) -> List[Optional[Dict[str, Any]]]:
@@ -199,59 +399,39 @@ class ResultCache:
         (``None`` on a miss).
 
         The batch probe used by ``SweepRunner.stream()``: one call per
-        chunk of cells.  Locally it is a tight loop (few Python frames
-        per probe, batched counter updates); over the cache service the
-        same surface collapses a chunk into a single round-trip.  An
-        entry that exists but does not parse is quarantined to
-        ``<name>.corrupt`` (counted in ``stats()["corrupt"]``) instead
-        of being silently re-missed forever.
+        chunk of cells.  Each scenario's index is revalidated once per
+        call, then every probe is a dict lookup and a ``json.loads``.
+        A record that does not decode is a miss, counted in
+        ``stats()["corrupt"]`` and dropped from the index.
         """
         out: List[Optional[Dict[str, Any]]] = []
         append = out.append
         hits = misses = 0
-        directory = self.directory
         loads = json.loads
-        # chunks are near-always single-scenario: cache the joined
-        # directory prefix instead of paying os.path.join per key (the
-        # trailing-"" join yields the same separator normalization)
+        # chunks are near-always single-scenario
+        fresh: Dict[Optional[str], Dict[str, str]] = {}
         last_scenario: Any = False
-        prefix = directory
+        records: Dict[str, str] = {}
         for key, scenario in items:
             if scenario != last_scenario:
                 last_scenario = scenario
-                prefix = (os.path.join(directory, scenario, "")
-                          if scenario else os.path.join(directory, ""))
-            path = prefix + key + ".json"
-            # raw os.open/os.read instead of the io stack: a warm
-            # million-cell resume probes every cell, and a buffered
-            # file object costs more than the payload read itself
-            try:
-                fd = os.open(path, os.O_RDONLY)
-            except OSError:
-                misses += 1
-                append(None)
-                continue
-            try:
-                buf = os.read(fd, 1 << 18)
-                if len(buf) == 1 << 18:
-                    # regular files only short-read at EOF, so a full
-                    # first read is the one case needing a loop
-                    parts = [buf]
-                    while parts[-1]:
-                        parts.append(os.read(fd, 1 << 18))
-                    buf = b"".join(parts)
-            finally:
-                os.close(fd)
-            try:
-                # decode before loads: json.loads on bytes pays a
-                # detect_encoding call per entry (we always write UTF-8)
-                append(loads(buf.decode("utf-8")))
-            except ValueError:
-                self._quarantine(path)
-                misses += 1
-                append(None)
-                continue
-            hits += 1
+                records = fresh.get(scenario)
+                if records is None:
+                    records = fresh[scenario] = \
+                        self._index(scenario).refresh()
+            text = records.get(key)
+            if text is not None:
+                try:
+                    append(loads(text))
+                    hits += 1
+                    continue
+                except ValueError:
+                    with self._index(scenario).lock:
+                        if records.get(key) is text:
+                            del records[key]
+                            self.corrupt += 1
+            misses += 1
+            append(None)
         self.hits += hits
         self.misses += misses
         return out
@@ -260,138 +440,90 @@ class ResultCache:
                                              Optional[str]]]) -> None:
         """Write ``(key, payload, scenario)`` triples in order.
 
-        Entries stay individually atomic (tmp + rename per entry);
-        batching exists so the dispatch layer can hand a whole result
-        batch over in one call — and so the cache service can absorb
+        One append per scenario: the dispatch layer hands a whole
+        result batch over in one call — and the cache service absorbs
         it in one round-trip.
         """
-        # unique-per-writer tmp name + atomic rename: same torn-file
-        # guarantee as mkstemp, without the extra open/close/fstat of
-        # creating a securely-named file we immediately rename away.
-        # Raw os.open/os.write keeps a cold million-cell sweep's write
-        # path at open+write+close+rename — no buffered-IO object per
-        # entry.
-        tmp_suffix = f".{os.getpid()}.{threading.get_ident()}.tmp"
-        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        dumps = json.dumps
+        batches: Dict[Optional[str], List[Tuple[str, str]]] = {}
         for key, payload, scenario in items:
-            self.writes += 1
-            target = self._path(key, scenario)
-            parent = os.path.dirname(target)
-            if parent not in self._made_dirs:
-                os.makedirs(parent, exist_ok=True)
-                self._made_dirs.add(parent)
-            tmp = target + tmp_suffix
-            data = json.dumps(payload, sort_keys=True).encode("utf-8")
-            try:
-                try:
-                    fd = os.open(tmp, flags, 0o666)
-                except FileNotFoundError:
-                    # the memoized parent was removed behind our back
-                    # (clear()/prune() mid-run) — recreate, retry once
-                    os.makedirs(parent, exist_ok=True)
-                    fd = os.open(tmp, flags, 0o666)
-                try:
-                    os.write(fd, data)
-                finally:
-                    os.close(fd)
-                os.replace(tmp, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            if "\t" in key or "\n" in key:
+                raise ValueError(f"cache key {key!r} holds a tab or "
+                                 f"newline")
+            batch = batches.get(scenario)
+            if batch is None:
+                batch = batches[scenario] = []
+            batch.append((key, dumps(payload, sort_keys=True)))
+        for scenario, batch in batches.items():
+            self._index(scenario).append(batch)
+            self.writes += len(batch)
 
     # -- maintenance (the `repro cache` subcommand) --------------------
 
-    def _iter_entries(self):
-        """Yield ``(scenario_or_None, path)`` for every cache entry."""
+    def _scenario_dirs(self) -> List[str]:
         try:
-            names = sorted(os.listdir(self.directory))
+            names = sorted(os.listdir(self._root))
         except OSError:
-            return
-        for name in names:
-            path = os.path.join(self.directory, name)
-            if os.path.isdir(path):
-                try:
-                    children = sorted(os.listdir(path))
-                except OSError:
-                    continue
-                for child in children:
-                    if child.endswith(".json"):
-                        yield name, os.path.join(path, child)
-            elif name.endswith(".json") and name != STATS_FILENAME:
-                yield None, path
+            return []
+        return [name for name in names
+                if os.path.isdir(os.path.join(self._root, name))]
+
+    def _indexes_on_disk(self) -> Iterator[Tuple[str, _SegmentIndex]]:
+        """``(label, index)`` for the flat segments (label ``""``) and
+        every scenario subdirectory, each revalidated."""
+        for label in ["", *self._scenario_dirs()]:
+            index = self._index(label)
+            index.refresh()
+            yield label, index
 
     def entries_by_scenario(self) -> Dict[str, int]:
         """Entry counts keyed by scenario (flat entries under ``""``)."""
-        counts: Dict[str, int] = {}
-        for scenario, _path in self._iter_entries():
-            label = scenario or ""
-            counts[label] = counts.get(label, 0) + 1
-        return counts
+        return {label: len(index.records)
+                for label, index in self._indexes_on_disk()
+                if index.records}
 
     def total_bytes(self) -> int:
-        """Bytes of payload currently on disk."""
-        total = 0
-        for _scenario, path in self._iter_entries():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
+        """Bytes of segment logs currently on disk."""
+        return sum(size for _label, index in self._indexes_on_disk()
+                   for _ino, _done, size in list(index.seen.values()))
 
     def prune(self, scenario: str) -> int:
         """Remove every entry of one scenario; returns entries removed.
 
         Only names that actually appear as scenario subdirectories are
         eligible — anything else (including path fragments like ``..``
-        or absolute paths) is a no-op, never an rmtree outside the
-        cache directory.
+        or absolute paths) is a no-op.  Only cache-shaped files go; the
+        subdirectory itself goes only once it is empty.
         """
-        removed = sum(1 for s, _ in self._iter_entries() if s == scenario)
-        if removed:
-            shutil.rmtree(os.path.join(self.directory, scenario),
-                          ignore_errors=True)
+        if scenario not in self._scenario_dirs():
+            return 0
+        index = self._index(scenario)
+        removed = len(index.refresh())
+        index.remove_files()
+        try:
+            os.rmdir(index.path)
+        except OSError:
+            pass
         return removed
 
     def clear(self) -> int:
         """Remove every entry (and the stats sidecar).
 
-        Deletes only cache-shaped content — ``*.json`` entries, the
+        Deletes only cache-shaped content — segment logs, the old
+        layout's ``*.json`` entries and ``*.corrupt`` files, the
         scenario subdirectories that held them, and the stats sidecar.
         A mistyped ``--cache-dir`` pointed at a real directory loses
         no unrelated files, and the directory itself is left in place.
         """
         removed = 0
-        scenario_dirs = set()
-        for scenario, path in list(self._iter_entries()):
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-            if scenario:
-                scenario_dirs.add(os.path.join(self.directory, scenario))
-        # quarantined entries are cache-shaped too; sweep them out so
-        # the scenario subdirectories actually empty (not counted in
-        # ``removed`` — they were never live entries)
-        for q_dir in [self.directory, *scenario_dirs]:
-            try:
-                names = os.listdir(q_dir)
-            except OSError:
-                continue
-            for name in names:
-                if name.endswith(".corrupt"):
-                    try:
-                        os.unlink(os.path.join(q_dir, name))
-                    except OSError:
-                        pass
-        for subdir in scenario_dirs:
-            try:
-                os.rmdir(subdir)       # only if nothing else lives there
-            except OSError:
-                pass
+        for label, index in list(self._indexes_on_disk()):
+            removed += len(index.records)
+            index.remove_files()
+            if label:
+                try:
+                    os.rmdir(index.path)   # only if nothing else lives there
+                except OSError:
+                    pass
         try:
             os.unlink(self._stats_path())
         except OSError:
@@ -424,7 +556,7 @@ class ResultCache:
         """Fold this instance's traffic into the on-disk sidecar.
 
         Last-writer-wins under concurrency — acceptable for advisory
-        counters; the entries themselves stay atomic regardless.
+        counters; the entries themselves are unaffected.
         """
         merged = self.lifetime_stats()
         os.makedirs(self.directory, exist_ok=True)
@@ -444,4 +576,5 @@ class ResultCache:
                            "corrupt": self.corrupt}
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._iter_entries())
+        return sum(len(index.records)
+                   for _label, index in self._indexes_on_disk())

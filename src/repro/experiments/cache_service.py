@@ -5,7 +5,8 @@ threaded TCP server so N sweep hosts share a single content-addressed
 store: the first host to simulate a cell publishes it, every other
 host gets a hit.  Because cell keys are host-independent content
 hashes, the server needs no coordination beyond the cache's own
-atomic writes — one lock serializes the counter updates.
+append-only segment logs — one lock serializes requests, and the
+``stats`` op counts entries from the in-memory index, not the disk.
 
 The wire format is the fabric's newline-delimited JSON
 (:mod:`repro.experiments.net`), one request/response pair per line:

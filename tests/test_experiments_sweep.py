@@ -302,6 +302,19 @@ class TestCacheMaintenance:
         assert (outside / "keep.json").exists()
         assert len(cache) == 4
 
+    def test_prune_spares_unrelated_files(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
+        SweepRunner(workers=1, cache=cache).run(ANALYTIC_SPEC)
+        notes = tmp_path / "c" / "standby-sizing" / "notes.txt"
+        notes.write_text("keep me")
+        assert cache.prune("standby-sizing") == 4
+        assert notes.read_text() == "keep me"
+        assert cache.entries_by_scenario() == {}
+        notes.unlink()
+        SweepRunner(workers=1, cache=cache).run(ANALYTIC_SPEC)
+        cache.prune("standby-sizing")  # an emptied directory goes too
+        assert not notes.parent.exists()
+
     def test_clear_removes_everything(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
         SweepRunner(workers=1, cache=cache).run(ANALYTIC_SPEC)
@@ -376,10 +389,23 @@ class TestResultCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        path = os.path.join(str(tmp_path), "abc.json")
+        path = os.path.join(str(tmp_path), "1-0123456789ab.log")
         with open(path, "w") as fh:
-            fh.write("{not json")
+            fh.write("abc\t{not json\n")
         assert cache.get_many([("abc", None)]) == [None]
+
+    def test_rejects_keys_and_scenarios_that_escape_the_layout(
+            self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
+        for key in ("a\tb", "a\nb"):
+            with pytest.raises(ValueError, match="tab or newline"):
+                cache.put_many([(key, {"x": 1}, "dense")])
+        for scenario in ("..", "../outside", str(tmp_path)):
+            with pytest.raises(ValueError, match="plain directory"):
+                cache.put_many([("k", {"x": 1}, scenario)])
+            with pytest.raises(ValueError, match="plain directory"):
+                cache.get_many([("k", scenario)])
+        assert os.listdir(str(tmp_path)) == []
 
     def test_traffic_counters(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
@@ -393,10 +419,21 @@ class TestResultCache:
 
     def test_corrupt_entry_counts_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        with open(os.path.join(str(tmp_path), "bad.json"), "w") as fh:
-            fh.write("{not json")
+        with open(os.path.join(str(tmp_path), "1-0123456789ab.log"),
+                  "w") as fh:
+            fh.write("bad\t{not json\n")
         cache.get_many([("bad", None)])
         assert cache.stats()["misses"] == 1
+        assert cache.stats()["corrupt"] == 1
+
+    def test_old_per_file_entries_are_ignored(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        os.mkdir(tmp_path / "dense")
+        (tmp_path / "dense" / "abc.json").write_text('{"x": 1}')
+        assert cache.get_many([("abc", "dense")]) == [None]
+        assert len(cache) == 0
+        cache.clear()                  # ... but --clear reclaims them
+        assert not (tmp_path / "dense").exists()
 
 
 class TestSummary:

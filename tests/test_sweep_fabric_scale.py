@@ -10,8 +10,10 @@ Covers the batched/lazy layers added for stress-scale grids:
 * batched cache traffic — ``get_many``/``put_many`` on the local
   cache and over the cache-service wire protocol (the only cache
   surface: a single entry is a batch of one);
-* corrupt-entry quarantine — undecodable payloads are renamed to
-  ``*.corrupt`` (once), counted, and surfaced by ``repro cache``;
+* corrupt records — an undecodable record is a miss, counted once,
+  surfaced by ``repro cache`` and removed by ``clear()``;
+* the segment-log layout — a torn tail costs only its own cell, and
+  two writer processes never interleave and see each other's appends;
 * batched dispatch — every backend reproduces pinned golden bytes at
   any ``batch_size``, 1 included;
 * deterministic teardown — abandoning a ``stream()`` mid-sweep closes
@@ -27,6 +29,8 @@ Covers the batched/lazy layers added for stress-scale grids:
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -287,23 +291,53 @@ class TestBatchedCache:
             assert warm.cache_hits == len(warm.results)
 
 
+#: a segment log name of the shape the cache writes and reads
+SEGMENT = "1-0123456789ab.log"
+
+
+def segments(directory):
+    """Every segment log under a cache directory."""
+    return sorted(os.path.join(root, name)
+                  for root, _dirs, names in os.walk(str(directory))
+                  for name in names if name.endswith(".log"))
+
+
 class TestQuarantine:
-    def corrupt(self, tmp_path, name="bad"):
-        path = os.path.join(str(tmp_path), f"{name}.json")
-        with open(path, "w") as fh:
-            fh.write("{not json")
+    def corrupt(self, tmp_path, key="bad"):
+        path = os.path.join(str(tmp_path), SEGMENT)
+        with open(path, "a") as fh:
+            fh.write(f"{key}\t{{not json\n")
         return path
 
     def test_corrupt_entry_quarantined_once(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = self.corrupt(tmp_path)
+        self.corrupt(tmp_path)
+        assert len(cache) == 1                # indexed, not yet decoded
         assert cache.get_many([("bad", None)]) == [None]
-        assert not os.path.exists(path)
-        assert os.path.exists(path[:-len(".json")] + ".corrupt")
         assert cache.get_many([("bad", None)]) == [None]  # plain miss
+        # another instance in this process shares the index: the
+        # dropped record stays dropped, and is not counted again
+        other = ResultCache(tmp_path)
+        assert other.get_many([("bad", None)]) == [None]
+        assert other.stats()["corrupt"] == 0
         stats = cache.stats()
         assert stats["corrupt"] == 1 and stats["misses"] == 2
-        assert len(cache) == 0                # quarantined ≠ entry
+        assert len(cache) == 0                # dropped ≠ entry
+        # the next write of the key supersedes the bad record
+        cache.put_many([("bad", {"x": 1}, None)])
+        assert ResultCache(tmp_path).get_many([("bad", None)]) == \
+            [{"x": 1}]
+
+    def test_undecodable_bytes_and_stray_lines(self, tmp_path):
+        with open(os.path.join(str(tmp_path), SEGMENT), "wb") as fh:
+            fh.write(b'good\t{"x": 1}\nno tab here\n'
+                     b'bad\t{"x": "\xff"}\n\nlast\t{"x": 2}\n')
+        cache = ResultCache(tmp_path)
+        assert cache.get_many([("good", None), ("bad", None),
+                               ("last", None)]) == [{"x": 1}, None,
+                                                    {"x": 2}]
+        assert cache.stats()["corrupt"] == 1
+        assert len(cache) == 2
 
     def test_quarantine_persists_and_clears(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -312,8 +346,7 @@ class TestQuarantine:
         cache.persist_stats()
         assert ResultCache(tmp_path).lifetime_stats()["corrupt"] == 1
         cache.clear()
-        assert [f for f in os.listdir(str(tmp_path))
-                if f.endswith(".corrupt")] == []
+        assert segments(tmp_path) == []
 
     def test_cli_surfaces_corrupt_count(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
@@ -322,7 +355,138 @@ class TestQuarantine:
         cache.persist_stats()
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "1 corrupt quarantined" in out
+        assert "1 corrupt records dropped" in out
+
+
+#: run in a child process: append ``batches`` batches of records keyed
+#: ``<tag>-<batch>-<i>`` to the cache directory
+WRITER = """
+import sys
+from repro.experiments import ResultCache
+directory, tag, batches = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = ResultCache(directory)
+for b in range(batches):
+    cache.put_many([(f"{tag}-{b}-{i}", {"tag": tag, "pad": "x" * 300,
+                                        "i": i}, "dense")
+                    for i in range(50)])
+"""
+
+
+def run_python(code, *argv):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env)
+
+
+class TestSegmentLog:
+    def test_torn_tail_resumes_only_the_torn_cell(self, tmp_path):
+        reference = canonical(SweepRunner(workers=1).run(STRESS_SPEC))
+        cache = ResultCache(tmp_path)
+        SweepRunner(workers=1, cache=cache).run(STRESS_SPEC)
+        [segment] = segments(tmp_path)
+        with open(segment, "rb") as fh:
+            data = fh.read()
+        # cut the last record mid-payload, as a killed write leaves it
+        torn_key = data.splitlines()[-1].split(b"\t")[0].decode()
+        with open(segment, "r+b") as fh:
+            fh.truncate(len(data) - 20)
+        fresh = ResultCache(tmp_path)
+        keys = [(cell.key, cell.scenario)
+                for cell in expand_cells([STRESS_SPEC])]
+        payloads = fresh.get_many(keys)
+        assert [key for (key, _s), p in zip(keys, payloads)
+                if p is None] == [torn_key]
+        assert fresh.stats()["corrupt"] == 0  # a torn tail is skipped
+        resumed = SweepRunner(workers=1, cache=fresh).run(STRESS_SPEC)
+        assert (resumed.cache_hits, resumed.simulated) == \
+            (len(keys) - 1, 1)
+        assert canonical(resumed) == reference
+        # the re-simulated record landed after the torn bytes intact
+        warm = SweepRunner(workers=1, cache=ResultCache(tmp_path)).run(
+            STRESS_SPEC)
+        assert warm.cache_hits == len(keys)
+        assert canonical(warm) == reference
+
+    def test_two_writer_processes(self, tmp_path):
+        early = ResultCache(tmp_path)
+        assert early.get_many([("a-0-0", "dense")]) == [None]
+        writers = [run_python(WRITER, str(tmp_path), tag, "40")
+                   for tag in ("a", "b")]
+        assert [proc.wait(timeout=60) for proc in writers] == [0, 0]
+        logs = segments(tmp_path)
+        assert len(logs) == 2                 # one segment per writer
+        for path in logs:
+            with open(path) as fh:
+                lines = fh.read().split("\n")
+            assert lines.pop() == ""
+            tags = set()
+            for line in lines:                # whole, unmixed records
+                key, payload = line.split("\t")
+                record = json.loads(payload)
+                assert key.startswith(record["tag"] + "-")
+                tags.add(record["tag"])
+            assert len(tags) == 1
+        keys = [(f"{tag}-{b}-{i}", "dense") for tag in ("a", "b")
+                for b in range(40) for i in range(50)]
+        # the instance that probed before the writes sees their appends
+        payloads = early.get_many(keys)
+        assert all(p is not None for p in payloads)
+        assert [p["tag"] for p in payloads] == [k[0][0] for k in keys]
+        assert len(early) == len(keys)
+        early.put_many([("mine", {"x": 0}, "solo")])
+        # a clear() by an instance in another process empties this
+        # one, even where this one appends again before its next probe
+        clearer = run_python(
+            "import sys\nfrom repro.experiments import ResultCache\n"
+            "ResultCache(sys.argv[1]).clear()", str(tmp_path))
+        assert clearer.wait(timeout=60) == 0
+        early.put_many([("after", {"x": 2}, "solo")])
+        assert early.get_many([keys[0], ("mine", "solo"),
+                               ("after", "solo")]) == [None, None,
+                                                       {"x": 2}]
+        # ... and so does one in this process
+        early.put_many([("a-0-0", {"x": 1}, "dense")])
+        assert early.get_many(keys[:1]) == [{"x": 1}]
+        ResultCache(tmp_path).clear()
+        assert early.get_many(keys[:1]) == [None]
+
+
+    def test_threads_share_one_index(self, tmp_path):
+        """Caches on several threads share this process's index and
+        segment: no append or index update is lost."""
+        unread = []
+
+        def work(tag):
+            cache = ResultCache(tmp_path)
+            for b in range(30):
+                cache.put_many([(f"{tag}-{b}-{i}", {"i": i}, "dense")
+                                for i in range(10)])
+                if cache.get_many([(f"{tag}-{b}-9", "dense")]) != \
+                        [{"i": 9}]:
+                    unread.append((tag, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(f"t{n}",))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert unread == []          # every thread reads its writes
+        finally:
+            sys.setswitchinterval(interval)
+        keys = [(f"t{n}-{b}-{i}", "dense") for n in range(8)
+                for b in range(30) for i in range(10)]
+        assert len(ResultCache(tmp_path)) == len(keys)
+        assert None not in ResultCache(tmp_path).get_many(keys)
+        [segment] = segments(tmp_path)
+        with open(segment) as fh:
+            assert len(fh.read().splitlines()) == len(keys)
 
 
 class TestBatchedDispatch:
