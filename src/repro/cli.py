@@ -80,14 +80,12 @@ Commands
 
         python -m repro perf --profile fleet-quarter --top 40
 
-``standby-size``
-    Print the P99 standby pool size for a fleet (Table 5's math).
-
-``replay``
-    Run a dual-phase replay localization demo (Algorithm 1).
-
-``was``
-    Print the Fig. 12 weighted-average scheduling time comparison.
+Every paper artifact is a registered scenario, so it runs through
+``run`` or ``sweep`` like any other: Table 5 standby sizing is
+``repro run standby-sizing --set machines=1024``, the Algorithm 1
+replay demo is ``repro run replay-localization --set faulty=13``, and
+the Fig. 12 WAS-time table is
+``repro sweep --scenario was-time --grid machines=128,256,512,1024``.
 """
 
 from __future__ import annotations
@@ -480,79 +478,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_standby_size(args: argparse.Namespace) -> int:
-    from repro.controller import StandbyPolicy
-
-    policy = StandbyPolicy(daily_failure_prob=args.daily_failure_prob,
-                           quantile=args.quantile)
-    row = policy.table5_row(args.machines, args.gpus_per_machine)
-    print(f"fleet:              {args.machines} machines x "
-          f"{args.gpus_per_machine} GPUs")
-    print(f"failure prob/day:   {args.daily_failure_prob:.4%} per machine")
-    print(f"quantile:           P{args.quantile * 100:g}")
-    print(f"standby pool:       {row['p99_standby_machines']} machines "
-          f"({row['p99_standby_gpus']} GPUs)")
-    return 0
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.cluster import Cluster, ClusterSpec, Fault, FaultInjector
-    from repro.cluster.faults import (
-        FaultSymptom,
-        JobEffect,
-        RootCause,
-        RootCauseDetail,
-    )
-    from repro.diagnosis import DualPhaseReplay
-    from repro.sim import RngStreams, Simulator
-
-    sim = Simulator()
-    cluster = Cluster(ClusterSpec(num_machines=args.machines,
-                                  machines_per_switch=args.machines))
-    injector = FaultInjector(sim, cluster)
-    injector.inject(Fault(
-        symptom=FaultSymptom.NAN_VALUE,
-        root_cause=RootCause.INFRASTRUCTURE,
-        detail=RootCauseDetail.GPU_SDC, machine_ids=[args.faulty],
-        effect=JobEffect.NAN, reproduce_prob=args.reproduce_prob))
-    replay = DualPhaseReplay(cluster, RngStreams(args.seed))
-    result = replay.locate_faulty_machines(
-        list(range(args.machines)), m=args.group_size)
-    print(f"machines: {args.machines}, m={args.group_size}, n={result.n}")
-    print(f"failed horizontal groups: {result.failed_horizontal}")
-    print(f"failed vertical groups:   {result.failed_vertical}")
-    print(f"isolated suspects:        {result.suspects}")
-    print(f"wall time:                {result.duration_s:.0f} s")
-    return 0 if result.suspects == [args.faulty] else 1
-
-
-def _cmd_was(args: argparse.Namespace) -> int:
-    from repro.baselines import (
-        ByteRobustRestart,
-        OracleRestart,
-        RequeueRestart,
-        RescheduleRestart,
-        weighted_average_scheduling_time,
-    )
-    from repro.baselines.restart import eviction_scenario_weights
-    from repro.controller import StandbyPolicy
-
-    policy = StandbyPolicy()
-    strategies = [RequeueRestart(), RescheduleRestart(), OracleRestart(),
-                  ByteRobustRestart(standby_policy=policy)]
-    print(f"{'scale':>8}  " + "  ".join(f"{s.name:>11}"
-                                        for s in strategies))
-    for n in args.scales:
-        p99 = policy.standby_count(n)
-        weights = eviction_scenario_weights(
-            n, policy.daily_failure_prob, p99_count=p99,
-            catastrophic_size=args.catastrophic)
-        cells = [weighted_average_scheduling_time(s, n, weights)
-                 for s in strategies]
-        print(f"{n:>8}  " + "  ".join(f"{c:>10.0f}s" for c in cells))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -719,26 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the JSON profile payload here")
     p.set_defaults(func=_cmd_perf)
 
-    p = sub.add_parser("standby-size", help="P99 standby pool sizing")
-    p.add_argument("--machines", type=int, default=1024)
-    p.add_argument("--gpus-per-machine", type=int, default=16)
-    p.add_argument("--daily-failure-prob", type=float, default=0.0012)
-    p.add_argument("--quantile", type=float, default=0.99)
-    p.set_defaults(func=_cmd_standby_size)
-
-    p = sub.add_parser("replay", help="dual-phase replay localization")
-    p.add_argument("--machines", type=int, default=24)
-    p.add_argument("--group-size", type=int, default=4)
-    p.add_argument("--faulty", type=int, default=13)
-    p.add_argument("--reproduce-prob", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser("was", help="Fig. 12 WAS time comparison")
-    p.add_argument("--scales", type=int, nargs="+",
-                   default=[128, 256, 512, 1024])
-    p.add_argument("--catastrophic", type=int, default=32)
-    p.set_defaults(func=_cmd_was)
     return parser
 
 

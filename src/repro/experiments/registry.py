@@ -25,11 +25,40 @@ import difflib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-_COERCERS: Dict[str, Callable[[str], Any]] = {
-    "int": int,
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _to_int(value: Any) -> int:
+    """``int`` that refuses to truncate: ``7.0`` is 7, ``7.9`` is an
+    error."""
+    if isinstance(value, str):
+        return int(value)
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{value!r} is not integral")
+    return out
+
+
+def _to_bool(value: Any) -> bool:
+    """One of the ``_BOOL_WORDS`` (any case), or a bool / 0 / 1; a
+    typo such as ``flase`` is an error, not ``False``."""
+    if isinstance(value, str):
+        word = value.strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"{value!r} is not a boolean word")
+        return _BOOL_WORDS[word]
+    if value in (0, 1):
+        return bool(value)
+    raise ValueError(f"{value!r} is not a boolean")
+
+
+#: Declared type -> coercer for CLI strings and already-typed values.
+_COERCERS: Dict[str, Callable[[Any], Any]] = {
+    "int": _to_int,
     "float": float,
-    "str": str,
-    "bool": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "str": lambda value: value,
+    "bool": _to_bool,
 }
 
 
@@ -65,16 +94,8 @@ class ParamSpec:
         """Turn a CLI string (or an already-typed value) into the
         declared type."""
         try:
-            if isinstance(value, str):
-                return _COERCERS[self.type](value)
-            if self.type == "int":
-                return int(value)
-            if self.type == "float":
-                return float(value)
-            if self.type == "bool":
-                return bool(value)
-            return value
-        except (TypeError, ValueError) as exc:
+            return _COERCERS[self.type](value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(
                 f"param {self.name!r}: cannot coerce {value!r} "
                 f"to {self.type}") from exc
@@ -121,8 +142,11 @@ def register_scenario(name: str, params: Sequence[ParamSpec],
                                     Callable[..., Any]]:
     """Decorator: register ``builder`` under ``name``.
 
-    The builder keeps working as a plain function; registration only
-    records it so sweeps and the CLI can find it by name.
+    ``params`` is the scenario's only schema: :meth:`ScenarioSpec.build`
+    passes every declared parameter by keyword, so the builder takes
+    each one without a default.  One builder may serve several names
+    (apply the returned decorator to it directly, or to a
+    ``functools.partial`` fixing undeclared extras).
     """
     def deco(builder: Callable[..., Any]) -> Callable[..., Any]:
         if name in _REGISTRY:

@@ -11,6 +11,11 @@
 * :mod:`repro.workloads.fleet` — fleet-scale churn: Poisson job
   arrivals from the Table 1 size/duration mix over the dynamic
   multi-job platform, with a fleet-wide fault process.
+
+Scenarios are built by name only:
+``repro.experiments.get_scenario(name).build(**overrides)``.  Each
+parameter is declared once, as a ``ParamSpec`` in the registration,
+so the builder functions are not exported here.
 """
 
 from repro.workloads.failure_model import (
@@ -30,21 +35,8 @@ from repro.workloads.fleet import (
     FleetScenario,
     FleetTraceGenerator,
     fleet_job_config,
-    fleet_priority_mix_scenario,
-    fleet_standby_contention_scenario,
-    fleet_week_scenario,
 )
-from repro.workloads.scenarios import (
-    AnalyticScenario,
-    ProductionScenario,
-    aggressive_checkpoint_scenario,
-    degraded_network_scenario,
-    dense_production_scenario,
-    large_fleet_scenario,
-    moe_production_scenario,
-    small_fleet_scenario,
-    standby_sizing_scenario,
-)
+from repro.workloads.scenarios import AnalyticScenario, ProductionScenario
 
 __all__ = [
     "AnalyticScenario",
@@ -58,17 +50,7 @@ __all__ = [
     "TABLE1_COUNTS",
     "TABLE2_ROOT_CAUSES",
     "TraceEvent",
-    "aggressive_checkpoint_scenario",
     "daily_machine_failure_prob",
-    "degraded_network_scenario",
-    "dense_production_scenario",
     "fleet_job_config",
-    "fleet_priority_mix_scenario",
-    "fleet_standby_contention_scenario",
-    "fleet_week_scenario",
-    "large_fleet_scenario",
-    "moe_production_scenario",
     "mtbf_seconds",
-    "small_fleet_scenario",
-    "standby_sizing_scenario",
 ]

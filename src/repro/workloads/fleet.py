@@ -44,6 +44,7 @@ and a remote-persist cadence of about that many seconds of training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.faults import (
@@ -624,13 +625,12 @@ _QUARTER_CADENCES = dict(
     scheduler_retry_s=600.0)
 
 
-def _build_fleet(total_machines: int, duration_s: float, seed: int,
+def _build_fleet(*, total_machines: int, duration_s: float, seed: int,
                  arrival_mean_s: float, fault_mtbf_s: float,
                  initial_jobs: int, backfill: bool,
+                 machines_per_switch: int, placement: str,
+                 standby_target: float, checkpoint_interval_s: float,
                  high_priority_frac: float = 0.0,
-                 machines_per_switch: int = 16,
-                 placement: str = "any-free",
-                 standby_target: float = 0.0,
                  standby_resize_s: float = 900.0,
                  switch_mtbf_s: float = 0.0,
                  size_mix: Optional[List[tuple]] = None,
@@ -638,12 +638,19 @@ def _build_fleet(total_machines: int, duration_s: float, seed: int,
                  hazard_tick_s: float = 300.0,
                  step_time_factor: float = 1.0,
                  base_duration_s: float = _BASE_DURATION_S,
-                 checkpoint_interval_s: float = 0.0,
                  preemption: str = "none",
                  elastic_frac: float = 0.0,
                  spot_churn_mean_s: float = 0.0,
                  spot_min_frac: float = 0.5,
                  cadences: Optional[dict] = None) -> FleetScenario:
+    """The builder behind every ``fleet-*`` scenario.
+
+    The parameters without a default are the schema every fleet
+    scenario declares (:func:`_fleet_scenario_params`).  The rest are
+    feature switches a scenario opts into by declaring them; their
+    defaults are the feature-off values every other scenario runs
+    with.
+    """
     if preemption not in ("none", "kill", "checkpoint"):
         # fail at build time with the CLI's clean one-liner contract
         # instead of a traceback out of the scheduler constructor
@@ -693,67 +700,25 @@ def _build_fleet(total_machines: int, duration_s: float, seed: int,
                          spot_min_frac=spot_min_frac, seed=seed)
 
 
-@register_scenario(
+register_scenario(
     "fleet-week",
     params=_fleet_scenario_params(24, 7 * 86400.0, 0, 4 * 3600.0,
                                   6 * 3600.0),
     description="A week of fleet churn: Poisson job arrivals from the "
                 "Table 1 size mix, completions returning machines, "
                 "faults spread across whoever is running",
-    tags=("fleet", "production"))
-def fleet_week_scenario(total_machines: int = 24,
-                        duration_s: float = 7 * 86400.0,
-                        seed: int = 0,
-                        arrival_mean_s: float = 4 * 3600.0,
-                        fault_mtbf_s: float = 6 * 3600.0,
-                        initial_jobs: int = 3,
-                        backfill: bool = True,
-                        machines_per_switch: int = 16,
-                        placement: str = "any-free",
-                        standby_target: float = 0.0,
-                        checkpoint_interval_s: float = 0.0
-                        ) -> FleetScenario:
-    """Ordinary fleet life: arrivals, queueing, completions, faults."""
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        checkpoint_interval_s=checkpoint_interval_s)
+    tags=("fleet", "production"))(_build_fleet)
 
-
-@register_scenario(
+register_scenario(
     "fleet-standby-contention",
     params=_fleet_scenario_params(16, 2 * 86400.0, 1, 2 * 3600.0,
                                   1200.0),
     description="Fault storm on a tight fleet: concurrent evictions "
                 "from many jobs drain the shared warm-standby pool "
                 "(the P99-sizing contention regime)",
-    tags=("fleet", "standby"))
-def fleet_standby_contention_scenario(total_machines: int = 16,
-                                      duration_s: float = 2 * 86400.0,
-                                      seed: int = 1,
-                                      arrival_mean_s: float = 2 * 3600.0,
-                                      fault_mtbf_s: float = 1200.0,
-                                      initial_jobs: int = 3,
-                                      backfill: bool = True,
-                                      machines_per_switch: int = 16,
-                                      placement: str = "any-free",
-                                      standby_target: float = 0.0,
-                                      checkpoint_interval_s: float = 0.0
-                                      ) -> FleetScenario:
-    """Standby contention under shared-pool pressure."""
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        checkpoint_interval_s=checkpoint_interval_s)
+    tags=("fleet", "standby"))(_build_fleet)
 
-
-@register_scenario(
+register_scenario(
     "fleet-priority-mix",
     params=_fleet_scenario_params(16, 3 * 86400.0, 1, 5400.0,
                                   4 * 3600.0)
@@ -762,32 +727,13 @@ def fleet_standby_contention_scenario(total_machines: int = 16,
     description="Priority classes at near-critical load: high-"
                 "priority jobs jump the queue while small jobs "
                 "backfill around blocked heads",
-    tags=("fleet", "scheduler"))
-def fleet_priority_mix_scenario(total_machines: int = 16,
-                                duration_s: float = 3 * 86400.0,
-                                seed: int = 1,
-                                arrival_mean_s: float = 5400.0,
-                                fault_mtbf_s: float = 4 * 3600.0,
-                                initial_jobs: int = 3,
-                                backfill: bool = True,
-                                machines_per_switch: int = 16,
-                                placement: str = "any-free",
-                                standby_target: float = 0.0,
-                                checkpoint_interval_s: float = 0.0,
-                                high_priority_frac: float = 0.25
-                                ) -> FleetScenario:
-    """Queue-wait separation between priority classes."""
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        high_priority_frac=high_priority_frac,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        checkpoint_interval_s=checkpoint_interval_s)
+    tags=("fleet", "scheduler"))(_build_fleet)
 
-
-@register_scenario(
+# The generic fault process is off (``fault_mtbf_s=0``) so the only
+# disturbance is the uniform leaf-switch outage process: every
+# difference in ``switch_faults["jobs_hit"]`` between cells is the
+# placement policy's doing.
+register_scenario(
     "fleet-placement-blast-radius",
     params=_fleet_scenario_params(48, 2 * 86400.0, 5, 4800.0, 0.0,
                                   machines_per_switch=4,
@@ -798,36 +744,8 @@ def fleet_priority_mix_scenario(total_machines: int = 16,
                 "jobs one downed switch kills when jobs pack into "
                 "few switches vs spread across many (Table 3's "
                 "special-cased switch blast radius)",
-    tags=("fleet", "placement", "topology"))
-def fleet_placement_blast_radius_scenario(
-        total_machines: int = 48,
-        duration_s: float = 2 * 86400.0,
-        seed: int = 5,
-        arrival_mean_s: float = 4800.0,
-        fault_mtbf_s: float = 0.0,
-        initial_jobs: int = 3,
-        backfill: bool = True,
-        machines_per_switch: int = 4,
-        placement: str = "pack",
-        standby_target: float = 0.0,
-        checkpoint_interval_s: float = 0.0,
-        switch_mtbf_s: float = 3600.0) -> FleetScenario:
-    """Switch-fault blast radius under pack/spread/any-free placement.
-
-    The generic fault process defaults to off (``fault_mtbf_s=0``) so
-    the only disturbance is the uniform leaf-switch outage process —
-    every difference in ``switch_faults["jobs_hit"]`` between cells is
-    the placement policy's doing.
-    """
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        switch_mtbf_s=switch_mtbf_s,
-                        size_mix=PLACEMENT_STUDY_SIZE_MIX,
-                        checkpoint_interval_s=checkpoint_interval_s)
+    tags=("fleet", "placement", "topology"))(
+        partial(_build_fleet, size_mix=PLACEMENT_STUDY_SIZE_MIX))
 
 
 #: Per-machine hardware MTBF from the Llama 3 anchor (one failure per
@@ -838,8 +756,12 @@ QUARTER_MACHINE_MTBF_S = 2.78 * 3600.0 * 16_384 / 8
 
 _QUARTER_DURATION_S = 90 * 86400.0
 
-
-@register_scenario(
+# The generic job-weighted Poisson process is off (``fault_mtbf_s=0``):
+# hardware faults arrive per-machine from the hazard substrate instead,
+# landing on busy and idle machines alike, so allocation quality,
+# inspection sweeps and standby sizing all face the same latent-fault
+# population a real fleet does.
+register_scenario(
     "fleet-quarter",
     params=_fleet_scenario_params(12_500, _QUARTER_DURATION_S, 0,
                                   2600.0, 0.0,
@@ -861,47 +783,11 @@ _QUARTER_DURATION_S = 90 * 86400.0
                 "(Llama 3 failure-rate anchor), elastic standbys and "
                 "pack placement — the paper's operational census at "
                 "its native scale",
-    tags=("fleet", "production", "flagship"))
-def fleet_quarter_scenario(total_machines: int = 12_500,
-                           duration_s: float = _QUARTER_DURATION_S,
-                           seed: int = 0,
-                           arrival_mean_s: float = 2600.0,
-                           fault_mtbf_s: float = 0.0,
-                           initial_jobs: int = 3,
-                           backfill: bool = True,
-                           machines_per_switch: int = 32,
-                           placement: str = "pack",
-                           standby_target: float = 0.02,
-                           machine_mtbf_s: float = QUARTER_MACHINE_MTBF_S,
-                           hazard_tick_s: float = 300.0,
-                           step_time_factor: float = 16.0,
-                           base_duration_s: float = _BASE_DURATION_S,
-                           checkpoint_interval_s: float = 0.0
-                           ) -> FleetScenario:
-    """90 days of 100k-GPU fleet churn on the hazard substrate.
+    tags=("fleet", "production", "flagship"))(
+        partial(_build_fleet, size_mix=QUARTER_SIZE_MIX,
+                cadences=_QUARTER_CADENCES))
 
-    The generic job-weighted Poisson process defaults to off
-    (``fault_mtbf_s=0``): hardware faults arrive per-machine from the
-    hazard substrate instead, landing on busy and idle machines alike,
-    so allocation quality, inspection sweeps, and standby sizing all
-    face the same latent-fault population a real fleet does.
-    """
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        size_mix=QUARTER_SIZE_MIX,
-                        machine_mtbf_s=machine_mtbf_s,
-                        hazard_tick_s=hazard_tick_s,
-                        step_time_factor=step_time_factor,
-                        base_duration_s=base_duration_s,
-                        checkpoint_interval_s=checkpoint_interval_s,
-                        cadences=_QUARTER_CADENCES)
-
-
-@register_scenario(
+register_scenario(
     "fleet-elastic-standby",
     params=_fleet_scenario_params(24, 2 * 86400.0, 3, 2700.0,
                                   4 * 3600.0,
@@ -912,32 +798,9 @@ def fleet_quarter_scenario(total_machines: int = 12_500,
                 "grows/shrinks the shared pool against a target "
                 "ratio of the active fleet (hysteresis damps churn), "
                 "vs the one-shot sizing at start",
-    tags=("fleet", "standby", "elastic"))
-def fleet_elastic_standby_scenario(total_machines: int = 24,
-                                   duration_s: float = 2 * 86400.0,
-                                   seed: int = 3,
-                                   arrival_mean_s: float = 2700.0,
-                                   fault_mtbf_s: float = 4 * 3600.0,
-                                   initial_jobs: int = 3,
-                                   backfill: bool = True,
-                                   machines_per_switch: int = 16,
-                                   placement: str = "any-free",
-                                   standby_target: float = 0.15,
-                                   checkpoint_interval_s: float = 0.0,
-                                   standby_resize_s: float = 900.0
-                                   ) -> FleetScenario:
-    """Warm-pool tracking of a churning active fleet."""
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        standby_resize_s=standby_resize_s,
-                        checkpoint_interval_s=checkpoint_interval_s)
+    tags=("fleet", "standby", "elastic"))(_build_fleet)
 
-
-@register_scenario(
+register_scenario(
     "fleet-preemption",
     params=_fleet_scenario_params(16, 3 * 86400.0, 7, 5400.0,
                                   4 * 3600.0,
@@ -952,34 +815,9 @@ def fleet_elastic_standby_scenario(total_machines: int = 24,
                 "their next checkpoint boundary and resume from it, "
                 "vs kill-and-restart (wasted work since the last "
                 "remote checkpoint) vs no preemption at all",
-    tags=("fleet", "scheduler", "preemption"))
-def fleet_preemption_scenario(total_machines: int = 16,
-                              duration_s: float = 3 * 86400.0,
-                              seed: int = 7,
-                              arrival_mean_s: float = 5400.0,
-                              fault_mtbf_s: float = 4 * 3600.0,
-                              initial_jobs: int = 3,
-                              backfill: bool = True,
-                              machines_per_switch: int = 16,
-                              placement: str = "any-free",
-                              standby_target: float = 0.0,
-                              checkpoint_interval_s: float = 900.0,
-                              preemption: str = "checkpoint",
-                              high_priority_frac: float = 0.25
-                              ) -> FleetScenario:
-    """Preemption policy × checkpoint cadence × priority mix."""
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        high_priority_frac=high_priority_frac,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        checkpoint_interval_s=checkpoint_interval_s,
-                        preemption=preemption)
+    tags=("fleet", "scheduler", "preemption"))(_build_fleet)
 
-
-@register_scenario(
+register_scenario(
     "fleet-spot-churn",
     params=_fleet_scenario_params(24, 3 * 86400.0, 11, 5400.0,
                                   6 * 3600.0,
@@ -995,36 +833,9 @@ def fleet_preemption_scenario(total_machines: int = 16,
                 "reclaimed first, running jobs preempted at their "
                 "checkpoint boundary when that is not enough), so "
                 "the fleet runs a rolling game of musical chairs",
-    tags=("fleet", "scheduler", "preemption", "spot"))
-def fleet_spot_churn_scenario(total_machines: int = 24,
-                              duration_s: float = 3 * 86400.0,
-                              seed: int = 11,
-                              arrival_mean_s: float = 5400.0,
-                              fault_mtbf_s: float = 6 * 3600.0,
-                              initial_jobs: int = 3,
-                              backfill: bool = True,
-                              machines_per_switch: int = 16,
-                              placement: str = "any-free",
-                              standby_target: float = 0.0,
-                              checkpoint_interval_s: float = 900.0,
-                              preemption: str = "checkpoint",
-                              spot_churn_mean_s: float = 2 * 3600.0,
-                              spot_min_frac: float = 0.5
-                              ) -> FleetScenario:
-    """Capacity that arrives and leaves like spot instances."""
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        checkpoint_interval_s=checkpoint_interval_s,
-                        preemption=preemption,
-                        spot_churn_mean_s=spot_churn_mean_s,
-                        spot_min_frac=spot_min_frac)
+    tags=("fleet", "scheduler", "preemption", "spot"))(_build_fleet)
 
-
-@register_scenario(
+register_scenario(
     "fleet-elastic-training",
     params=_fleet_scenario_params(16, 3 * 86400.0, 13, 5400.0,
                                   4 * 3600.0,
@@ -1041,30 +852,4 @@ def fleet_spot_churn_scenario(total_machines: int = 24,
                 "work (cheaper than preemption, tried first) and "
                 "grows them into free capacity, rebinding the rank "
                 "topology at checkpoint boundaries",
-    tags=("fleet", "scheduler", "elastic"))
-def fleet_elastic_training_scenario(total_machines: int = 16,
-                                    duration_s: float = 3 * 86400.0,
-                                    seed: int = 13,
-                                    arrival_mean_s: float = 5400.0,
-                                    fault_mtbf_s: float = 4 * 3600.0,
-                                    initial_jobs: int = 3,
-                                    backfill: bool = True,
-                                    machines_per_switch: int = 16,
-                                    placement: str = "any-free",
-                                    standby_target: float = 0.0,
-                                    checkpoint_interval_s: float = 900.0,
-                                    preemption: str = "checkpoint",
-                                    elastic_frac: float = 0.5,
-                                    high_priority_frac: float = 0.25
-                                    ) -> FleetScenario:
-    """Elastic shrink/grow under priority pressure."""
-    return _build_fleet(total_machines, duration_s, seed,
-                        arrival_mean_s, fault_mtbf_s, initial_jobs,
-                        backfill,
-                        high_priority_frac=high_priority_frac,
-                        machines_per_switch=machines_per_switch,
-                        placement=placement,
-                        standby_target=standby_target,
-                        checkpoint_interval_s=checkpoint_interval_s,
-                        preemption=preemption,
-                        elastic_frac=elastic_frac)
+    tags=("fleet", "scheduler", "elastic"))(_build_fleet)

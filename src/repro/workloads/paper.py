@@ -85,8 +85,8 @@ def _compact_system(seed: int = 0, machines: int = 8,
     description="Multi-restart training job: per-run loss spans and "
                 "the rising relative-MFU ladder (Fig. 2)",
     tags=("figure", "fig2", "training"))
-def restart_replay_scenario(num_runs: int = 28, steps_per_run: int = 40,
-                            rollback_steps: int = 5) -> AnalyticScenario:
+def restart_replay_scenario(num_runs: int, steps_per_run: int,
+                            rollback_steps: int) -> AnalyticScenario:
     """Fig. 2's 28-restart job as a sweepable cell."""
 
     def compute() -> Dict[str, Any]:
@@ -143,11 +143,9 @@ def restart_replay_scenario(num_runs: int = 28, steps_per_run: int = 40,
                 "(Fig. 3): detection / localization / failover / "
                 "recompute slices",
     tags=("figure", "fig3", "hang"))
-def hang_breakdown_scenario(seed: int = 5, machines: int = 8,
-                            hang_detect_s: float = 300.0,
-                            inject_at: float = 1200.0,
-                            duration_s: float = 3 * 3600.0
-                            ) -> AnalyticScenario:
+def hang_breakdown_scenario(seed: int, machines: int, hang_detect_s: float,
+                            inject_at: float,
+                            duration_s: float) -> AnalyticScenario:
     """One hang incident, measured slice by slice."""
 
     def compute() -> Dict[str, Any]:
@@ -183,10 +181,9 @@ def hang_breakdown_scenario(seed: int = 5, machines: int = 8,
     description="Dual-phase replay isolates the SDC machine "
                 "(Fig. 6 / Algorithm 1)",
     tags=("figure", "fig6", "diagnosis"))
-def replay_localization_scenario(machines: int = 24, group_size: int = 4,
-                                 faulty: int = 13,
-                                 reproduce_prob: float = 1.0,
-                                 seed: int = 3) -> AnalyticScenario:
+def replay_localization_scenario(machines: int, group_size: int, faulty: int,
+                                 reproduce_prob: float,
+                                 seed: int) -> AnalyticScenario:
     """One dual-phase replay localization run."""
     from repro.diagnosis import DualPhaseReplay, solution_cardinality
 
@@ -232,10 +229,9 @@ def replay_localization_scenario(machines: int = 24, group_size: int = 4,
     description="Stack aggregation groups trainer stacks and isolates "
                 "the hung parallel group (Fig. 7)",
     tags=("figure", "fig7", "diagnosis"))
-def stack_aggregation_scenario(tp: int = 2, pp: int = 4, dp: int = 4,
-                               gpus_per_machine: int = 2,
-                               hang: str = "backward_comm"
-                               ) -> AnalyticScenario:
+def stack_aggregation_scenario(tp: int, pp: int, dp: int,
+                               gpus_per_machine: int,
+                               hang: str) -> AnalyticScenario:
     """Aggregate a hung world's stacks; the last machine stalls."""
     from repro.analyzer import RuntimeAnalyzer
     from repro.training.stacks import (
@@ -293,10 +289,8 @@ def _neighbor_plan(topo: RankTopology):
     description="Checkpoint-backup survival under parallel-group "
                 "over-eviction, per placement strategy (Fig. 9)",
     tags=("figure", "fig9", "checkpoint", "backup"))
-def backup_survival_scenario(tp: int = 2, pp: int = 4, dp: int = 2,
-                             gpus_per_machine: int = 2,
-                             placement: str = "cross_group"
-                             ) -> AnalyticScenario:
+def backup_survival_scenario(tp: int, pp: int, dp: int, gpus_per_machine: int,
+                             placement: str) -> AnalyticScenario:
     """Evaluate one backup placement against every group eviction."""
     from repro.checkpoint import plan_cross_group_backup
 
@@ -350,9 +344,8 @@ HOTUPDATE_LADDERS = {
     description="Relative-MFU staircase from successive hot-updated "
                 "code versions (Fig. 11)",
     tags=("figure", "fig11", "hotupdate"))
-def hotupdate_ladder_scenario(flavor: str = "dense", seed: int = 0,
-                              update_spacing_s: float = 3000.0
-                              ) -> AnalyticScenario:
+def hotupdate_ladder_scenario(flavor: str, seed: int,
+                              update_spacing_s: float) -> AnalyticScenario:
     """Deploy one flavor's ladder through the hot-update mechanism."""
     from repro.controller.hotupdate import CodeUpdate
 
@@ -393,9 +386,8 @@ def hotupdate_ladder_scenario(flavor: str = "dense", seed: int = 0,
                 "requeue vs reschedule vs oracle vs ByteRobust "
                 "(Fig. 12)",
     tags=("figure", "fig12", "standby", "analytic"))
-def was_time_scenario(machines: int = 1024, catastrophic_size: int = 32,
-                      catastrophic_prob: float = 0.01
-                      ) -> AnalyticScenario:
+def was_time_scenario(machines: int, catastrophic_size: int,
+                      catastrophic_prob: float) -> AnalyticScenario:
     """One scale's WAS-time comparison across restart strategies."""
     from repro.baselines import (
         ByteRobustRestart,
@@ -436,11 +428,9 @@ def was_time_scenario(machines: int = 1024, catastrophic_size: int = 32,
     description="Standby sizing quantile trade-off: recovery time vs "
                 "idle pool capacity (sizing ablation)",
     tags=("ablation", "standby", "analytic"))
-def standby_quantile_scenario(machines: int = 1024,
-                              quantile: float = 0.99,
-                              catastrophic_size: int = 32,
-                              catastrophic_prob: float = 0.01
-                              ) -> AnalyticScenario:
+def standby_quantile_scenario(machines: int, quantile: float,
+                              catastrophic_size: int,
+                              catastrophic_prob: float) -> AnalyticScenario:
     """One quantile's pool size, WAS time, and overflow probability."""
     from repro.baselines import (
         ByteRobustRestart,
@@ -483,8 +473,7 @@ def standby_quantile_scenario(machines: int = 1024,
     description="Sampled incident-symptom census vs the Table 1 "
                 "distribution",
     tags=("table", "table1", "traces"))
-def incident_census_scenario(samples: int = 50_000,
-                             seed: int = 0) -> AnalyticScenario:
+def incident_census_scenario(samples: int, seed: int) -> AnalyticScenario:
     """Sample the trace generator's symptom mix."""
     from repro.cluster.faults import FaultCategory
     from repro.workloads.traces import IncidentTraceGenerator
@@ -514,8 +503,8 @@ def incident_census_scenario(samples: int = 50_000,
     description="Infrastructure-vs-user-code attribution of the "
                 "ambiguous symptoms (Table 2)",
     tags=("table", "table2", "traces"))
-def root_cause_mix_scenario(trials: int = 2000, machines: int = 32,
-                            seed: int = 1) -> AnalyticScenario:
+def root_cause_mix_scenario(trials: int, machines: int,
+                            seed: int) -> AnalyticScenario:
     """Sample root-cause attribution for hangs, IMAs, and NaNs."""
     from repro.workloads.traces import IncidentTraceGenerator
 
@@ -573,9 +562,8 @@ DETECTION_CASES = {
     description="Proactive-inspection detection latency vs the "
                 "timeout-only baseline, per root cause (Table 3)",
     tags=("table", "table3", "monitor"))
-def detection_latency_scenario(case: str = "nic-crash",
-                               inject_at: float = 100.001,
-                               machines: int = 4) -> AnalyticScenario:
+def detection_latency_scenario(case: str, inject_at: float,
+                               machines: int) -> AnalyticScenario:
     """Inject one fault into a monitored cluster; time the alert."""
     from repro.baselines import TimeoutOnlyDetection
     from repro.monitor import InspectionEngine
@@ -677,10 +665,8 @@ def _table6_fault(symptom: FaultSymptom,
     description="Localization-to-restart resolution time per symptom, "
                 "vs the selective-stress-testing baseline (Table 6)",
     tags=("table", "table6", "recovery"))
-def resolution_cost_scenario(symptom: str = "cuda_error", seed: int = 0,
-                             inject_at: float = 500.0,
-                             duration_s: float = 6 * 3600.0
-                             ) -> AnalyticScenario:
+def resolution_cost_scenario(symptom: str, seed: int, inject_at: float,
+                             duration_s: float) -> AnalyticScenario:
     """Inject one symptom into a managed job; time its resolution."""
     from repro.baselines import SelectiveStressTesting
     from repro.controller.hotupdate import CodeUpdate
@@ -731,8 +717,8 @@ def resolution_cost_scenario(symptom: str = "cuda_error", seed: int = 0,
     description="Scheduling time per code update: full requeue vs "
                 "in-place hot update (Table 7)",
     tags=("table", "table7", "hotupdate", "analytic"))
-def scheduling_cost_scenario(machines: int = 1024,
-                             update_events: int = 5) -> AnalyticScenario:
+def scheduling_cost_scenario(machines: int,
+                             update_events: int) -> AnalyticScenario:
     """One scale's requeue-vs-hot-update cost comparison."""
 
     def compute() -> Dict[str, float]:
@@ -766,14 +752,11 @@ def scheduling_cost_scenario(machines: int = 1024,
     description="Per-step blocking time and relative MFU for Megatron "
                 "save, Memory save, and ByteRobust save (Table 8)",
     tags=("table", "table8", "checkpoint", "analytic"))
-def checkpoint_efficiency_scenario(model_params: int = 70_000_000_000,
-                                   tp: int = 8, pp: int = 8,
-                                   dp: int = 32, step_s: float = 4.5,
-                                   gpus_per_machine: int = 16,
-                                   gpu_tflops: float = 119.0,
-                                   pcie_gbps: float = 30.0,
-                                   remote_fs_gbps: float = 8.0
-                                   ) -> AnalyticScenario:
+def checkpoint_efficiency_scenario(model_params: int, tp: int, pp: int,
+                                   dp: int, step_s: float,
+                                   gpus_per_machine: int, gpu_tflops: float,
+                                   pcie_gbps: float,
+                                   remote_fs_gbps: float) -> AnalyticScenario:
     """One (model, parallelism) point across the three strategies."""
     from repro.checkpoint import (
         ByteRobustSave,
@@ -820,10 +803,8 @@ def checkpoint_efficiency_scenario(model_params: int = 70_000_000_000,
                 "over-eviction, per backup placement (placement "
                 "ablation)",
     tags=("ablation", "checkpoint", "backup"))
-def backup_recovery_scenario(placement: str = "cross_group",
-                             remote_every_steps: int = 50,
-                             steps_before_failure: int = 60
-                             ) -> AnalyticScenario:
+def backup_recovery_scenario(placement: str, remote_every_steps: int,
+                             steps_before_failure: int) -> AnalyticScenario:
     """Run to a failure point, evict a PP group, plan recovery."""
     from repro.checkpoint import (
         BackupPlan,
@@ -882,9 +863,8 @@ def backup_recovery_scenario(placement: str = "cross_group",
     description="Lazy vs eager hot-update application under the "
                 "natural failure cadence (lazy-update ablation)",
     tags=("ablation", "hotupdate"))
-def hotupdate_policy_scenario(policy: str = "lazy", seed: int = 0,
-                              duration_s: float = 12 * 3600.0
-                              ) -> AnalyticScenario:
+def hotupdate_policy_scenario(policy: str, seed: int,
+                              duration_s: float) -> AnalyticScenario:
     """Same job + incident trace, lazy or eager update application."""
     from repro.controller.hotupdate import CodeUpdate
 
@@ -946,13 +926,10 @@ def hotupdate_policy_scenario(policy: str = "lazy", seed: int = 0,
                 "downtime, false evictions, wasted GPU-time "
                 "(eviction ablation)",
     tags=("ablation", "recovery", "analytic"))
-def eviction_policy_scenario(policy: str = "over-eviction",
-                             num_machines: int = 75,
-                             gpus_per_machine: int = 8,
-                             pp_group_machines: int = 8,
-                             stress_test_s: float = 1800.0,
-                             aggregation_s: float = 5.0
-                             ) -> AnalyticScenario:
+def eviction_policy_scenario(policy: str, num_machines: int,
+                             gpus_per_machine: int, pp_group_machines: int,
+                             stress_test_s: float,
+                             aggregation_s: float) -> AnalyticScenario:
     """Closed-form cost of one isolation policy on a hang incident."""
 
     def compute() -> Dict[str, float]:

@@ -13,12 +13,15 @@ tractable test/bench runtimes the presets default to scaled-down
 machine counts and compressed durations; the shapes (incident mix,
 mechanism distribution, ETTR plateau) are what carry over.
 
-Every builder registers itself in the scenario registry
+Every builder registers in the scenario registry
 (:mod:`repro.experiments.registry`) under a dash-separated name —
 ``dense``, ``moe``, ``staged``, plus variants ``dense-small``,
 ``dense-large``, ``dense-xl``, ``degraded-network``,
 ``aggressive-checkpoint`` and the analytic ``standby-sizing`` — so
 sweeps and the CLI can build any of them from a flat parameter dict.
+The size variants ``dense-small``, ``dense-large`` and ``dense-xl``
+register :func:`dense_production_scenario` itself under their own
+``ParamSpec`` defaults.
 Any registered scenario can also be run once under cProfile with
 ``repro perf --profile <name>`` to see where its wall-clock goes.
 """
@@ -107,7 +110,8 @@ class ProductionScenario:
         return self.system.report(run_end=self.duration_s)
 
 
-def _dense_job(num_machines: int) -> TrainingJobConfig:
+def _dense_job(num_machines: int,
+               global_batch_size: int = 256) -> TrainingJobConfig:
     """The dense 70B-class job shape shared by every dense scenario.
 
     ``num_machines`` must be expressible as tp*pp*dp / gpus_per_machine;
@@ -119,7 +123,7 @@ def _dense_job(num_machines: int) -> TrainingJobConfig:
         model=dense_70b(seq_len=4096),
         parallelism=ParallelismConfig(tp=8, pp=2, dp=dp,
                                       gpus_per_machine=gpm),
-        global_batch_size=256,
+        global_batch_size=global_batch_size,
         gpu_peak_tflops=989.0)
 
 
@@ -136,23 +140,23 @@ def _production_config(job: TrainingJobConfig, seed: int,
     "dense", params=_fleet_params(16, 24 * 3600.0, 0, 1.0),
     description="Dense 70B-class production pretraining job (Sec. 8.1)",
     tags=("production", "dense"))
-def dense_production_scenario(num_machines: int = 16,
-                              duration_s: float = 24 * 3600.0,
-                              seed: int = 0,
-                              mtbf_scale: float = 1.0,
-                              hang_detect_s: float = 300.0,
+def dense_production_scenario(num_machines: int, duration_s: float, seed: int,
+                              mtbf_scale: float, hang_detect_s: float,
+                              global_batch_size: int = 256,
                               trace_counts: Optional[dict] = None,
                               configure: Optional[
                                   Callable[[SystemConfig], None]] = None
                               ) -> ProductionScenario:
     """The dense-model production job (scaled down by default).
 
+    ``global_batch_size`` is only declared by ``dense-xl``, whose
+    fleet is large enough to need more than the preset 256 sequences.
     ``trace_counts`` overrides the Table 1 symptom mix and
     ``configure`` mutates the :class:`SystemConfig` before wiring —
     the hooks the dense variants (degraded network, aggressive
     checkpointing) build on instead of re-plumbing the job.
     """
-    job = _dense_job(num_machines)
+    job = _dense_job(num_machines, global_batch_size)
     config = _production_config(job, seed, hang_detect_s)
     if configure is not None:
         configure(config)
@@ -172,10 +176,8 @@ def dense_production_scenario(num_machines: int = 16,
     description="Multi-stage pretraining recipe with stage-driven "
                 "code churn (Fig. 1)",
     tags=("production", "dense", "recipe"))
-def staged_pretrain_scenario(num_machines: int = 8,
-                             duration_s: float = 5 * 86400.0,
-                             seed: int = 7,
-                             mtbf_scale: float = 0.01,
+def staged_pretrain_scenario(num_machines: int, duration_s: float, seed: int,
+                             mtbf_scale: float,
                              recipe: Optional["PretrainRecipe"] = None
                              ) -> ProductionScenario:
     """A multi-stage pretraining job following the Fig. 1 recipe.
@@ -231,12 +233,9 @@ def staged_pretrain_scenario(num_machines: int = 8,
     description="MoE 200B-class production job with heavier "
                 "custom-optimization churn (Sec. 8.1)",
     tags=("production", "moe"))
-def moe_production_scenario(num_machines: int = 16,
-                            duration_s: float = 24 * 3600.0,
-                            seed: int = 1,
-                            mtbf_scale: float = 1.0,
-                            hang_detect_s: float = 300.0
-                            ) -> ProductionScenario:
+def moe_production_scenario(num_machines: int, duration_s: float, seed: int,
+                            mtbf_scale: float,
+                            hang_detect_s: float) -> ProductionScenario:
     """The MoE production job: more custom optimizations, more manual
     restarts and rollbacks (the paper's explanation for its lower ETTR)."""
     gpm = 8
@@ -263,41 +262,23 @@ def moe_production_scenario(num_machines: int = 16,
                               duration_s=duration_s)
 
 
-@register_scenario(
+register_scenario(
     "dense-small", params=_fleet_params(4, 6 * 3600.0, 3, 0.05),
     description="Dense job on a small 4-machine fleet (fast smoke "
                 "runs; MTBF compressed to keep the incident mix)",
-    tags=("variant", "dense"))
-def small_fleet_scenario(num_machines: int = 4,
-                         duration_s: float = 6 * 3600.0,
-                         seed: int = 3,
-                         mtbf_scale: float = 0.05,
-                         hang_detect_s: float = 300.0
-                         ) -> ProductionScenario:
-    """The dense preset shrunk to a 32-GPU fleet."""
-    return dense_production_scenario(
-        num_machines=num_machines, duration_s=duration_s, seed=seed,
-        mtbf_scale=mtbf_scale, hang_detect_s=hang_detect_s)
+    tags=("variant", "dense"))(dense_production_scenario)
 
-
-@register_scenario(
+register_scenario(
     "dense-large", params=_fleet_params(32, 24 * 3600.0, 5, 1.0),
     description="Dense job on a 32-machine (256-GPU) fleet, closer "
                 "to the paper's deployment scale",
-    tags=("variant", "dense"))
-def large_fleet_scenario(num_machines: int = 32,
-                         duration_s: float = 24 * 3600.0,
-                         seed: int = 5,
-                         mtbf_scale: float = 1.0,
-                         hang_detect_s: float = 300.0
-                         ) -> ProductionScenario:
-    """The dense preset grown to a 256-GPU fleet."""
-    return dense_production_scenario(
-        num_machines=num_machines, duration_s=duration_s, seed=seed,
-        mtbf_scale=mtbf_scale, hang_detect_s=hang_detect_s)
+    tags=("variant", "dense"))(dense_production_scenario)
 
 
-@register_scenario(
+# The batch size scales with the fleet so simulated step time stays
+# realistic; the default window and MTBF compression keep a handful of
+# incidents in scope without letting the smoke run grow unbounded.
+register_scenario(
     "dense-xl",
     params=_fleet_params(1250, 2 * 3600.0, 11, 0.1)
     + [ParamSpec("global_batch_size", "int", 8192,
@@ -305,36 +286,7 @@ def large_fleet_scenario(num_machines: int = 32,
     description="Dense job at paper deployment scale: 1250 machines "
                 "(~10k Hopper GPUs).  Tractable thanks to the "
                 "coalesced-tick scheduler and O(1) inspection sweeps",
-    tags=("variant", "dense", "xl"))
-def xl_fleet_scenario(num_machines: int = 1250,
-                      duration_s: float = 2 * 3600.0,
-                      seed: int = 11,
-                      mtbf_scale: float = 0.1,
-                      hang_detect_s: float = 300.0,
-                      global_batch_size: int = 8192
-                      ) -> ProductionScenario:
-    """The dense preset grown to a ~10k-GPU fleet (Sec. 8.1 scale).
-
-    The batch size scales with the fleet so simulated step time stays
-    realistic; the default window and MTBF compression keep a handful
-    of incidents in scope without letting the smoke run grow unbounded.
-    """
-    gpm = 8
-    dp = max(1, num_machines * gpm // (8 * 2))
-    job = TrainingJobConfig(
-        model=dense_70b(seq_len=4096),
-        parallelism=ParallelismConfig(tp=8, pp=2, dp=dp,
-                                      gpus_per_machine=gpm),
-        global_batch_size=global_batch_size,
-        gpu_peak_tflops=989.0)
-    config = _production_config(job, seed, hang_detect_s)
-    system = ByteRobustSystem(config)
-    gen = IncidentTraceGenerator(RngStreams(seed).fork("trace"))
-    mtbf = mtbf_seconds(job.parallelism.world_size) * mtbf_scale
-    events = gen.poisson_trace(duration_s, mtbf,
-                               machine_ids=list(range(num_machines)))
-    return ProductionScenario(system=system, events=events,
-                              duration_s=duration_s)
+    tags=("variant", "dense", "xl"))(dense_production_scenario)
 
 
 @register_scenario(
@@ -347,14 +299,10 @@ def xl_fleet_scenario(num_machines: int = 1250,
     description="Dense job on a flaky fabric: InfiniBand errors and "
                 "hangs far above the Table 1 baseline",
     tags=("variant", "dense", "network"))
-def degraded_network_scenario(num_machines: int = 16,
-                              duration_s: float = 24 * 3600.0,
-                              seed: int = 4,
-                              mtbf_scale: float = 1.0,
-                              hang_detect_s: float = 300.0,
-                              ib_error_factor: float = 8.0,
-                              hang_factor: float = 2.0
-                              ) -> ProductionScenario:
+def degraded_network_scenario(num_machines: int, duration_s: float, seed: int,
+                              mtbf_scale: float, hang_detect_s: float,
+                              ib_error_factor: float,
+                              hang_factor: float) -> ProductionScenario:
     """Dense job whose incident mix skews hard toward the network.
 
     Port flapping, NIC crashes, switch outages and collective hangs
@@ -379,12 +327,10 @@ def degraded_network_scenario(num_machines: int = 16,
     description="Dense job checkpointing to remote storage far more "
                 "often than the default cadence",
     tags=("variant", "dense", "checkpoint"))
-def aggressive_checkpoint_scenario(num_machines: int = 16,
-                                   duration_s: float = 24 * 3600.0,
-                                   seed: int = 6,
-                                   mtbf_scale: float = 1.0,
-                                   hang_detect_s: float = 300.0,
-                                   remote_every_steps: int = 20
+def aggressive_checkpoint_scenario(num_machines: int, duration_s: float,
+                                   seed: int, mtbf_scale: float,
+                                   hang_detect_s: float,
+                                   remote_every_steps: int
                                    ) -> ProductionScenario:
     """Dense job trading checkpoint overhead for less recompute.
 
@@ -425,10 +371,9 @@ class AnalyticScenario:
                       "sizing quantile of the binomial failure model")],
     description="P99 warm-standby pool sizing (Table 5, closed form)",
     tags=("analytic", "standby"))
-def standby_sizing_scenario(machines: int = 1024,
-                            gpus_per_machine: int = 16,
-                            daily_failure_prob: float = 0.0012,
-                            quantile: float = 0.99) -> AnalyticScenario:
+def standby_sizing_scenario(machines: int, gpus_per_machine: int,
+                            daily_failure_prob: float,
+                            quantile: float) -> AnalyticScenario:
     """Table 5's binomial standby-pool sizing as a sweepable cell."""
     from repro.controller import StandbyPolicy
 
@@ -460,10 +405,8 @@ def standby_sizing_scenario(machines: int = 1024,
     description="Microsecond closed-form checkpoint-cadence cell "
                 "(Young's approximation) for sweep-fabric stress runs",
     tags=("analytic", "stress", "fabric"))
-def sweep_stress_scenario(shard: int = 0, machines: int = 256,
-                          mtbf_hours: float = 40.0,
-                          base_checkpoint_s: int = 20
-                          ) -> AnalyticScenario:
+def sweep_stress_scenario(shard: int, machines: int, mtbf_hours: float,
+                          base_checkpoint_s: int) -> AnalyticScenario:
     """A deliberately cheap analytic cell for fabric stress sweeps.
 
     Each cell evaluates Young's approximation for the optimal
@@ -503,9 +446,8 @@ def sweep_stress_scenario(shard: int = 0, machines: int = 256,
     description="sweep-stress sibling with tunable per-cell compute, "
                 "for calibrating dispatch overhead against cell cost",
     tags=("analytic", "stress", "fabric"))
-def sweep_stress_compute_scenario(shard: int = 0,
-                                  work_iters: int = 1000
-                                  ) -> AnalyticScenario:
+def sweep_stress_compute_scenario(shard: int,
+                                  work_iters: int) -> AnalyticScenario:
     """Stress cell whose cost is an adjustable busy-loop.
 
     The fabric's dispatch batching only pays off while per-cell

@@ -13,30 +13,38 @@ from repro.cluster.faults import (
     RootCause,
     RootCauseDetail,
 )
-from repro.workloads.scenarios import staged_pretrain_scenario
+from repro.experiments import get_scenario
 from tests.test_system_integration import inject_at, make_system
 
 
 class TestCli:
-    def test_standby_size(self, capsys):
-        assert main(["standby-size", "--machines", "1024"]) == 0
-        out = capsys.readouterr().out
-        assert "4 machines" in out
+    @staticmethod
+    def run_payload(tmp_path, scenario, *assignments):
+        out_file = tmp_path / "report.json"
+        argv = ["run", scenario, "--output", str(out_file)]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert main(argv) == 0
+        return json.loads(out_file.read_text())
 
-    def test_replay_success_exit_code(self, capsys):
-        assert main(["replay", "--faulty", "13"]) == 0
-        assert "[13]" in capsys.readouterr().out
+    def test_run_standby_sizing(self, tmp_path, capsys):
+        data = self.run_payload(tmp_path, "standby-sizing", "machines=1024")
+        assert data["p99_standby_machines"] == 4
 
-    def test_replay_failure_exit_code(self, capsys):
+    def test_run_replay_localization_finds_faulty(self, tmp_path, capsys):
+        data = self.run_payload(tmp_path, "replay-localization", "faulty=13")
+        assert data["suspects"] == [13]
+
+    def test_run_replay_localization_unreproducible(self, tmp_path, capsys):
         # a defect that essentially never reproduces cannot be located
-        code = main(["replay", "--faulty", "5",
-                     "--reproduce-prob", "0.000001", "--seed", "1"])
-        assert code == 1
+        data = self.run_payload(tmp_path, "replay-localization",
+                                "faulty=5", "reproduce_prob=0.000001",
+                                "seed=1")
+        assert data["suspects"] == []
 
-    def test_was_table(self, capsys):
-        assert main(["was", "--scales", "128", "512"]) == 0
-        out = capsys.readouterr().out
-        assert "requeue" in out and "byterobust" in out
+    def test_run_was_time(self, tmp_path, capsys):
+        data = self.run_payload(tmp_path, "was-time", "machines=128")
+        assert "requeue" in data and "byterobust" in data
 
     def test_run_dense_with_json_output(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
@@ -65,6 +73,19 @@ class TestCli:
         assert main(["run", "standby-sizing",
                      "--set", "warp_factor=9"]) == 2
         assert "warp_factor" in capsys.readouterr().err
+
+    def test_run_rejects_mistyped_bool(self, capsys):
+        assert main(["run", "fleet-week", "--set", "backfill=flase"]) == 2
+        assert "backfill" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["standby-size", "replay", "was"])
+    def test_scenario_twins_are_not_commands(self, command, capsys):
+        # standby-sizing, replay-localization and was-time run through
+        # `run` / `sweep` like every other scenario
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_legacy_aliases_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -140,7 +161,7 @@ class TestReportExport:
 
 class TestStagedScenario:
     def test_recipe_driven_updates_and_ettr(self):
-        scenario = staged_pretrain_scenario(
+        scenario = get_scenario("staged").build(
             num_machines=4, duration_s=2 * 86400, seed=9,
             mtbf_scale=0.01)
         report = scenario.run()
@@ -155,7 +176,7 @@ class TestStagedScenario:
         """Warmup churns ~8x faster than anneal; over many seeds the
         early-stage update count dominates."""
         early = late = 0
-        scenario = staged_pretrain_scenario(
+        scenario = get_scenario("staged").build(
             num_machines=4, duration_s=4 * 86400, seed=13,
             mtbf_scale=1.0)   # effectively no faults, updates only
         for event in scenario.events:

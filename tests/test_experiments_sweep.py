@@ -66,6 +66,24 @@ class TestRegistry:
         with pytest.raises(ScenarioError):
             ParamSpec("y", "complex", 0)
 
+    def test_int_coercion_refuses_to_truncate(self):
+        spec = ParamSpec("x", "int", 3)
+        assert spec.coerce(7.0) == 7
+        for bad in (7.9, "7.9", float("inf"), float("nan"), None):
+            with pytest.raises(ScenarioError, match="cannot coerce"):
+                spec.coerce(bad)
+
+    def test_bool_coercion_accepts_only_boolean_words(self):
+        spec = ParamSpec("flag", "bool", False)
+        for word in ("1", "true", "yes", "on", "TRUE", "Yes", "On"):
+            assert spec.coerce(word) is True
+        for word in ("0", "false", "no", "off", "FALSE", "No", "Off"):
+            assert spec.coerce(word) is False
+        assert spec.coerce(True) is True and spec.coerce(0) is False
+        for bad in ("flase", "", "2", 2, 0.5, None):
+            with pytest.raises(ScenarioError, match="cannot coerce"):
+                spec.coerce(bad)
+
     def test_resolve_applies_defaults_and_coerces(self):
         params = get_scenario("dense").resolve(
             {"num_machines": "4", "mtbf_scale": "0.5"})

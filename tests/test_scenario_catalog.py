@@ -8,15 +8,24 @@ surface:
 * the registry stays large enough to cover every paper artifact;
 * every figure/table/ablation benchmark driver goes through a
   registered scenario + ``SweepSpec`` — no hand-wired scenario
-  construction left in ``benchmarks/``.
+  construction left in ``benchmarks/``;
+* each scenario parameter is declared once, as a ``ParamSpec``: the
+  builder accepts every declared parameter, requires nothing else, and
+  carries no default for a parameter its scenarios always declare.
 """
 
+import functools
 import glob
+import inspect
 import os
 import re
 
 from repro.cli import main
-from repro.experiments import list_scenarios, scenario_catalog_markdown
+from repro.experiments import (
+    iter_scenarios,
+    list_scenarios,
+    scenario_catalog_markdown,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(REPO_ROOT, "README.md")
@@ -78,3 +87,43 @@ def test_benchmark_drivers_consume_sweeps_only():
             assert token not in source, (
                 f"{name} hand-wires scenarios ({token!r}); register a "
                 f"scenario in repro.workloads.paper instead")
+
+
+def _underlying(builder):
+    return builder.func if isinstance(builder, functools.partial) \
+        else builder
+
+
+def test_builders_accept_exactly_the_declared_params():
+    for spec in iter_scenarios():
+        params = inspect.signature(spec.builder).parameters
+        for name in spec.params:
+            assert name in params, (
+                f"{spec.name}: builder does not accept declared "
+                f"parameter {name!r}")
+        for name, param in params.items():
+            if name in spec.params:
+                continue
+            assert param.kind not in (param.VAR_POSITIONAL,
+                                      param.VAR_KEYWORD), spec.name
+            assert param.default is not param.empty, (
+                f"{spec.name}: builder requires undeclared parameter "
+                f"{name!r}")
+
+
+def test_declared_params_have_no_builder_default():
+    """A default on a parameter that every scenario using the builder
+    declares is dead code: the registry always passes the
+    ``ParamSpec`` default by keyword."""
+    declared_by_builder = {}
+    for spec in iter_scenarios():
+        builder = _underlying(spec.builder)
+        names = set(spec.params)
+        declared_by_builder[builder] = (
+            declared_by_builder.get(builder, names) & names)
+    for builder, always_declared in declared_by_builder.items():
+        params = inspect.signature(builder).parameters
+        for name in sorted(always_declared):
+            assert params[name].default is params[name].empty, (
+                f"{builder.__name__}: {name!r} is declared by every "
+                f"scenario it builds, so it must not carry a default")

@@ -20,6 +20,7 @@ from repro.cluster.faults import (
     RootCause,
     RootCauseDetail,
 )
+from repro.experiments import get_scenario
 from repro.sim import RngStreams
 from repro.workloads import (
     TABLE1_COUNTS,
@@ -27,7 +28,6 @@ from repro.workloads import (
     daily_machine_failure_prob,
     mtbf_seconds,
 )
-from repro.workloads.scenarios import dense_production_scenario
 
 
 class TestFailureModel:
@@ -236,7 +236,7 @@ class TestStressTestingBaseline:
 
 class TestProductionScenario:
     def test_small_scenario_runs_to_completion(self):
-        scenario = dense_production_scenario(
+        scenario = get_scenario("dense").build(
             num_machines=4, duration_s=6 * 3600, seed=2, mtbf_scale=3.0)
         report = scenario.run()
         assert report.final_step > 0
@@ -245,7 +245,7 @@ class TestProductionScenario:
     def test_scenario_produces_incidents(self):
         # a 32-GPU fleet has a huge natural MTBF; compress it so the
         # 12-hour window sees a handful of incidents
-        scenario = dense_production_scenario(
+        scenario = get_scenario("dense").build(
             num_machines=4, duration_s=12 * 3600, seed=4, mtbf_scale=0.002)
         report = scenario.run()
         assert len(report.incidents.resolved()) > 0
