@@ -20,7 +20,7 @@ from repro.cluster.faults import (
     RootCause,
     RootCauseDetail,
 )
-from repro.core.platform import TrainingPlatform
+from repro.core.platform import JobSpec, TrainingPlatform
 from repro.parallelism import ParallelismConfig
 from repro.training import TrainingJobConfig
 from repro.training.model import ModelSpec
@@ -38,10 +38,13 @@ def job_config(name, machines, params):
 def main() -> None:
     platform = TrainingPlatform(total_machines=32)
     # alpha completes after 1.5 h and returns its 8 machines
-    alpha = platform.submit("alpha-7b", job_config("alpha", 8, 7e9),
-                            duration_s=1.5 * 3600)
-    beta = platform.add_job("beta-13b", job_config("beta", 8, 13e9))
-    platform.add_job("gamma-3b", job_config("gamma", 4, 3e9))
+    alpha = platform.submit(JobSpec("alpha-7b", job_config("alpha", 8, 7e9),
+                                    duration_s=1.5 * 3600))
+    # beta and gamma run open-ended and are never preempted
+    beta = platform.submit(JobSpec("beta-13b", job_config("beta", 8, 13e9),
+                                   preemptible=False))
+    platform.submit(JobSpec("gamma-3b", job_config("gamma", 4, 3e9),
+                            preemptible=False))
     platform.start()
     print(f"fleet: {len(platform.cluster.machines)} machines; jobs: "
           + ", ".join(f"{m.name} ({m.job.num_machines} machines)"
@@ -65,11 +68,10 @@ def main() -> None:
     # mid-simulation arrivals: delta needs more than is free, so the
     # scheduler reserves alpha's machines for it (EASY backfill);
     # epsilon finishes before that reservation and may slip past
-    platform.sim.schedule_at(3600, lambda: platform.submit(
-        "delta-30b", job_config("delta", 16, 30e9), priority=5))
-    platform.sim.schedule_at(4000, lambda: platform.submit(
-        "epsilon-1b", job_config("epsilon", 4, 1e9),
-        duration_s=1200))
+    platform.sim.schedule_at(3600, lambda: platform.submit(JobSpec(
+        "delta-30b", job_config("delta", 16, 30e9), priority=5)))
+    platform.sim.schedule_at(4000, lambda: platform.submit(JobSpec(
+        "epsilon-1b", job_config("epsilon", 4, 1e9), duration_s=1200)))
 
     platform.run_until(8 * 3600)
     report = platform.fleet_report()

@@ -20,6 +20,7 @@ import tempfile
 
 from repro.experiments import (
     ResultCache,
+    SweepRequest,
     SweepRunner,
     SweepSpec,
     summarize,
@@ -48,6 +49,14 @@ def describe(name: str, report: dict) -> None:
     print()
 
 
+def _report(ev) -> None:
+    """Progress callback: one line per completed cell."""
+    print(f"  [{ev.done}/{ev.total}] {ev.result.cell.scenario} "
+          f"mtbf_scale={ev.result.cell.params['mtbf_scale']} "
+          f"{'(cache)' if ev.result.cached else '(streamed)'} "
+          f"after {ev.elapsed_s:.1f}s")
+
+
 def main() -> None:
     specs = [
         SweepSpec("dense", params=dict(_COMMON, seed=11),
@@ -57,11 +66,7 @@ def main() -> None:
     ]
     with tempfile.TemporaryDirectory() as cache_dir:
         runner = SweepRunner(workers=2, cache=ResultCache(cache_dir))
-        result = runner.run(specs, progress=lambda ev: print(
-            f"  [{ev.done}/{ev.total}] {ev.result.cell.scenario} "
-            f"mtbf_scale={ev.result.cell.params['mtbf_scale']} "
-            f"{'(cache)' if ev.result.cached else '(streamed)'} "
-            f"after {ev.elapsed_s:.1f}s"))
+        result = runner.run(SweepRequest(specs=specs, progress=_report))
         print()
 
         print(summarize(result).render(

@@ -5,8 +5,9 @@ three months (Table 1) arrive, run, finish, and return their machines
 to a shared pool.  :class:`FleetScheduler` is the mechanism layer for
 that churn:
 
-* **admission** — a request larger than the whole cluster can never be
-  placed and is rejected immediately (:class:`AdmissionError`);
+* **admission** — a request larger than the whole cluster, or with
+  elastic bounds that do not bracket its size, can never be placed and
+  is rejected immediately (:class:`AdmissionError`);
 * **dispatch** — queued requests start in priority order (higher
   first, FIFO within a priority) whenever enough non-blacklisted FREE
   machines exist;
@@ -77,7 +78,7 @@ class JobRequest:
     #: grown to ``max_machines`` when capacity sits free.
     min_machines: Optional[int] = None
     max_machines: Optional[int] = None
-    #: False exempts the job from preemption (static/add_job jobs).
+    #: False exempts the job from preemption entirely.
     preemptible: bool = True
     #: Times this request was preempted; ``was_preempted`` flags a
     #: queued request whose next start is a resume.
@@ -158,17 +159,31 @@ class FleetScheduler:
                       "resumed": 0, "shrunk": 0, "grown": 0}
 
     # ------------------------------------------------------------------
-    def check_admission(self, name: str, num_machines: int) -> None:
-        """Reject (and count) requests this cluster can never place."""
+    def check_admission(self, name: str, num_machines: int,
+                        min_machines: Optional[int] = None,
+                        max_machines: Optional[int] = None) -> None:
+        """Reject (and count) requests this cluster can never place:
+        a size outside ``[1, cluster]`` or elastic bounds that do not
+        bracket it.  Owners call this before building anything for a
+        job, so a rejection leaves no state behind."""
+        cluster_size = len(self.pool.cluster.machines)
         if num_machines < 1:
-            self.stats["rejected"] += 1
-            raise AdmissionError(f"job {name!r} asks for {num_machines} "
-                                 f"machines")
-        if num_machines > len(self.pool.cluster.machines):
-            self.stats["rejected"] += 1
-            raise AdmissionError(
-                f"job {name!r} needs {num_machines} machines, the "
-                f"cluster only has {len(self.pool.cluster.machines)}")
+            reason = f" asks for {num_machines} machines"
+        elif num_machines > cluster_size:
+            reason = (f" needs {num_machines} machines, the cluster only "
+                      f"has {cluster_size}")
+        elif min_machines is not None and not (
+                1 <= min_machines <= num_machines):
+            reason = (f": min_machines {min_machines} outside "
+                      f"[1, {num_machines}]")
+        elif max_machines is not None and not (
+                num_machines <= max_machines <= cluster_size):
+            reason = (f": max_machines {max_machines} outside "
+                      f"[{num_machines}, {cluster_size}]")
+        else:
+            return
+        self.stats["rejected"] += 1
+        raise AdmissionError(f"job {name!r}{reason}")
 
     def enqueue(self, name: str, num_machines: int, priority: int = 0,
                 duration_s: Optional[float] = None,
@@ -181,20 +196,8 @@ class FleetScheduler:
         set and then run one :meth:`dispatch`, so priority order holds
         across the batch instead of first-enqueued-first-served.
         """
-        self.check_admission(name, num_machines)
-        if min_machines is not None and not (
-                1 <= min_machines <= num_machines):
-            self.stats["rejected"] += 1
-            raise AdmissionError(
-                f"job {name!r}: min_machines {min_machines} outside "
-                f"[1, {num_machines}]")
-        if max_machines is not None and (
-                max_machines < num_machines
-                or max_machines > len(self.pool.cluster.machines)):
-            self.stats["rejected"] += 1
-            raise AdmissionError(
-                f"job {name!r}: max_machines {max_machines} outside "
-                f"[{num_machines}, {len(self.pool.cluster.machines)}]")
+        self.check_admission(name, num_machines, min_machines=min_machines,
+                             max_machines=max_machines)
         request = JobRequest(name=name, num_machines=num_machines,
                              priority=priority, duration_s=duration_s,
                              submitted_at=self.sim.now, seq=self._seq,

@@ -33,11 +33,7 @@ from repro.cluster.topology import Cluster
 from repro.controller.controller import ControllerConfig, RobustController
 from repro.controller.hotupdate import HotUpdateManager
 from repro.controller.policy import RecoveryPolicy
-from repro.controller.standby import (
-    StandbyPolicy,
-    StandbyResizeConfig,
-    StandbyResizer,
-)
+from repro.controller.standby import StandbyPolicy
 from repro.core.incidents import IncidentLog
 from repro.diagnosis.diagnoser import Diagnoser
 from repro.diagnosis.replay import DualPhaseReplay
@@ -63,11 +59,6 @@ class StackConfig:
     initial_code_profile: CodeVersionProfile = field(
         default_factory=lambda: CodeVersionProfile("v0", 0.30))
     use_real_minigpt: bool = False
-    #: Elastic warm-pool resizing for the pool this stack draws on
-    #: (None keeps the pool sized once at start, the historical
-    #: behaviour).  Platforms that share one pool across many stacks
-    #: build a single shared resizer instead of setting this.
-    standby_resize: Optional[StandbyResizeConfig] = None
     #: Enable the checkpoint engine (None strategy = ByteRobust save).
     checkpointing: bool = False
     checkpoint_strategy: Optional[SaveStrategy] = None
@@ -91,9 +82,6 @@ class ManagementStack:
     ckpt_manager: Optional[CheckpointManager]
     incident_log: IncidentLog
     controller: RobustController
-    #: Elastic warm-pool resizer, when the stack owns its pool's
-    #: sizing (single-job systems); None on shared-pool platforms.
-    resizer: Optional[StandbyResizer] = None
     #: Aggregation config kept so elastic resizes can rebuild the
     #: topology-bound analyzer; None on stacks that never resize.
     aggregation: Optional[AggregationConfig] = None
@@ -104,8 +92,6 @@ class ManagementStack:
         self.job.bind_machines(machine_ids)
         self.collector.start()
         self.inspections.start()
-        if self.resizer is not None:
-            self.resizer.start()
         self.job.start(at_step)
 
     def shutdown(self) -> None:
@@ -116,8 +102,6 @@ class ManagementStack:
         self.job.suspend()
         self.collector.stop()
         self.inspections.stop()
-        if self.resizer is not None:
-            self.resizer.stop()
 
     def pause(self) -> None:
         """Reversibly stop the job (preemption or resize): suspend the
@@ -224,16 +208,9 @@ def build_management_stack(sim: Simulator, cluster: Cluster,
         config=config.controller)
     detector.add_listener(controller.on_anomaly)
     inspections.add_listener(controller.on_inspection_event)
-    # optional components append *after* the pinned wiring above so the
-    # default construction order stays byte-identical for equivalence
-    resizer: Optional[StandbyResizer] = None
-    if config.standby_resize is not None:
-        resizer = StandbyResizer(sim, pool, sizing=config.standby,
-                                 config=config.standby_resize)
     return ManagementStack(
         job=job, collector=collector, detector=detector,
         inspections=inspections, diagnoser=diagnoser, replay=replay,
         analyzer=analyzer, tracer=tracer, hotupdate=hotupdate,
         ckpt_manager=ckpt_manager, incident_log=incident_log,
-        controller=controller, resizer=resizer,
-        aggregation=config.aggregation)
+        controller=controller, aggregation=config.aggregation)

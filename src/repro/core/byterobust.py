@@ -230,11 +230,8 @@ class ByteRobustSystem:
             raise RuntimeError("system already started")
         self._started = True
         machines = self.pool.allocate_active(self.job.num_machines)
-        self.job.bind_machines(machines)
         self.controller.ensure_standbys()
-        self.collector.start()
-        self.inspections.start()
-        self.job.start()
+        self.stack.launch(machines)
 
     def run_until(self, t: float) -> None:
         self.sim.run(until=t)

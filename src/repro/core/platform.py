@@ -16,12 +16,12 @@ next.  Evictions from any job compete for the same standbys, which is
 exactly the contention the P99 pool sizing is meant to absorb.
 
 The job-lifecycle surface is the typed :class:`JobSpec` →
-:class:`JobHandle` pair: :meth:`submit` accepts a spec (legacy
-``submit(name, job_config, ...)`` shapes coerce through
-:meth:`JobSpec.coerce`) and returns a handle exposing
-:class:`HandleState`, the lifecycle event history, and wasted-work
-accounting.  With ``config.preemption`` enabled the scheduler may ask
-the platform to preempt a running victim — carried out at the next
+:class:`JobHandle` pair: :meth:`submit` takes a spec — the platform's
+only job intake — and returns a handle exposing :class:`HandleState`,
+the lifecycle event history, and wasted-work accounting.  A spec is
+admitted in full before anything is built, so a rejected submission
+leaves no trace.  With ``config.preemption`` enabled the scheduler may
+ask the platform to preempt a running victim — carried out at the next
 checkpoint boundary (``"checkpoint"``) or immediately (``"kill"``) —
 and with elastic bounds declared, to shrink/grow it through a
 data-parallel topology rebind.
@@ -30,9 +30,9 @@ data-parallel topology rebind.
 from __future__ import annotations
 
 import enum
-import sys
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.agent.tracer import OnDemandTracer
 from repro.cluster.components import MachineSpec
@@ -80,9 +80,9 @@ class JobSpec:
 
     The typed intake for :meth:`TrainingPlatform.submit`: size bounds
     (``min_machines``/``max_machines`` make the job elastic),
-    priority, planned runtime, and the preemption opt-out.  Legacy
-    ``submit(name, job_config, ...)`` call shapes normalize through
-    :meth:`coerce`, mirroring the ``SweepRequest.coerce`` pattern.
+    priority, planned runtime (finite and non-negative, or None), and
+    the preemption opt-out (``preemptible=False`` pins a job that must
+    never lose its machines).
     """
 
     name: str
@@ -103,40 +103,15 @@ class JobSpec:
         if not isinstance(self.job_config, TrainingJobConfig):
             raise TypeError("JobSpec.job_config must be a "
                             "TrainingJobConfig")
+        if self.duration_s is not None and not (
+                math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise ValueError(f"JobSpec.duration_s must be finite and "
+                             f">= 0, got {self.duration_s!r}")
 
     @property
     def num_machines(self) -> int:
         return (self.job_config.parallelism.world_size
                 // self.job_config.parallelism.gpus_per_machine)
-
-    @classmethod
-    def coerce(cls, spec: Union["JobSpec", str],
-               job_config: Optional[TrainingJobConfig] = None,
-               priority: int = 0, duration_s: Optional[float] = None,
-               initial_mfu: float = 0.30,
-               min_machines: Optional[int] = None,
-               max_machines: Optional[int] = None,
-               preemptible: bool = True) -> "JobSpec":
-        """Normalize the legacy call shapes onto a spec.
-
-        A :class:`JobSpec` passes through; passing a job config (or
-        any other field) alongside one is ambiguous and rejected.  A
-        bare name plus ``job_config`` builds the spec from the legacy
-        keywords.
-        """
-        if isinstance(spec, cls):
-            if job_config is not None:
-                raise ValueError(
-                    "job_config passed both inside the JobSpec and as "
-                    "an argument; pick one")
-            return spec
-        if job_config is None:
-            raise TypeError(
-                "submit() takes a JobSpec or (name, job_config)")
-        return cls(name=spec, job_config=job_config, priority=priority,
-                   duration_s=duration_s, initial_mfu=initial_mfu,
-                   min_machines=min_machines, max_machines=max_machines,
-                   preemptible=preemptible)
 
 
 @dataclass
@@ -159,9 +134,6 @@ class ManagedJob:
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     completed_at: Optional[float] = None
-    #: True for legacy :meth:`TrainingPlatform.add_job` registrations,
-    #: which must all be placeable at start() (strict co-scheduling)
-    static: bool = False
     #: elastic size bounds + preemption opt-out (the JobSpec surface)
     min_machines: Optional[int] = None
     max_machines: Optional[int] = None
@@ -381,37 +353,28 @@ class TrainingPlatform:
                 remote_checkpoint_every_steps=(
                     self.config.remote_checkpoint_every_steps)))
 
-    def submit(self, spec: Union[JobSpec, str],
-               job_config: Optional[TrainingJobConfig] = None,
-               priority: int = 0, duration_s: Optional[float] = None,
-               initial_mfu: float = 0.30,
-               min_machines: Optional[int] = None,
-               max_machines: Optional[int] = None,
-               preemptible: bool = True) -> JobHandle:
+    def submit(self, spec: JobSpec) -> JobHandle:
         """Submit a job at any simulated time; returns its handle.
 
-        The one intake path: pass a :class:`JobSpec`, or the legacy
-        ``(name, job_config, ...)`` shape which coerces into one.
-        Before :meth:`start` the request just queues; afterwards the
-        scheduler places it immediately if capacity allows, or parks it
-        until machines free up (higher ``priority`` jumps the queue;
-        smaller jobs may backfill, and with preemption/elastic bounds
-        enabled, lower-priority victims may be shrunk or preempted for
-        it).  ``duration_s`` gives the job a planned runtime after
-        which it completes and returns its machines.  Raises
+        The platform's one job intake.  Before :meth:`start` the
+        request just queues; afterwards the scheduler places it
+        immediately if capacity allows, or parks it until machines free
+        up (higher ``priority`` jumps the queue; smaller jobs may
+        backfill, and with preemption/elastic bounds enabled,
+        lower-priority victims may be shrunk or preempted for it).
+        ``duration_s`` gives the job a planned runtime after which it
+        completes and returns its machines.  Raises
         :class:`~repro.cluster.scheduler.AdmissionError` for requests
-        larger than the whole cluster or with inconsistent size
-        bounds.
+        larger than the whole cluster or with inconsistent size bounds
+        — before any stack is built, so a rejection changes nothing.
         """
-        spec = JobSpec.coerce(spec, job_config, priority=priority,
-                              duration_s=duration_s,
-                              initial_mfu=initial_mfu,
-                              min_machines=min_machines,
-                              max_machines=max_machines,
-                              preemptible=preemptible)
+        if not isinstance(spec, JobSpec):
+            raise TypeError("submit() takes a JobSpec")
         if spec.name in self.jobs:
             raise ValueError(f"duplicate job name {spec.name!r}")
-        self.scheduler.check_admission(spec.name, spec.num_machines)
+        self.scheduler.check_admission(spec.name, spec.num_machines,
+                                       min_machines=spec.min_machines,
+                                       max_machines=spec.max_machines)
         stack = self._build_stack(spec.name, spec.job_config,
                                   spec.initial_mfu)
         min_machines = spec.min_machines
@@ -438,31 +401,6 @@ class TrainingPlatform:
                                   preemptible=spec.preemptible)
         return managed
 
-    _warned_add_job = False
-
-    def add_job(self, name: str, job_config: TrainingJobConfig,
-                initial_mfu: float = 0.30) -> JobHandle:
-        """Deprecated strict registration: the job *must* run from t=0.
-
-        A shim over :meth:`submit`: all ``add_job`` jobs are
-        co-scheduled at :meth:`start`, which raises if they cannot all
-        be placed at once, and they are never preempted.  Use
-        ``submit(JobSpec(...))`` for queue-tolerant, dynamic arrivals.
-        """
-        if not TrainingPlatform._warned_add_job:
-            print("repro: TrainingPlatform.add_job() is deprecated; "
-                  "use submit(JobSpec(...)) — add_job keeps strict "
-                  "t=0 co-scheduling and is exempt from preemption",
-                  file=sys.stderr)
-            TrainingPlatform._warned_add_job = True
-        if self._started:
-            raise RuntimeError("platform already started")
-        managed = self.submit(JobSpec(name=name, job_config=job_config,
-                                      initial_mfu=initial_mfu,
-                                      preemptible=False))
-        managed.static = True
-        return managed
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -470,12 +408,6 @@ class TrainingPlatform:
         """Dispatch every pre-submitted job and provision standbys."""
         if self._started:
             raise RuntimeError("platform already started")
-        static_needed = sum(m.job.num_machines
-                            for m in self.jobs.values() if m.static)
-        if static_needed > len(self.cluster.machines):
-            raise ValueError(
-                f"jobs need {static_needed} machines, cluster has "
-                f"{len(self.cluster.machines)}")
         self._started = True
         # enqueue the whole pre-start batch, then dispatch once, so
         # priority order holds across it (per-job submit() would let
@@ -487,18 +419,8 @@ class TrainingPlatform:
                                    duration_s=managed.duration_s,
                                    min_machines=managed.min_machines,
                                    max_machines=managed.max_machines,
-                                   preemptible=(managed.preemptible
-                                                and not managed.static))
+                                   preemptible=managed.preemptible)
         self.scheduler.dispatch()
-        unplaced = [m.name for m in self.jobs.values()
-                    if m.static and m.queued]
-        if unplaced:
-            # add_job's contract is strict co-scheduling from t=0; a
-            # dynamic pre-start submission (or a higher-priority job)
-            # holding the machines breaks it loudly, not silently
-            raise ValueError(
-                f"add_job jobs {unplaced} could not all be placed at "
-                f"start(); use submit() for queue-tolerant jobs")
         # one shared standby reserve sized for the whole active fleet;
         # a capacity-capped provisioning is recorded, not dropped
         self.standby_target = self.config.standby.standby_count(

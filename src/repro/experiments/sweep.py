@@ -17,13 +17,13 @@ completed cell is written to the
 :class:`~repro.experiments.cache.ResultCache` *immediately*, so a sweep
 killed mid-run resumes from the partial cache and re-simulates only the
 unfinished cells.  :meth:`SweepRunner.stream` exposes the raw arrival
-order (with an optional progress callback);
-:meth:`SweepRunner.run` drains the stream and materializes the final
-:class:`SweepResult` in cell-index order.
+order; :meth:`SweepRunner.run` drains the stream and materializes the
+final :class:`SweepResult` in cell-index order, and
+:meth:`SweepRunner.fold` aggregates it in constant memory.
 
-Call sites normalize onto :class:`SweepRequest` — specs, cache,
-base-seed override, progress callback in one value — but the legacy
-``run(spec_or_specs, progress=...)`` shapes keep working.
+Every entry point takes a :class:`SweepRequest` — specs, base-seed
+override and progress callback in one value — or a bare
+:class:`SweepSpec` (or a sequence of them) as shorthand for one.
 
 Determinism is a contract, not an accident:
 
@@ -151,12 +151,10 @@ class SweepRequest:
     ``specs`` accepts a single :class:`SweepSpec` or a sequence (it is
     normalized to a tuple).  ``base_seed``, when set, overrides every
     spec's own ``base_seed`` — the common "same grids, new seed" knob
-    without rebuilding specs.  ``cache`` overrides the runner's cache
-    for this request only; ``progress`` is the streaming callback.
+    without rebuilding specs.  ``progress`` is the streaming callback.
     """
 
     specs: Union[SweepSpec, Sequence[SweepSpec]]
-    cache: Optional[CacheLike] = None
     base_seed: Optional[int] = None
     progress: Optional[ProgressCallback] = None
 
@@ -178,24 +176,12 @@ class SweepRequest:
 
     @classmethod
     def coerce(cls, request: Union["SweepRequest", SweepSpec,
-                                   Sequence[SweepSpec]],
-               progress: Optional[ProgressCallback] = None
+                                   Sequence[SweepSpec]]
                ) -> "SweepRequest":
-        """Normalize the legacy call shapes onto a request.
-
-        ``progress`` is the backward-compatible keyword; passing it
-        alongside a request that already carries a callback is
-        ambiguous and rejected.
-        """
+        """A request passes through; specs are wrapped in one."""
         if isinstance(request, SweepRequest):
-            if progress is not None:
-                if request.progress is not None:
-                    raise ValueError(
-                        "progress passed both on the SweepRequest and "
-                        "as a keyword; pick one")
-                return dataclasses.replace(request, progress=progress)
             return request
-        return cls(specs=request, progress=progress)
+        return cls(specs=request)
 
 
 @dataclass
@@ -443,35 +429,23 @@ class SweepRunner:
         self.batch_size = batch_size
 
     def run(self, request: Union[SweepRequest, SweepSpec,
-                                 Sequence[SweepSpec]],
-            progress: Optional[ProgressCallback] = None,
-            collect: bool = True) -> Union[SweepResult,
-                                           "StreamingSummaryLike"]:
+                                 Sequence[SweepSpec]]) -> SweepResult:
         """Drain the stream and return results in cell-index order.
 
         The collector is deterministic at any worker count and under
         any backend: whatever order cells *complete* in, the
         materialized result is sorted by cell index and therefore
-        byte-identical run to run.
-
-        ``collect=False`` switches to the O(1)-memory aggregation path:
-        the return value is the :class:`~repro.experiments.summary.StreamingSummary`
-        from :meth:`fold` instead of a :class:`SweepResult` — no report
-        payload is retained after it has been folded.
+        byte-identical run to run.  :meth:`fold` is the O(1)-memory
+        alternative that retains no report payload.
         """
-        if not collect:
-            return self.fold(request, progress=progress)
-        request = SweepRequest.coerce(request, progress=progress)
         results = sorted(self.stream(request),
                          key=lambda r: r.cell.index)
-        cache = request.cache if request.cache is not None else self.cache
-        if cache is not None:
-            cache.persist_stats()
+        if self.cache is not None:
+            self.cache.persist_stats()
         return SweepResult(results=results)
 
     def fold(self, request: Union[SweepRequest, SweepSpec,
                                   Sequence[SweepSpec]],
-             progress: Optional[ProgressCallback] = None,
              keep_rows: bool = True) -> "StreamingSummaryLike":
         """Stream the sweep into a :class:`StreamingSummary`.
 
@@ -486,18 +460,15 @@ class SweepRunner:
         """
         from repro.experiments.summary import StreamingSummary
 
-        request = SweepRequest.coerce(request, progress=progress)
         folded = StreamingSummary(keep_rows=keep_rows)
         for result in self.stream(request):
             folded.add(result)
-        cache = request.cache if request.cache is not None else self.cache
-        if cache is not None:
-            cache.persist_stats()
+        if self.cache is not None:
+            self.cache.persist_stats()
         return folded
 
     def stream(self, request: Union[SweepRequest, SweepSpec,
-                                    Sequence[SweepSpec]],
-               progress: Optional[ProgressCallback] = None
+                                    Sequence[SweepSpec]]
                ) -> Iterator[CellResult]:
         """Yield :class:`CellResult`s as they complete.
 
@@ -516,8 +487,8 @@ class SweepRunner:
         consumer loses at most the in-flight cells — a restart
         re-simulates only what never finished.
         """
-        request = SweepRequest.coerce(request, progress=progress)
-        cache = request.cache if request.cache is not None else self.cache
+        request = SweepRequest.coerce(request)
+        cache = self.cache
         progress = request.progress
         specs = request.resolved_specs()
         total = count_cells(specs)

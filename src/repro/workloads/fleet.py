@@ -55,7 +55,7 @@ from repro.cluster.faults import (
     RootCause,
     RootCauseDetail,
 )
-from repro.core.platform import PlatformConfig, TrainingPlatform
+from repro.core.platform import JobSpec, PlatformConfig, TrainingPlatform
 from repro.experiments.registry import (
     ParamSpec,
     ScenarioError,
@@ -315,13 +315,13 @@ class FleetScenario:
 
     # ------------------------------------------------------------------
     def _submit(self, spec: FleetJobSpec) -> None:
-        self.platform.submit(
-            spec.name,
-            fleet_job_config(spec.num_machines,
-                             step_time_factor=self.step_time_factor),
+        self.platform.submit(JobSpec(
+            name=spec.name,
+            job_config=fleet_job_config(
+                spec.num_machines, step_time_factor=self.step_time_factor),
             priority=spec.priority, duration_s=spec.duration_s,
             min_machines=spec.min_machines,
-            max_machines=spec.max_machines)
+            max_machines=spec.max_machines))
 
     # ------------------------------------------------------------------
     # spot-capacity churn

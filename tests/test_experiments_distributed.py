@@ -15,6 +15,7 @@ The load-bearing properties:
   counters aggregating server-side across clients.
 """
 
+import inspect
 import json
 import os
 import signal
@@ -43,7 +44,6 @@ from repro.experiments import (
     SweepRequest,
     SweepRunner,
     SweepSpec,
-    count_cells,
     expand_cells,
     make_executor,
     run_worker,
@@ -391,16 +391,14 @@ class TestSweepRequestShims:
         assert canonical(runner.run(SweepRequest(specs=(SPEC,)))) \
             == reference
 
-    def test_progress_on_request_and_keyword_is_ambiguous(self):
-        with pytest.raises(ValueError, match="pick one"):
-            SweepRunner(workers=1).run(
-                SweepRequest(specs=SPEC, progress=lambda e: None),
-                progress=lambda e: None)
-
-    def test_progress_keyword_shim_fires(self):
-        events = []
-        SweepRunner(workers=1).run(SPEC, progress=events.append)
-        assert len(events) == count_cells([SPEC])
+    def test_runner_methods_take_no_intake_twins(self):
+        # progress lives on the request; fold() is the only
+        # non-materializing collector
+        for name, method in inspect.getmembers(SweepRunner,
+                                               inspect.isfunction):
+            params = inspect.signature(method).parameters
+            assert "progress" not in params, name
+            assert "collect" not in params, name
 
     def test_request_base_seed_overrides_specs(self):
         spec = SweepSpec("dense-small",
@@ -416,14 +414,6 @@ class TestSweepRequestShims:
         # and it genuinely changed the derived seeds
         assert canonical(via_request) \
             != canonical(SweepRunner(workers=1).run(spec))
-
-    def test_request_cache_overrides_runner_cache(self, tmp_path):
-        runner_cache = ResultCache(tmp_path / "runner")
-        request_cache = ResultCache(tmp_path / "request")
-        SweepRunner(workers=1, cache=runner_cache).run(
-            SweepRequest(specs=SPEC, cache=request_cache))
-        assert len(request_cache) == count_cells([SPEC])
-        assert len(runner_cache) == 0
 
     def test_result_cache_accepts_pathlib_path(self, tmp_path):
         cache = ResultCache(Path(tmp_path) / "p")

@@ -15,6 +15,7 @@ from repro.experiments import (
     ResultCache,
     ScenarioError,
     SweepError,
+    SweepRequest,
     SweepRunner,
     SweepSpec,
     Table,
@@ -178,8 +179,8 @@ ANALYTIC_SPEC = SweepSpec(
 class TestStreaming:
     def test_progress_callback_sees_every_cell(self):
         events = []
-        result = SweepRunner(workers=1).run(ANALYTIC_SPEC,
-                                            progress=events.append)
+        result = SweepRunner(workers=1).run(
+            SweepRequest(specs=ANALYTIC_SPEC, progress=events.append))
         assert [e.done for e in events] == [1, 2, 3, 4]
         assert all(e.total == 4 for e in events)
         assert [e.result.cell.index for e in events] == [0, 1, 2, 3]
@@ -191,8 +192,8 @@ class TestStreaming:
         cache = ResultCache(str(tmp_path / "c"))
         SweepRunner(workers=1, cache=cache).run(ANALYTIC_SPEC)
         events = []
-        SweepRunner(workers=1, cache=cache).run(ANALYTIC_SPEC,
-                                                progress=events.append)
+        SweepRunner(workers=1, cache=cache).run(
+            SweepRequest(specs=ANALYTIC_SPEC, progress=events.append))
         assert [e.result.cached for e in events] == [True] * 4
 
     def test_stream_yields_incrementally(self):

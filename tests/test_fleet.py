@@ -13,6 +13,7 @@ Three layers under test:
   at any sweep worker count, the PR 3 cache-equality invariant.
 """
 
+import inspect
 import json
 
 import pytest
@@ -258,12 +259,12 @@ class TestMachinePoolRelease:
 class TestDynamicPlatform:
     def test_submit_after_start_runs_when_capacity_frees(self):
         platform = TrainingPlatform(total_machines=8)
-        platform.add_job("first", fleet_job_config(6))
+        platform.submit(JobSpec("first", fleet_job_config(6)))
         platform.start()
         # mid-sim arrival that cannot fit until `first` completes
         def arrive():
-            managed = platform.submit("second", fleet_job_config(6),
-                                      duration_s=3600.0)
+            managed = platform.submit(JobSpec(
+                "second", fleet_job_config(6), duration_s=3600.0))
             assert managed.queued
         platform.sim.schedule_at(600.0, arrive)
         platform.sim.schedule_at(
@@ -280,7 +281,7 @@ class TestDynamicPlatform:
 
     def test_completed_job_returns_machines_to_pool(self):
         platform = TrainingPlatform(total_machines=8)
-        platform.submit("a", fleet_job_config(4), duration_s=1800.0)
+        platform.submit(JobSpec("a", fleet_job_config(4), duration_s=1800.0))
         platform.start()
         platform.run_until(3600.0)
         managed = platform.jobs["a"]
@@ -295,7 +296,7 @@ class TestDynamicPlatform:
     def test_standby_shortfall_recorded_not_dropped(self):
         # job takes the whole fleet: zero machines left for standbys
         platform = TrainingPlatform(total_machines=4)
-        platform.add_job("greedy", fleet_job_config(4))
+        platform.submit(JobSpec("greedy", fleet_job_config(4)))
         platform.start()
         platform.run_until(600.0)
         report = platform.fleet_report()
@@ -309,48 +310,34 @@ class TestDynamicPlatform:
         from repro.core.byterobust import ByteRobustSystem, SystemConfig
 
         platform = TrainingPlatform(total_machines=8)
-        managed = platform.add_job("a", fleet_job_config(4))
+        managed = platform.submit(JobSpec("a", fleet_job_config(4)))
         assert isinstance(managed.stack, ManagementStack)
         system = ByteRobustSystem(SystemConfig(job=fleet_job_config(4)))
         assert isinstance(system.stack, ManagementStack)
         assert system.controller is system.stack.controller
         assert managed.controller is managed.stack.controller
 
-    def test_add_job_overcommit_still_rejected(self):
-        platform = TrainingPlatform(total_machines=6)
-        platform.add_job("a", fleet_job_config(4))
-        platform.add_job("b", fleet_job_config(4))
-        with pytest.raises(ValueError):
-            platform.start()
-
     def test_submitted_jobs_may_overcommit_and_queue(self):
         platform = TrainingPlatform(total_machines=6)
-        platform.submit("a", fleet_job_config(4))
-        platform.submit("b", fleet_job_config(4))
+        platform.submit(JobSpec("a", fleet_job_config(4)))
+        platform.submit(JobSpec("b", fleet_job_config(4)))
         platform.start()     # no raise: b just queues
         assert platform.jobs["a"].running
         assert platform.jobs["b"].queued
 
     def test_start_dispatches_prestart_batch_in_priority_order(self):
         platform = TrainingPlatform(total_machines=6)
-        platform.submit("low", fleet_job_config(4), priority=0)
-        platform.submit("high", fleet_job_config(4), priority=5)
+        platform.submit(JobSpec("low", fleet_job_config(4), priority=0))
+        platform.submit(JobSpec("high", fleet_job_config(4), priority=5))
         platform.start()
         # submission order must not beat priority within the batch
         assert platform.jobs["high"].running
         assert platform.jobs["low"].queued
 
-    def test_static_job_displaced_by_dynamic_submit_raises(self):
-        platform = TrainingPlatform(total_machines=8)
-        platform.submit("dyn", fleet_job_config(6), priority=5)
-        platform.add_job("strict", fleet_job_config(6))
-        with pytest.raises(ValueError, match="could not all be placed"):
-            platform.start()
-
     def test_admission_error_for_oversized_submit(self):
         platform = TrainingPlatform(total_machines=4)
         with pytest.raises(AdmissionError):
-            platform.submit("whale", fleet_job_config(8))
+            platform.submit(JobSpec("whale", fleet_job_config(8)))
         # the rejection is the scheduler's call, so it shows up in the
         # scheduler stats every fleet report publishes
         assert platform.scheduler.stats["rejected"] == 1
@@ -527,29 +514,17 @@ class TestSchedulerPreemption:
 
 
 class TestJobSpecAPI:
-    def test_spec_passes_through_coerce(self):
-        spec = JobSpec(name="a", job_config=fleet_job_config(4))
-        assert JobSpec.coerce(spec) is spec
-
     def test_double_specification_rejected(self):
         spec = JobSpec(name="a", job_config=fleet_job_config(4))
-        with pytest.raises(ValueError, match="pick one"):
-            JobSpec.coerce(spec, fleet_job_config(4))
-
-    def test_legacy_shape_builds_spec(self):
-        spec = JobSpec.coerce("a", fleet_job_config(4), priority=3,
-                              duration_s=60.0, min_machines=2,
-                              preemptible=False)
-        assert spec.name == "a"
-        assert spec.priority == 3
-        assert spec.duration_s == 60.0
-        assert spec.min_machines == 2
-        assert not spec.preemptible
-        assert spec.num_machines == 4
+        with pytest.raises(TypeError):
+            TrainingPlatform(total_machines=8).submit(
+                spec, fleet_job_config(4))
 
     def test_name_without_config_raises(self):
-        with pytest.raises(TypeError, match="JobSpec or"):
-            JobSpec.coerce("a")
+        platform = TrainingPlatform(total_machines=8)
+        with pytest.raises(TypeError, match="takes a JobSpec"):
+            platform.submit("a")
+        assert not platform.jobs
 
     def test_job_config_type_checked(self):
         with pytest.raises(TypeError):
@@ -567,27 +542,58 @@ class TestJobSpecAPI:
         assert [e["event"] for e in handle.events] == ["submitted",
                                                        "started"]
 
-    def test_add_job_shim_is_static_and_unpreemptible(self):
-        platform = TrainingPlatform(total_machines=8)
-        handle = platform.add_job("legacy", fleet_job_config(4))
-        assert handle.static
-        assert not handle.preemptible
-
-    def test_add_job_deprecation_warns_once(self, capsys, monkeypatch):
-        monkeypatch.setattr(TrainingPlatform, "_warned_add_job", False)
-        TrainingPlatform(total_machines=8).add_job(
-            "a", fleet_job_config(2))
-        TrainingPlatform(total_machines=8).add_job(
-            "b", fleet_job_config(2))
-        err = capsys.readouterr().err
-        assert err.count("deprecated") == 1
-
     def test_duplicate_name_rejected(self):
         platform = TrainingPlatform(total_machines=8)
         platform.submit(JobSpec(name="a", job_config=fleet_job_config(2)))
         with pytest.raises(ValueError, match="duplicate"):
             platform.submit(JobSpec(name="a",
                                     job_config=fleet_job_config(2)))
+
+
+class TestOneIntake:
+    """``submit(JobSpec)`` is the platform's only intake, and a spec is
+    admitted in full before anything is built or registered."""
+
+    def test_submit_takes_exactly_one_spec(self):
+        params = inspect.signature(TrainingPlatform.submit).parameters
+        assert list(params) == ["self", "spec"]
+
+    def test_rejected_submit_leaves_no_phantom_job(self):
+        platform = TrainingPlatform(total_machines=8)
+        platform.start()
+        listeners = len(platform.injector._listeners)
+        submitted = platform.scheduler.stats["submitted"]
+        with pytest.raises(AdmissionError, match="min_machines"):
+            platform.submit(JobSpec("bad", fleet_job_config(4),
+                                    min_machines=10))
+        assert "bad" not in platform.jobs
+        assert not platform.scheduler.queue
+        assert "bad" not in platform.fleet_report()["jobs"]
+        assert platform.scheduler.stats["submitted"] == submitted
+        assert platform.scheduler.stats["rejected"] == 1
+        assert len(platform.injector._listeners) == listeners
+        # the rejected name stays free for a valid spec
+        assert platform.submit(JobSpec("bad", fleet_job_config(4))).running
+
+    def test_bad_bounds_rejected_at_submit_not_at_start(self):
+        platform = TrainingPlatform(total_machines=8)
+        platform.submit(JobSpec("ok", fleet_job_config(4)))
+        with pytest.raises(AdmissionError, match="max_machines"):
+            platform.submit(JobSpec("bad", fleet_job_config(4),
+                                    max_machines=2))
+        platform.start()
+        assert platform.jobs["ok"].running
+        assert "bad" not in platform.jobs
+
+    @pytest.mark.parametrize("duration_s", [-5.0, float("nan"),
+                                            float("inf")])
+    def test_bad_duration_rejected(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s"):
+            JobSpec("a", fleet_job_config(4), duration_s=duration_s)
+
+    def test_zero_and_open_ended_durations_accepted(self):
+        assert JobSpec("a", fleet_job_config(4), duration_s=0.0)
+        assert JobSpec("a", fleet_job_config(4), duration_s=None)
 
 
 class TestPlatformPreemption:

@@ -38,7 +38,7 @@ from repro.controller.standby import (
     StandbyResizeConfig,
     StandbyResizer,
 )
-from repro.core.platform import PlatformConfig, TrainingPlatform
+from repro.core.platform import JobSpec, PlatformConfig, TrainingPlatform
 from repro.parallelism import ParallelismConfig
 from repro.parallelism.topology import RankTopology
 from repro.sim import Simulator
@@ -141,7 +141,7 @@ class TestPoolRouting:
             total_machines=16,
             config=PlatformConfig(machines_per_switch=4,
                                   placement="spread"))
-        platform.submit("a", fleet_job_config(4))
+        platform.submit(JobSpec("a", fleet_job_config(4)))
         platform.start()
         machines = platform.jobs["a"].job.machines
         assert platform.cluster.switch_span(machines) == 4
@@ -282,7 +282,8 @@ class TestPlatformElasticStandby:
             config=PlatformConfig(standby_target=0.25,
                                   standby_resize_s=600.0,
                                   standby_hysteresis=0))
-        platform.submit("a", fleet_job_config(8), duration_s=4 * 3600.0)
+        platform.submit(JobSpec("a", fleet_job_config(8),
+                                duration_s=4 * 3600.0))
         platform.start()
         platform.run_until(2 * 3600.0)
         report = platform.fleet_report()
@@ -294,7 +295,8 @@ class TestPlatformElasticStandby:
 
     def test_static_platform_keeps_historical_behavior(self):
         platform = TrainingPlatform(total_machines=16)
-        platform.submit("a", fleet_job_config(8), duration_s=4 * 3600.0)
+        platform.submit(JobSpec("a", fleet_job_config(8),
+                                duration_s=4 * 3600.0))
         platform.start()
         platform.run_until(2 * 3600.0)
         report = platform.fleet_report()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.components import MachineState
 from repro.cluster.faults import FaultSymptom
-from repro.core.platform import TrainingPlatform
+from repro.core.platform import JobSpec, TrainingPlatform
 from repro.parallelism import ParallelismConfig
 from repro.sim import RngStreams
 from repro.training import JobState, TrainingJobConfig
@@ -34,8 +34,8 @@ def tiny_job_config(machines=4):
 class TestTrainingPlatform:
     def test_two_jobs_share_one_fleet(self):
         platform = TrainingPlatform(total_machines=16)
-        platform.add_job("alpha", tiny_job_config())
-        platform.add_job("beta", tiny_job_config())
+        platform.submit(JobSpec("alpha", tiny_job_config()))
+        platform.submit(JobSpec("beta", tiny_job_config()))
         platform.start()
         platform.run_until(2 * 3600)
         report = platform.fleet_report()
@@ -47,8 +47,8 @@ class TestTrainingPlatform:
 
     def test_jobs_use_disjoint_machines(self):
         platform = TrainingPlatform(total_machines=16)
-        a = platform.add_job("alpha", tiny_job_config())
-        b = platform.add_job("beta", tiny_job_config())
+        a = platform.submit(JobSpec("alpha", tiny_job_config()))
+        b = platform.submit(JobSpec("beta", tiny_job_config()))
         platform.start()
         assert not set(a.job.machines) & set(b.job.machines)
 
@@ -59,8 +59,8 @@ class TestTrainingPlatform:
             RootCauseDetail,
         )
         platform = TrainingPlatform(total_machines=16)
-        a = platform.add_job("alpha", tiny_job_config())
-        b = platform.add_job("beta", tiny_job_config())
+        a = platform.submit(JobSpec("alpha", tiny_job_config()))
+        b = platform.submit(JobSpec("beta", tiny_job_config()))
         platform.start()
         victim = a.job.machines[0]
         platform.sim.schedule_at(600, lambda: platform.injector.inject(
@@ -82,8 +82,8 @@ class TestTrainingPlatform:
             RootCauseDetail,
         )
         platform = TrainingPlatform(total_machines=14)  # tight fleet
-        a = platform.add_job("alpha", tiny_job_config())
-        b = platform.add_job("beta", tiny_job_config())
+        a = platform.submit(JobSpec("alpha", tiny_job_config()))
+        b = platform.submit(JobSpec("beta", tiny_job_config()))
         platform.start()
         for t, managed in ((600, a), (620, b)):
             platform.sim.schedule_at(t, lambda m=managed:
@@ -103,16 +103,9 @@ class TestTrainingPlatform:
 
     def test_duplicate_job_name_rejected(self):
         platform = TrainingPlatform(total_machines=16)
-        platform.add_job("alpha", tiny_job_config())
+        platform.submit(JobSpec("alpha", tiny_job_config()))
         with pytest.raises(ValueError):
-            platform.add_job("alpha", tiny_job_config())
-
-    def test_overcommitted_fleet_rejected(self):
-        platform = TrainingPlatform(total_machines=6)
-        platform.add_job("alpha", tiny_job_config())
-        platform.add_job("beta", tiny_job_config())
-        with pytest.raises(ValueError):
-            platform.start()
+            platform.submit(JobSpec("alpha", tiny_job_config()))
 
 
 class TestChaos:
