@@ -155,7 +155,7 @@ class PackPolicy(PlacementPolicy):
         import numpy as np
         cand = np.sort(np.fromiter(candidates, dtype=np.intp,
                                    count=len(candidates)))
-        sw = cluster.switch_id_array()[cand]
+        sw = cluster.store.machine_switch[cand]
         # stable sort by switch keeps each group's machines in
         # ascending-id order, exactly like the dict-of-sorted-lists
         by_switch = np.argsort(sw, kind="stable")

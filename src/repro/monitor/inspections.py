@@ -25,7 +25,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.health_index import use_vectorized
 from repro.cluster.topology import Cluster
 from repro.sim import Simulator
 
@@ -92,10 +91,9 @@ class InspectionEngine:
         #: category -> (cluster version, inspected ids) of the last
         #: *clean* sweep; see the fast-path note above the sweeps.
         self._clean_state: Dict[str, Tuple[int, List[int]]] = {}
-        self._health_version = getattr(cluster, "health_version", None)
-        #: struct-of-arrays accessor (None on cluster stubs): the
-        #: vectorized sweeps pull unhealthy-candidate masks from it
-        self._health_index = getattr(cluster, "health_index", None)
+        #: the cluster's columnar component store: sweeps pull their
+        #: unhealthy candidates from its rollup masks
+        self._store = cluster.store
 
     def _skip_unchanged(self, category: str, ids: List[int]
                         ) -> Optional[int]:
@@ -107,10 +105,7 @@ class InspectionEngine:
         a clean sweep is a pure read, so re-running it cannot emit,
         strike, or dedup anything.
         """
-        version = self._health_version
-        if version is None:          # cluster stub without the counter
-            return -1
-        ver = version()
+        ver = self.cluster.health_version()
         state = self._clean_state.get(category)
         if state is not None and state[0] == ver and state[1] == ids:
             return None
@@ -118,7 +113,7 @@ class InspectionEngine:
 
     def _mark_clean(self, category: str, ver: int, ids: List[int],
                     clean: bool) -> None:
-        if clean and ver >= 0:
+        if clean:
             self._clean_state[category] = (ver, list(ids))
         else:
             self._clean_state.pop(category, None)
@@ -179,47 +174,20 @@ class InspectionEngine:
             fn(event)
 
     # ------------------------------------------------------------------
-    # Sweeps find their unhealthy candidates through the change-tracked
-    # health state and only walk the per-component checks on machines
-    # whose subsystem is actually unhealthy — a healthy machine's sweep
-    # is a pure read, so skipping it cannot change any emission.  Above
-    # the vectorization threshold the candidates come from one numpy
-    # mask over the cluster's struct-of-arrays health index; below it,
-    # from the scalar O(1) rollup per machine.  Either way unhealthy
-    # machines take the exact seed code path, so event content,
-    # deduplication, and ordering are byte-identical across scalar,
-    # vectorized, and seed modes.
-    def _unhealthy_among(self, ids: List[int], subsystem: str
-                         ) -> List[int]:
-        """Ids (in input order) whose subsystem rollup is unhealthy."""
-        if self._health_index is not None and use_vectorized(len(ids)):
-            return self._health_index().unhealthy(ids, subsystem)
-        machines = self.cluster.machines
-        return [mid for mid in ids
-                if not getattr(machines[mid].component_health(),
-                               subsystem)]
-
-    def _switches_first_seen(self, ids: List[int]
-                             ) -> List[Tuple[int, bool]]:
-        """``(switch_id, up)`` in first-appearance order over ``ids``."""
-        if self._health_index is not None and use_vectorized(len(ids)):
-            return self._health_index().switches_first_seen(ids)
-        machines = self.cluster.machines
-        switches = self.cluster.switches
-        seen: Dict[int, bool] = {}
-        for mid in ids:
-            sw = switches[machines[mid].switch_id]
-            if sw.id not in seen:
-                seen[sw.id] = sw.up
-        return list(seen.items())
-
+    # Sweeps find their unhealthy candidates through the store's
+    # per-machine rollup masks and only walk the per-component checks
+    # on machines whose subsystem is actually unhealthy — a healthy
+    # machine's sweep is a pure read, so skipping it cannot change any
+    # emission.  Unhealthy machines take the exact seed code path, so
+    # event content, deduplication, and ordering are byte-identical to
+    # the seed sweeps.
     def _sweep_network(self) -> None:
         ids = self._machine_ids()
         ver = self._skip_unchanged("network", ids)
         if ver is None:
             return
         machines = self.cluster.machines
-        unhealthy = self._unhealthy_among(ids, "nics_ok")
+        unhealthy = self._store.unhealthy(ids, "nics_ok")
         clean = not unhealthy
         for mid in unhealthy:
             machine = machines[mid]
@@ -230,7 +198,7 @@ class InspectionEngine:
                    >= nic.FLAP_LOSS_THRESHOLD for nic in machine.nics):
                 self._emit("port_flapping", "network",
                            SignalConfidence.NETWORK, [mid])
-        switches_seen = self._switches_first_seen(ids)
+        switches_seen = self._store.switches_first_seen(ids)
         if any(not up for _, up in switches_seen):
             clean = False
         self._mark_clean("network", ver, ids, clean)
@@ -241,9 +209,11 @@ class InspectionEngine:
             strikes = self._switch_strikes.get(sw_id, 0) + 1
             self._switch_strikes[sw_id] = strikes
             if strikes >= self.config.switch_consecutive:
-                affected = [m.id for m in
-                            self.cluster.machines_on_switch(sw_id)
-                            if m.id in set(self._machine_ids())]
+                # the job's machines are re-read per down switch: an
+                # emitted event may have made the controller move them
+                active = set(self._machine_ids())
+                affected = [mid for mid in self.cluster.switches[sw_id]
+                            .machine_ids if mid in active]
                 self._emit("switch_down", "network",
                            SignalConfidence.NETWORK, affected,
                            switch_id=sw_id)
@@ -254,7 +224,7 @@ class InspectionEngine:
         if ver is None:
             return
         machines = self.cluster.machines
-        unhealthy = self._unhealthy_among(ids, "gpus_ok")
+        unhealthy = self._store.unhealthy(ids, "gpus_ok")
         clean = not unhealthy
         for mid in unhealthy:
             machine = machines[mid]
@@ -285,7 +255,7 @@ class InspectionEngine:
         if ver is None:
             return
         machines = self.cluster.machines
-        unhealthy = self._unhealthy_among(ids, "host_ok")
+        unhealthy = self._store.unhealthy(ids, "host_ok")
         clean = not unhealthy
         for mid in unhealthy:
             host = machines[mid].host

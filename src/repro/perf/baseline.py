@@ -17,8 +17,8 @@ the seed behavior of every hot path the fast path optimized:
   ``METRICS_SCHEMA_VERSION`` in :mod:`repro.training.metrics`);
 * the fault/health substrate — pinned to ``"scalar"`` via
   :func:`~repro.cluster.health_index.force_substrate`, so hazard
-  draws and health sweeps take the per-machine reference loops
-  instead of the struct-of-arrays masks.
+  draws take the per-machine reference loop instead of one batched
+  draw.
 
 It is a test oracle: ``tests/test_sim_equivalence.py`` asserts that
 both modes produce byte-identical reports, and

@@ -1,5 +1,8 @@
 """Unit tests for the cluster substrate: components, topology, faults, pool."""
 
+import json
+import tracemalloc
+
 import pytest
 
 from repro.cluster import (
@@ -13,7 +16,7 @@ from repro.cluster import (
     ProvisioningTimes,
     RootCause,
 )
-from repro.cluster.components import MachineSpec
+from repro.cluster.components import Machine, MachineSpec
 from repro.cluster.faults import FaultCategory, JobEffect, RootCauseDetail
 from repro.cluster.pool import InsufficientMachines
 from repro.sim import Simulator
@@ -60,8 +63,62 @@ class TestComponents:
     def test_component_summary(self):
         m = make_cluster().machine(0)
         m.nics[0].up = False
-        summary = m.component_summary()
-        assert summary == {"gpus": True, "nics": False, "host": True}
+        health = m.component_health()
+        assert health == (True, True, False)
+        assert not health.nics_ok and health.gpus_ok and health.host_ok
+
+    def test_view_reads_are_exact_python_types(self):
+        m = make_cluster().machine(3)
+        for view in (m.gpus[2], m.nics[1], m.host):
+            for name, default in type(view).FIELDS.items():
+                value = getattr(view, name)
+                assert type(value) is type(default), name
+                assert value == default
+                assert json.loads(json.dumps(value)) == value
+                setattr(view, name, default)    # writes round-trip too
+                assert type(getattr(view, name)) is type(default)
+        g = m.gpus[0]
+        assert type(g.available) is bool
+        assert type(g.pending_row_remaps) is int
+        assert type(g.temperature_c) is float
+        g.pending_row_remaps += 16
+        assert m.gpus[0].pending_row_remaps == 16
+        assert json.dumps(m.gpus[0].xid_events) == "[]"
+
+    def test_event_logs_persist_per_view_and_reset(self):
+        cluster = make_cluster()
+        m = cluster.machine(2)
+        m.gpus[1].xid_events.append(79)
+        m.host.dmesg_xids.append(119)
+        assert m.gpus[1].xid_events == [79]
+        assert cluster.machine(2).host.dmesg_xids == [119]
+        assert m.gpus[0].xid_events == []
+        assert cluster.machine(1).gpus[1].xid_events == []
+        held = m.gpus[1]
+        m.reset_health()
+        assert m.gpus[1].xid_events == [] and held.xid_events == []
+        assert m.host.dmesg_xids == []
+
+    def test_standalone_machine_has_own_store(self):
+        a, b = Machine(5), Machine(5)
+        a.gpus[0].available = False
+        assert not a.healthy() and b.healthy()
+        assert a.gpus[0].index == 0 and len(a.nics) == 8
+        a.reset_health()
+        assert a.healthy()
+
+    def test_cluster_build_memory_budget(self):
+        """A 2000-machine cluster is columns plus thin machine shells:
+        no per-component objects are built up front."""
+        spec = ClusterSpec(num_machines=2000)
+        tracemalloc.start()
+        try:
+            cluster = Cluster(spec)
+            traced, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cluster.machines) == 2000
+        assert traced <= 3 * 2**20, f"{traced / 2**20:.1f} MiB"
 
 
 class TestTopology:

@@ -8,6 +8,9 @@ payloads — differing only in wall-clock.  These tests pin that claim:
 
 * property tests drive both modes over random fleet shapes, seeds and
   write sequences and assert identical results;
+* the columnar :class:`~repro.cluster.components.ComponentStore`'s
+  rollup masks are checked against the per-view scalar predicates
+  after arbitrary write sequences;
 * scripted sweep runs assert identical emission streams (content,
   order, dedup, switch strikes);
 * whole registered scenarios (``fleet-week``, a shrunken
@@ -109,7 +112,7 @@ def test_hazard_rejects_bad_rates():
 
 
 # ---------------------------------------------------------------------------
-# health index vs scalar rollups
+# component store masks vs per-view predicates
 # ---------------------------------------------------------------------------
 
 _WRITE_OPS = ("gpu_temp", "gpu_lost", "nic_down", "nic_flap",
@@ -136,71 +139,143 @@ def _apply_op(cluster: Cluster, midx: int, op: str) -> None:
         machine.reset_health()
 
 
-def _scalar_unhealthy(cluster: Cluster, ids, subsystem: str) -> list:
-    return [mid for mid in ids
-            if not getattr(cluster.machines[mid].component_health(),
-                           subsystem)]
+#: one arbitrary write per view field: (kind, field, unhealthy-ish value)
+_FIELD_WRITES = (
+    [("gpu", name, value) for name, value in (
+        ("dcgm_healthy", False), ("available", False),
+        ("pcie_bandwidth_frac", 0.5), ("pcie_bandwidth_frac", 0.8),
+        ("pending_row_remaps", 8), ("pending_row_remaps", 7),
+        ("temperature_c", 88.0), ("temperature_c", 87.9),
+        ("driver_hung", True), ("hbm_faulty", True),
+        ("sdc_defective", True), ("sdc_reproduce_prob", 0.25),
+        ("throttled", True))]
+    + [("nic", name, value) for name, value in (
+        ("up", False), ("flapping", True), ("packet_loss_rate", 0.01),
+        ("packet_loss_rate", 0.0099))]
+    + [("host", name, value) for name, value in (
+        ("kernel_panic", True), ("cpu_load_frac", 0.95),
+        ("cpu_load_frac", 0.9499), ("mem_used_frac", 0.98),
+        ("disk_free_gb", 5.0), ("disk_free_gb", 5.01),
+        ("disk_faulty", True), ("fs_mounted", False),
+        ("container_healthy", False))])
+
+_store_ops = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 10**6), st.integers(0, 7),
+              st.sampled_from(_FIELD_WRITES)),
+    st.tuples(st.just("reset"), st.integers(0, 10**6)),
+    st.tuples(st.just("switch"), st.integers(0, 10**6), st.booleans()))
+
+
+def _assert_store_matches_views(cluster: Cluster) -> None:
+    store = cluster.store
+    for machine in cluster.machines:
+        mid = machine.id
+        assert store.host_ok[mid] == machine.host.healthy()
+        assert store.gpus_ok[mid] == all(g.healthy() for g in machine.gpus)
+        assert store.nics_ok[mid] == all(n.healthy() for n in machine.nics)
+        assert machine.healthy() == (
+            machine.host.healthy()
+            and all(g.healthy() for g in machine.gpus)
+            and all(n.healthy() for n in machine.nics))
+    expected = [m.id for m in cluster.machines
+                if not (m.host.healthy()
+                        and all(g.healthy() for g in m.gpus)
+                        and all(n.healthy() for n in m.nics))
+                or not cluster.network_reachable(m.id)]
+    assert cluster.unhealthy_machines() == expected
+    assert store.switch_up.tolist() == [sw.up for sw in cluster.switches]
 
 
 @given(
-    machines=st.integers(4, 80),
+    machines=st.integers(4, 40),
     per_switch=st.sampled_from([2, 4, 8]),
-    ops=st.lists(st.tuples(st.integers(0, 10**6),
-                           st.sampled_from(_WRITE_OPS)),
-                 min_size=0, max_size=30),
-    switch_downs=st.lists(st.integers(0, 10**6), max_size=4),
+    ops=st.lists(_store_ops, max_size=40),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_health_index_matches_scalar_rollups(machines, per_switch, ops,
-                                             switch_downs, seed):
-    """Incremental array sync ≡ per-machine scalar rollups, for full,
-    shuffled, and subset id queries, across two write batches."""
+                                             seed):
+    """The store's rollup masks are an oracle-checked cache: after any
+    sequence of view writes, ``reset_health`` calls and switch flips
+    they equal the per-view ``healthy()`` predicates and
+    ``Cluster.network_reachable``, and a view held across a reset reads
+    the reset values."""
     cluster = Cluster(ClusterSpec(num_machines=machines,
                                   machines_per_switch=per_switch))
-    index = cluster.health_index()   # attach sinks before any write
-    half = len(ops) // 2
-    for midx, op in ops[:half]:
-        _apply_op(cluster, midx, op)
-    for sidx in switch_downs:
-        cluster.switches[sidx % len(cluster.switches)].up = False
+    held_gpu = cluster.machines[0].gpus[3]
+    held_host = cluster.machines[0].host
+    version = cluster.health_version()
+    for op in ops:
+        if op[0] == "write":
+            _, midx, index, (kind, name, value) = op
+            machine = cluster.machines[midx % machines]
+            view = {"gpu": machine.gpus, "nic": machine.nics}.get(kind)
+            setattr(machine.host if view is None else view[index],
+                    name, value)
+        elif op[0] == "reset":
+            cluster.machines[op[1] % machines].reset_health()
+        else:
+            cluster.switches[op[1] % len(cluster.switches)].up = op[2]
+        assert cluster.health_version() > version
+        version = cluster.health_version()
+        _assert_store_matches_views(cluster)
 
+    cluster.machines[0].reset_health()
+    assert held_gpu.healthy() and held_gpu.temperature_c == 55.0
+    assert held_host.healthy() and held_host.dmesg_xids == []
+    _assert_store_matches_views(cluster)
+
+    # mask queries agree with the views for full, shuffled and subset
+    # id lists
     rng = np.random.default_rng(seed)
     full = list(range(machines))
-    shuffled = list(rng.permutation(machines))
+    shuffled = rng.permutation(machines).tolist()
     subset = sorted(rng.choice(machines, size=max(1, machines // 2),
                                replace=False).tolist())
+    store = cluster.store
     for ids in (full, shuffled, subset):
         for subsystem in ("host_ok", "gpus_ok", "nics_ok"):
-            assert (index.unhealthy(ids, subsystem)
-                    == _scalar_unhealthy(cluster, ids, subsystem))
+            assert store.unhealthy(ids, subsystem) == [
+                mid for mid in ids
+                if not getattr(cluster.machines[mid].component_health(),
+                               subsystem)]
         seen = {}
         for mid in ids:
-            sw = cluster.switches[cluster.machines[mid].switch_id]
+            sw = cluster.switch_of(mid)
             seen.setdefault(sw.id, sw.up)
-        assert index.switches_first_seen(ids) == list(seen.items())
+        assert store.switches_first_seen(ids) == list(seen.items())
 
-    # second batch: the index must keep tracking after its first sync
-    for midx, op in ops[half:]:
-        _apply_op(cluster, midx, op)
-    for subsystem in ("host_ok", "gpus_ok", "nics_ok"):
-        assert (index.unhealthy(full, subsystem)
-                == _scalar_unhealthy(cluster, full, subsystem))
+
+def test_store_masks_track_every_field_write():
+    """Each field write alone — boundary values included — flips the
+    store's masks exactly as the per-view predicates say, and a reset
+    restores them."""
+    cluster = Cluster(ClusterSpec(num_machines=3, machines_per_switch=2))
+    machine = cluster.machines[1]
+    for kind, name, value in _FIELD_WRITES:
+        view = {"gpu": machine.gpus[5], "nic": machine.nics[2],
+                "host": machine.host}[kind]
+        setattr(view, name, value)
+        assert getattr(view, name) == value
+        _assert_store_matches_views(cluster)
+        machine.reset_health()
+        assert machine.healthy()
+        _assert_store_matches_views(cluster)
 
 
 def test_ids_array_cache_guards_in_place_mutation():
     """Mutating the caller's id list in place must not serve a stale
     cached array (the cache keys on a copy, not the caller's object)."""
     cluster = Cluster(ClusterSpec(num_machines=8, machines_per_switch=4))
-    index = cluster.health_index()
+    store = cluster.store
     cluster.machines[7].gpus[0].temperature_c = 95.0
     ids = list(range(8))
-    assert index.unhealthy(ids, "gpus_ok") == [7]
+    assert store.unhealthy(ids, "gpus_ok") == [7]
     ids.pop()                       # same list object, new contents
-    assert index.unhealthy(ids, "gpus_ok") == []
+    assert store.unhealthy(ids, "gpus_ok") == []
     ids.append(7)
-    assert index.unhealthy(ids, "gpus_ok") == [7]
+    assert store.unhealthy(ids, "gpus_ok") == [7]
 
 
 # ---------------------------------------------------------------------------
