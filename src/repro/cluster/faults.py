@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Cluster
     from repro.sim import Simulator
@@ -357,12 +359,11 @@ class MachineHazardProcess:
     engine's coalesced tick path and the event heap stays reserved for
     control-plane events.
 
-    Two execution modes, byte-identical by construction: the scalar
-    reference draws ``rng.random()`` per machine in a loop; the
-    vectorized path draws ``rng.random(n)`` in one ``Generator`` call.
-    numpy's PCG64 produces bit-identical streams either way, so the hit
-    schedule — and everything downstream of it — cannot depend on the
-    mode (the equivalence suite pins this).
+    The per-tick draw is one ``rng.random(n)`` ``Generator`` call.
+    numpy's PCG64 yields the same stream as ``n`` scalar
+    ``rng.random()`` calls, so the hit schedule is the one a
+    per-machine loop would produce (the substrate suite pins it
+    against that loop).
     """
 
     def __init__(self, sim: "Simulator", rng, machine_ids: List[int],
@@ -374,8 +375,7 @@ class MachineHazardProcess:
             raise ValueError("mtbf_s and tick_s must be positive")
         self._sim = sim
         self._rng = rng
-        self._ids = list(machine_ids)
-        self._ids_arr = None           # built lazily, numpy intp array
+        self._ids = np.array(machine_ids, dtype=np.intp)
         self.tick_s = tick_s
         self.mtbf_s = mtbf_s
         #: per-tick hit probability from the exponential hazard
@@ -397,23 +397,7 @@ class MachineHazardProcess:
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        from repro.cluster.health_index import use_vectorized
-
-        ids = self._ids
-        if not ids:
-            return
-        if use_vectorized(len(ids)):
-            import numpy as np
-
-            if self._ids_arr is None or len(self._ids_arr) != len(ids):
-                self._ids_arr = np.fromiter(ids, dtype=np.intp,
-                                            count=len(ids))
-            draws = self._rng.random(len(ids))
-            hit_ids = self._ids_arr[draws < self.p_hit].tolist()
-        else:
-            p = self.p_hit
-            rng = self._rng
-            hit_ids = [mid for mid in ids if rng.random() < p]
-        for mid in hit_ids:
+        draws = self._rng.random(len(self._ids))
+        for mid in self._ids[draws < self.p_hit].tolist():
             self.hits += 1
             self._on_hit(mid)

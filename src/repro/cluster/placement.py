@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Type
 
+import numpy as np
+
 from repro.cluster.topology import Cluster
 
 
@@ -126,38 +128,19 @@ class PackPolicy(PlacementPolicy):
     switch lands on a single switch, and larger ones touch as few
     switches as the current free pool allows.
 
-    At fleet scale the grouping comes from one numpy pass over the
-    cluster's static machine->switch array instead of a Python dict
-    build per allocation; the selection is identical (the substrate
-    equivalence suite pins scalar == vectorized).
+    The grouping is one numpy pass over the cluster's static
+    machine->switch array, not a Python dict build per allocation.
     """
 
     name = "pack"
 
     def select(self, cluster: Cluster, candidates: Sequence[int],
                count: int) -> List[int]:
-        from repro.cluster.health_index import use_vectorized
-        if use_vectorized(len(candidates)):
-            return self._select_vectorized(cluster, candidates, count)
-        groups = machines_by_switch(cluster, candidates)
-        order = sorted(groups, key=lambda sw: (-len(groups[sw]), sw))
-        chosen: List[int] = []
-        for sw in order:
-            take = min(count - len(chosen), len(groups[sw]))
-            chosen.extend(groups[sw][:take])
-            if len(chosen) == count:
-                break
-        return sorted(chosen)
-
-    @staticmethod
-    def _select_vectorized(cluster: Cluster, candidates: Sequence[int],
-                           count: int) -> List[int]:
-        import numpy as np
         cand = np.sort(np.fromiter(candidates, dtype=np.intp,
                                    count=len(candidates)))
         sw = cluster.store.machine_switch[cand]
         # stable sort by switch keeps each group's machines in
-        # ascending-id order, exactly like the dict-of-sorted-lists
+        # ascending-id order
         by_switch = np.argsort(sw, kind="stable")
         uniq, starts, counts = np.unique(sw[by_switch],
                                          return_index=True,

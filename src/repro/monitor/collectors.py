@@ -14,10 +14,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.cluster.health_index import use_vectorized
 from repro.sim import Simulator
 from repro.sim.columnar import ColumnarRing
-from repro.sim.ring import RingBuffer
 from repro.training.job import LogEvent, TrainingJob
 from repro.training.metrics import StepMetrics
 
@@ -49,8 +47,8 @@ class CollectorConfig:
     #: Log tail cadence — bounds explicit-failure detection latency
     #: (the paper reports ~60 s detection via log indicators).
     log_interval_s: float = 30.0
-    #: History retention (samples); the ring buffers drop the oldest
-    #: sample once full, so month-long windows never reallocate.
+    #: History retention (samples); the rings drop the oldest
+    #: sample once full, so month-long windows stay bounded.
     max_samples: int = 100_000
 
 
@@ -63,23 +61,14 @@ class MetricsCollector:
         self.job = job
         self.config = config or CollectorConfig()
         cap = self.config.max_samples
-        # Deep histories (the default cap retains ~a month of steps) go
-        # columnar: typed numpy columns instead of one dataclass per
-        # row.  Below the substrate threshold — or with the substrate
-        # forced scalar, as the seed baseline does — the plain
-        # RingBuffer wins on constant factors and stays the reference
-        # behavior.  Logs hold strings, so they stay row-oriented.
-        if use_vectorized(cap):
-            self.steps = ColumnarRing(
-                cap, [f for f, _ in _STEP_COLUMNS],
-                [d for _, d in _STEP_COLUMNS], StepMetrics)
-            self.gauges = ColumnarRing(
-                cap, [f for f, _ in _GAUGE_COLUMNS],
-                [d for _, d in _GAUGE_COLUMNS], GaugeSample)
-        else:
-            self.steps = RingBuffer(cap)
-            self.gauges = RingBuffer(cap)
-        self.new_logs: RingBuffer = RingBuffer(cap)
+        # Typed numpy columns instead of one dataclass per row: the
+        # default cap retains ~a month of steps.
+        self.steps = ColumnarRing(
+            cap, [f for f, _ in _STEP_COLUMNS],
+            [d for _, d in _STEP_COLUMNS], StepMetrics)
+        self.gauges = ColumnarRing(
+            cap, [f for f, _ in _GAUGE_COLUMNS],
+            [d for _, d in _GAUGE_COLUMNS], GaugeSample)
         self._log_cursor = 0
         self._step_listeners: List[Callable[[StepMetrics], None]] = []
         self._gauge_listeners: List[Callable[[GaugeSample], None]] = []
@@ -158,7 +147,6 @@ class MetricsCollector:
         while self._log_cursor < len(self.job.log_events):
             event = self.job.log_events[self._log_cursor]
             self._log_cursor += 1
-            self.new_logs.append(event)
             if self._log_listeners:
                 for fn in tuple(self._log_listeners):
                     fn(event)

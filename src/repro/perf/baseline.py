@@ -14,18 +14,16 @@ the seed behavior of every hot path the fast path optimized:
 * the loss model — the per-step noise/grad-norm block is re-derived
   and re-drawn on every query instead of cached (same block streams as
   the fast path, so values stay bit-identical; see
-  ``METRICS_SCHEMA_VERSION`` in :mod:`repro.training.metrics`);
-* the fault/health substrate — pinned to ``"scalar"`` via
-  :func:`~repro.cluster.health_index.force_substrate`, so hazard
-  draws take the per-machine reference loop instead of one batched
-  draw.
+  ``METRICS_SCHEMA_VERSION`` in :mod:`repro.training.metrics`).
 
 It is a test oracle: ``tests/test_sim_equivalence.py`` asserts that
-both modes produce byte-identical reports, and
+both modes produce byte-identical reports,
 ``tests/test_metrics_plane.py`` checks the cached loss blocks against
-:func:`_seed_noise` / :func:`_seed_grad_norm`.  Everything else
-(collector ring buffers, scenario wiring) is left in place, which
-keeps the patch surface small and the oracle trustworthy.
+:func:`_seed_noise` / :func:`_seed_grad_norm`, and
+``tests/test_substrate_equivalence.py`` checks the live sweeps'
+emission stream against the seed sweeps.  Everything else (hazard
+draws, collector rings, placement, scenario wiring) runs unpatched,
+which keeps the patch surface small and the oracle trustworthy.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import numpy as np
 
 import repro.core.byterobust as _core
 import repro.core.platform as _platform
-from repro.cluster.health_index import force_substrate
 from repro.monitor.inspections import InspectionEngine, SignalConfidence
 from repro.sim._reference import ReferenceSimulator
 from repro.sim.rng import derive_seed
@@ -179,11 +176,7 @@ def seed_baseline() -> Iterator[None]:
     LossCurve.grad_norm = _seed_grad_norm
     TrainingJob.machines = _seed_machines
     try:
-        # the hazard process still consults the substrate switch even
-        # with the sweeps patched; pin it scalar so seed mode is the
-        # genuine pre-vectorization configuration end to end
-        with force_substrate("scalar"):
-            yield
+        yield
     finally:
         (_core.Simulator,
          _platform.Simulator,

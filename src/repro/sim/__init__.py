@@ -2,14 +2,13 @@
 
 This package provides the substrate on which the simulated GPU cluster,
 training jobs, and the ByteRobust control plane execute.  It is a small,
-deterministic, simpy-like kernel:
+deterministic, callback-driven kernel:
 
 * :class:`~repro.sim.engine.Simulator` — the event loop and simulated
   clock.  Everything in the reproduction advances time exclusively
   through a ``Simulator`` so runs are reproducible bit-for-bit.
-* :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes (agents, jobs, inspection loops) that ``yield`` timeouts or
-  events.
+* :class:`~repro.sim.columnar.ColumnarRing` — bounded struct-of-arrays
+  history for metric streams.
 * :class:`~repro.sim.rng.RngStreams` — named, independently seeded
   random streams so adding randomness to one subsystem never perturbs
   another.
@@ -23,22 +22,14 @@ from repro.sim.engine import (
     TickMember,
 )
 from repro.sim.columnar import ColumnarRing
-from repro.sim.events import Event, Timeout
-from repro.sim.process import Process, ProcessExit
-from repro.sim.ring import RingBuffer
 from repro.sim.rng import RngStreams
 
 __all__ = [
     "ColumnarRing",
-    "Event",
     "EventHandle",
     "PeriodicTask",
-    "Process",
-    "ProcessExit",
-    "RingBuffer",
     "RngStreams",
     "Simulator",
     "TickGroup",
     "TickMember",
-    "Timeout",
 ]

@@ -17,7 +17,7 @@ for its 100k-row ceiling.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +31,9 @@ class ColumnarRing:
     ``fields`` names the row attributes in column order; ``dtypes``
     gives one numpy dtype per field.  ``factory`` rebuilds a row object
     from positional field values (a dataclass like ``StepMetrics``
-    works as-is).  The query surface mirrors
-    :class:`~repro.sim.ring.RingBuffer` — ``len()``, (negative)
-    indexing, iteration, ``recent()``, ``tail_while()`` — so the two
-    are interchangeable behind a capacity switch.
+    works as-is).  Reads behave like a ``deque(maxlen=...)`` of those
+    rows: ``len()``, (negative) indexing, iteration, ``recent()``
+    (``list[-count:]``) and ``tail_while()``.
     """
 
     def __init__(self, maxlen: int, fields: Sequence[str],
@@ -65,15 +64,6 @@ class ColumnarRing:
         if pos >= self._alloc:
             self._grow(pos)
         for col, value in zip(self._cols, self._getter(row)):
-            col[pos] = value
-        self._count += 1
-
-    def append_values(self, *values: Any) -> None:
-        """Append one row given positional field values (no object)."""
-        pos = self._count % self.maxlen
-        if pos >= self._alloc:
-            self._grow(pos)
-        for col, value in zip(self._cols, values):
             col[pos] = value
         self._count += 1
 
@@ -123,8 +113,7 @@ class ColumnarRing:
         start = max(0, n - count)
         return [self._row(self._physical(i)) for i in range(start, n)]
 
-    def tail_while(self, predicate: Callable[[Any], bool],
-                   limit: Optional[int] = None) -> List[Any]:
+    def tail_while(self, predicate: Callable[[Any], bool]) -> List[Any]:
         """Longest suffix of rows all satisfying ``predicate``.
 
         Rows are materialized newest-first and only until the first
@@ -137,8 +126,6 @@ class ColumnarRing:
             if not predicate(row):
                 break
             out.append(row)
-            if limit is not None and len(out) >= limit:
-                break
         out.reverse()
         return out
 

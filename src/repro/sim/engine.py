@@ -1,9 +1,9 @@
 """The discrete-event simulator: event queue plus simulated clock.
 
 The simulator is deliberately minimal: callbacks scheduled at absolute
-simulated times, executed in (time, priority, sequence) order.  Richer
-abstractions (processes, events with waiters) are layered on top in
-:mod:`repro.sim.process` and :mod:`repro.sim.events`.
+simulated times, executed in (time, priority, sequence) order.  Every
+subsystem is written as callbacks and periodic tasks on top of it;
+there is no process or waitable-event layer.
 
 Hot-path design
 ---------------

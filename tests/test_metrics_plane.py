@@ -10,17 +10,16 @@ after a rollback, Fig. 2) rests on exactly that.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.health_index import force_substrate
 from repro.experiments.cache import CACHE_SCHEMA_VERSION
 from repro.perf.baseline import _seed_grad_norm, _seed_noise
 from repro.sim.columnar import ColumnarRing
-from repro.sim.ring import RingBuffer
 from repro.training.metrics import (
     BLOCK_STEPS,
     METRICS_SCHEMA_VERSION,
@@ -172,31 +171,37 @@ class TestColumnarRing:
         with pytest.raises(IndexError):
             step_ring[-9]
 
-    def test_recent_and_tail_while_match_ringbuffer(self):
-        """Behavioral parity with the scalar RingBuffer it replaces."""
+    def test_recent_and_tail_while_match_deque(self):
+        """Behavioral parity with a ``deque(maxlen=16)`` of the rows."""
+        from collections import deque
+
         from repro.monitor.collectors import _GAUGE_COLUMNS, GaugeSample
 
         columnar = ColumnarRing(16, [f for f, _ in _GAUGE_COLUMNS],
                                 [d for _, d in _GAUGE_COLUMNS],
                                 GaugeSample)
-        scalar = RingBuffer(16)
+        reference = deque(maxlen=16)
         for i in range(40):
             sample = GaugeSample(time=float(i), rdma_traffic_frac=1.0,
                                  tensorcore_util_frac=0.5)
             columnar.append(sample)
-            scalar.append(sample)
+            reference.append(sample)
+        rows = list(reference)
+        assert list(columnar) == rows
+        assert [columnar[i] for i in (0, 5, -1, -16)] == [
+            rows[i] for i in (0, 5, -1, -16)]
         for count in (0, 3, 16, 99):
-            assert columnar.recent(count) == scalar.recent(count)
-        pred = lambda g: g.time >= 35.0  # noqa: E731
-        assert columnar.tail_while(pred) == scalar.tail_while(pred)
-        assert (columnar.tail_while(pred, limit=2)
-                == scalar.tail_while(pred, limit=2))
+            assert columnar.recent(count) == (rows[-count:] if count
+                                              else [])
+        assert columnar.tail_while(lambda g: g.time >= 35.0) == rows[-5:]
+        assert columnar.tail_while(lambda g: g.time < 0) == []
+        assert columnar.tail_while(lambda g: True) == rows
 
     def test_geometric_growth_defers_allocation(self):
         ring = ColumnarRing(100_000, ["x"], [np.float64], float)
         assert ring._alloc < 1024     # far below capacity up front
         for i in range(5_000):
-            ring.append_values(float(i))
+            ring.append(SimpleNamespace(x=float(i)))
         assert 5_000 <= ring._alloc < 100_000
         assert len(ring) == 5_000
         assert ring[-1] == 4_999.0
@@ -216,8 +221,8 @@ class TestColumnarRing:
             ColumnarRing(4, ["x", "y"], [np.float64], float)
 
 
-class TestCollectorSubstrateSwitch:
-    def _collector(self, max_samples):
+class TestCollectorHistories:
+    def test_deep_histories_go_columnar(self):
         from repro.monitor.collectors import (
             CollectorConfig,
             MetricsCollector,
@@ -228,26 +233,8 @@ class TestCollectorSubstrateSwitch:
 
         sim = Simulator()
         job = TrainingJob(sim, _dense_job(2))
-        return MetricsCollector(sim, job,
-                                CollectorConfig(max_samples=max_samples))
-
-    def test_deep_histories_go_columnar(self):
-        collector = self._collector(100_000)
+        collector = MetricsCollector(sim, job,
+                                     CollectorConfig(max_samples=100_000))
         assert isinstance(collector.steps, ColumnarRing)
         assert isinstance(collector.gauges, ColumnarRing)
-        assert isinstance(collector.new_logs, RingBuffer)  # strings
-
-    def test_shallow_histories_stay_scalar(self):
-        collector = self._collector(16)
-        assert isinstance(collector.steps, RingBuffer)
-        assert isinstance(collector.gauges, RingBuffer)
-
-    def test_forced_scalar_pins_ringbuffer(self):
-        with force_substrate("scalar"):
-            collector = self._collector(100_000)
-        assert isinstance(collector.steps, RingBuffer)
-
-    def test_forced_vectorized_pins_columnar(self):
-        with force_substrate("vectorized"):
-            collector = self._collector(16)
-        assert isinstance(collector.steps, ColumnarRing)
+        assert collector.steps.maxlen == 100_000

@@ -1,59 +1,28 @@
-"""Unit tests for the bounded metric-history ring buffer."""
-
-import pytest
-
-from repro.sim.ring import RingBuffer
-
-
-def test_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError):
-        RingBuffer(0)
-
-
-def test_acts_like_a_list_until_full():
-    ring = RingBuffer(10, range(3))
-    ring.append(3)
-    assert len(ring) == 4
-    assert ring[0] == 0 and ring[-1] == 3
-    assert list(ring) == [0, 1, 2, 3]
-    assert bool(ring)
-    assert not RingBuffer(4)
-
-
-def test_drops_oldest_beyond_capacity():
-    ring = RingBuffer(5)
-    for i in range(12):
-        ring.append(i)
-    assert len(ring) == 5
-    assert list(ring) == [7, 8, 9, 10, 11]
-
-
-def test_recent_matches_negative_slice():
-    ring = RingBuffer(100, range(20))
-    assert ring.recent(5) == list(range(15, 20))
-    assert ring.recent(0) == []
-    assert ring.recent(-3) == []
-    assert ring.recent(50) == list(range(20))   # clamped to contents
-
-
-def test_tail_while_stops_at_first_nonmatch():
-    ring = RingBuffer(100, [1, 9, 2, 7, 8])
-    assert ring.tail_while(lambda x: x >= 5) == [7, 8]
-    assert ring.tail_while(lambda x: x < 0) == []
-    assert ring.tail_while(lambda x: True, limit=2) == [7, 8]
+"""The collector's metric histories stay bounded at ``max_samples``."""
 
 
 def test_collector_histories_are_bounded():
-    from repro.monitor.collectors import CollectorConfig, MetricsCollector
+    from repro.monitor.collectors import (
+        CollectorConfig,
+        GaugeSample,
+        MetricsCollector,
+    )
     from repro.sim import Simulator
     from repro.training.job import TrainingJob
+    from repro.training.metrics import StepMetrics
     from repro.workloads.scenarios import _dense_job
 
     sim = Simulator()
     job = TrainingJob(sim, _dense_job(2))
     collector = MetricsCollector(sim, job,
                                  CollectorConfig(max_samples=16))
-    for buf in (collector.steps, collector.gauges, collector.new_logs):
-        for i in range(100):
-            buf.append(i)
+    for i in range(100):
+        collector.steps.append(StepMetrics(
+            step=i, time=float(i), duration_s=1.0, loss=1.0,
+            grad_norm=0.4, mfu=0.35, tokens=4096))
+        collector.gauges.append(GaugeSample(
+            time=float(i), rdma_traffic_frac=1.0,
+            tensorcore_util_frac=0.5))
+    for buf in (collector.steps, collector.gauges):
         assert len(buf) == 16
+        assert buf[0].time == 84.0 and buf[-1].time == 99.0

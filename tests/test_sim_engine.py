@@ -1,8 +1,9 @@
-"""Unit tests for the discrete-event simulator kernel."""
+"""Unit tests for the discrete-event simulator kernel and its RNG
+streams."""
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import RngStreams, Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -270,3 +271,24 @@ def test_stop_periodic_from_its_own_callback():
     holder["task"] = sim.every(5.0, tick)
     sim.run(until=100.0)
     assert ticks == [5.0, 10.0]
+
+
+def test_rng_streams_deterministic_and_independent():
+    s1, s2 = RngStreams(7), RngStreams(7)
+    a = s1.get("faults").random(5)
+    # drawing from another stream first must not perturb "faults"
+    s2.get("jitter").random(100)
+    b = s2.get("faults").random(5)
+    assert a.tolist() == b.tolist()
+
+
+def test_rng_streams_differ_across_names_and_seeds():
+    s = RngStreams(7)
+    assert s.get("a").random() != s.get("b").random()
+    assert RngStreams(1).get("a").random() != RngStreams(2).get("a").random()
+
+
+def test_rng_fork_is_disjoint():
+    parent = RngStreams(7)
+    child = parent.fork("replay")
+    assert parent.get("x").random() != child.get("x").random()

@@ -1,22 +1,24 @@
-"""Scalar vs vectorized fault/health substrate equivalence.
+"""Fleet-scale substrate equivalence: numpy paths vs scalar oracles.
 
-The struct-of-arrays substrate (:mod:`repro.cluster.health_index`,
-:class:`~repro.cluster.faults.MachineHazardProcess`) claims to be
-*byte-identical* to the scalar reference path — same hazard hit
-schedules, same inspection emissions, same end-to-end scenario
-payloads — differing only in wall-clock.  These tests pin that claim:
+The numpy substrate — batched hazard draws
+(:class:`~repro.cluster.faults.MachineHazardProcess`), pack placement,
+the columnar :class:`~repro.cluster.components.ComponentStore` and the
+mask-driven inspection sweeps — claims to be *byte-identical* to the
+per-machine loops it replaced.  These tests pin that claim against
+scalar references:
 
-* property tests drive both modes over random fleet shapes, seeds and
-  write sequences and assert identical results;
-* the columnar :class:`~repro.cluster.components.ComponentStore`'s
-  rollup masks are checked against the per-view scalar predicates
-  after arbitrary write sequences;
-* scripted sweep runs assert identical emission streams (content,
-  order, dedup, switch strikes);
-* whole registered scenarios (``fleet-week``, a shrunken
-  ``fleet-quarter``) produce identical report payloads under
-  :func:`force_substrate` either way.
+* property tests drive the hazard draw and pack selection over random
+  fleet shapes and seeds and compare them with test-local copies of
+  the deleted per-machine loops;
+* the store's rollup masks are checked against the per-view scalar
+  predicates after arbitrary write sequences;
+* scripted sweep runs assert the live emission stream (content, order,
+  dedup, switch strikes) equals the seed per-component sweeps kept in
+  :mod:`repro.perf.baseline`.
 """
+
+import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -26,34 +28,10 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterSpec
 from repro.cluster.components import Machine, MachineSpec
 from repro.cluster.faults import MachineHazardProcess
-from repro.cluster.health_index import (
-    VECTORIZE_MIN_MACHINES,
-    force_substrate,
-    substrate_mode,
-    use_vectorized,
-)
-from repro.experiments.registry import get_scenario
+from repro.cluster.placement import PackPolicy, machines_by_switch
 from repro.monitor.inspections import InspectionEngine
+from repro.perf import seed_baseline
 from repro.sim import Simulator
-
-
-# ---------------------------------------------------------------------------
-# mode switch
-# ---------------------------------------------------------------------------
-
-def test_substrate_mode_switch():
-    assert substrate_mode() == "auto"
-    assert not use_vectorized(VECTORIZE_MIN_MACHINES - 1)
-    assert use_vectorized(VECTORIZE_MIN_MACHINES)
-    with force_substrate("scalar"):
-        assert substrate_mode() == "scalar"
-        assert not use_vectorized(10_000)
-    with force_substrate("vectorized"):
-        assert use_vectorized(1)
-    assert substrate_mode() == "auto"
-    with pytest.raises(ValueError):
-        with force_substrate("simd"):
-            pass  # pragma: no cover
 
 
 def test_component_health_named_fields():
@@ -73,31 +51,43 @@ def test_component_health_named_fields():
 # hazard hit schedules
 # ---------------------------------------------------------------------------
 
-def _hazard_schedule(mode: str, machines: int, seed: int,
-                     ticks: int) -> list:
+_MTBF_S, _TICK_S = 5000.0, 300.0
+
+
+def _hazard_schedule(machines: int, seed: int, ticks: int) -> list:
     """(tick, machine_id) hit schedule after ``ticks`` rounds."""
-    with force_substrate(mode):
-        hits = []
-        tick_no = [0]
-        proc = MachineHazardProcess(
-            Simulator(), np.random.default_rng(seed),
-            list(range(machines)), mtbf_s=5000.0, tick_s=300.0,
-            on_hit=lambda mid: hits.append((tick_no[0], mid)))
-        for t in range(ticks):
-            tick_no[0] = t
-            proc._tick()
-        assert proc.hits == len(hits)
-        return hits
+    hits = []
+    tick_no = [0]
+    proc = MachineHazardProcess(
+        Simulator(), np.random.default_rng(seed),
+        list(range(machines)), mtbf_s=_MTBF_S, tick_s=_TICK_S,
+        on_hit=lambda mid: hits.append((tick_no[0], mid)))
+    for t in range(ticks):
+        tick_no[0] = t
+        proc._tick()
+    assert proc.hits == len(hits)
+    return hits
+
+
+def _scalar_hazard_schedule(machines: int, seed: int, ticks: int) -> list:
+    """Oracle: the per-machine draw loop the batched draw replaced."""
+    ids = list(range(machines))
+    p = -math.expm1(-_TICK_S / _MTBF_S)
+    rng = np.random.default_rng(seed)
+    hits = []
+    for t in range(ticks):
+        hit_ids = [mid for mid in ids if rng.random() < p]
+        hits.extend((t, mid) for mid in hit_ids)
+    return hits
 
 
 @given(machines=st.integers(1, 200), seed=st.integers(0, 2**31 - 1),
        ticks=st.integers(1, 25))
 @settings(max_examples=40, deadline=None)
-def test_hazard_hit_schedule_mode_invariant(machines, seed, ticks):
+def test_hazard_hit_schedule_matches_scalar_loop(machines, seed, ticks):
     """One batched Generator draw ≡ the per-machine scalar loop."""
-    scalar = _hazard_schedule("scalar", machines, seed, ticks)
-    vectorized = _hazard_schedule("vectorized", machines, seed, ticks)
-    assert scalar == vectorized
+    batched = _hazard_schedule(machines, seed, ticks)
+    assert batched == _scalar_hazard_schedule(machines, seed, ticks)
 
 
 def test_hazard_rejects_bad_rates():
@@ -194,7 +184,7 @@ def _assert_store_matches_views(cluster: Cluster) -> None:
 )
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_health_index_matches_scalar_rollups(machines, per_switch, ops,
+def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
                                              seed):
     """The store's rollup masks are an oracle-checked cache: after any
     sequence of view writes, ``reset_health`` calls and switch flips
@@ -282,6 +272,19 @@ def test_ids_array_cache_guards_in_place_mutation():
 # pack placement
 # ---------------------------------------------------------------------------
 
+def _scalar_pack_select(cluster, candidates, count):
+    """Oracle: the dict-of-sorted-lists selection numpy replaced."""
+    groups = machines_by_switch(cluster, candidates)
+    order = sorted(groups, key=lambda sw: (-len(groups[sw]), sw))
+    chosen = []
+    for sw in order:
+        take = min(count - len(chosen), len(groups[sw]))
+        chosen.extend(groups[sw][:take])
+        if len(chosen) == count:
+            break
+    return sorted(chosen)
+
+
 @given(
     machines=st.integers(4, 120),
     per_switch=st.sampled_from([2, 4, 8, 16]),
@@ -290,11 +293,10 @@ def test_ids_array_cache_guards_in_place_mutation():
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_pack_placement_mode_invariant(machines, per_switch, free_frac,
-                                       count_frac, seed):
-    """Vectorized pack selection ≡ the dict-of-sorted-lists scalar."""
-    from repro.cluster.placement import PackPolicy
-
+def test_pack_placement_matches_scalar_selection(machines, per_switch,
+                                                 free_frac, count_frac,
+                                                 seed):
+    """Numpy pack selection ≡ the dict-of-sorted-lists scalar."""
     cluster = Cluster(ClusterSpec(num_machines=machines,
                                   machines_per_switch=per_switch))
     rng = np.random.default_rng(seed)
@@ -302,86 +304,54 @@ def test_pack_placement_mode_invariant(machines, per_switch, free_frac,
     candidates = sorted(rng.choice(machines, size=n_free,
                                    replace=False).tolist())
     count = max(1, int(len(candidates) * count_frac))
-    policy = PackPolicy()
-    with force_substrate("scalar"):
-        scalar = policy.select(cluster, candidates, count)
-    with force_substrate("vectorized"):
-        vectorized = policy.select(cluster, candidates, count)
-    assert scalar == vectorized
-    assert len(scalar) == count
+    chosen = PackPolicy().select(cluster, candidates, count)
+    assert chosen == _scalar_pack_select(cluster, candidates, count)
+    assert len(chosen) == count
 
 
 # ---------------------------------------------------------------------------
 # inspection sweeps: emission streams
 # ---------------------------------------------------------------------------
 
-def _scripted_sweep_events(mode: str, seed: int) -> list:
-    """Run scripted fault flips under a live InspectionEngine."""
-    with force_substrate(mode):
+def _scripted_sweep_events(seed: int, seed_sweeps: bool) -> list:
+    """Run scripted fault flips under an InspectionEngine — the live
+    mask-driven sweeps, or the seed per-component scans of
+    :mod:`repro.perf.baseline` when ``seed_sweeps``."""
+    patch = seed_baseline() if seed_sweeps else contextlib.nullcontext()
+    with patch:
         cluster = Cluster(ClusterSpec(num_machines=96,
                                       machines_per_switch=8))
         sim = Simulator()
         ids = list(range(96))
         engine = InspectionEngine(sim, cluster, lambda: ids)
         engine.start()
-        rng = np.random.default_rng(seed)
-        # scripted flips: machine component faults, heals, and switch
-        # outages spread over 20 simulated minutes — enough sweeps for
-        # dedup windows, re-emits, and two-strike switch alerts to all
-        # engage
-        for _ in range(40):
-            at = float(rng.uniform(0.0, 1200.0))
-            midx = int(rng.integers(0, 96))
-            op = _WRITE_OPS[int(rng.integers(0, len(_WRITE_OPS)))]
-            sim.schedule_at(at, lambda midx=midx, op=op:
-                            _apply_op(cluster, midx, op))
-        for _ in range(4):
-            at = float(rng.uniform(0.0, 1200.0))
-            sidx = int(rng.integers(0, len(cluster.switches)))
-            up = bool(rng.random() < 0.4)
-            sim.schedule_at(at, lambda sidx=sidx, up=up:
-                            setattr(cluster.switches[sidx], "up", up))
-        sim.run(until=1500.0)
-        engine.stop()
-        return [(e.time, e.item, e.category, e.confidence,
-                 tuple(e.machine_ids), e.switch_id)
-                for e in engine.events]
+    rng = np.random.default_rng(seed)
+    # scripted flips: machine component faults, heals, and switch
+    # outages spread over 20 simulated minutes — enough sweeps for
+    # dedup windows, re-emits, and two-strike switch alerts to all
+    # engage
+    for _ in range(40):
+        at = float(rng.uniform(0.0, 1200.0))
+        midx = int(rng.integers(0, 96))
+        op = _WRITE_OPS[int(rng.integers(0, len(_WRITE_OPS)))]
+        sim.schedule_at(at, lambda midx=midx, op=op:
+                        _apply_op(cluster, midx, op))
+    for _ in range(4):
+        at = float(rng.uniform(0.0, 1200.0))
+        sidx = int(rng.integers(0, len(cluster.switches)))
+        up = bool(rng.random() < 0.4)
+        sim.schedule_at(at, lambda sidx=sidx, up=up:
+                        setattr(cluster.switches[sidx], "up", up))
+    sim.run(until=1500.0)
+    engine.stop()
+    return [(e.time, e.item, e.category, e.confidence,
+             tuple(e.machine_ids), e.switch_id)
+            for e in engine.events]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23])
-def test_sweep_emissions_mode_invariant(seed):
-    scalar = _scripted_sweep_events("scalar", seed)
-    vectorized = _scripted_sweep_events("vectorized", seed)
-    assert scalar, "script produced no emissions — test is vacuous"
-    assert scalar == vectorized
-
-
-# ---------------------------------------------------------------------------
-# whole scenarios
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_fleet_week_payload_mode_invariant(seed):
-    def run(mode):
-        with force_substrate(mode):
-            return get_scenario("fleet-week").build(
-                seed=seed, duration_s=2 * 86400.0).run().payload
-    assert run("scalar") == run("vectorized")
-
-
-def test_fleet_quarter_small_payload_mode_invariant():
-    """A shrunken quarter — hazard arrivals, evictions, repairs and
-    standbys all active — must not depend on the substrate mode."""
-    overrides = dict(total_machines=96, duration_s=86400.0,
-                     arrival_mean_s=3600.0, machine_mtbf_s=400_000.0,
-                     step_time_factor=4.0)
-
-    def run(mode):
-        with force_substrate(mode):
-            return get_scenario("fleet-quarter").build(
-                **overrides).run().payload
-
-    scalar = run("scalar")
-    vectorized = run("vectorized")
-    assert scalar["machine_hazard"]["hits"] > 0
-    assert scalar == vectorized
+def test_sweep_emissions_match_seed_sweeps(seed):
+    live = _scripted_sweep_events(seed, seed_sweeps=False)
+    reference = _scripted_sweep_events(seed, seed_sweeps=True)
+    assert reference, "script produced no emissions — test is vacuous"
+    assert live == reference
