@@ -23,7 +23,6 @@ from repro.cluster.components import (
     Gpu,
     HostState,
     Machine,
-    MachineState,
     Nic,
 )
 from repro.cluster.topology import Cluster, ClusterSpec, Switch
@@ -71,7 +70,6 @@ __all__ = [
     "JobRequest",
     "Machine",
     "MachinePool",
-    "MachineState",
     "Nic",
     "PackPolicy",
     "PlacementError",

@@ -14,7 +14,6 @@ onto it, created on access.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -33,17 +32,6 @@ class ComponentHealth(NamedTuple):
     host_ok: bool
     gpus_ok: bool
     nics_ok: bool
-
-
-class MachineState(enum.Enum):
-    """Lifecycle of a machine within the pool."""
-
-    FREE = "free"                 # unallocated capacity
-    PROVISIONING = "provisioning"  # pod env being built / self-checks
-    STANDBY = "standby"           # warm standby: pod ready, low-power poll
-    ACTIVE = "active"             # serving a training job
-    EVICTED = "evicted"           # removed from the job, pending triage
-    BLACKLISTED = "blacklisted"   # confirmed bad; IP blocked
 
 
 class _Field:
@@ -319,7 +307,8 @@ class ComponentStore:
 
 
 class Machine:
-    """A training machine: GPUs + NICs + host, plus pool lifecycle.
+    """A training machine: GPUs + NICs + host (its pool lifecycle is
+    the :class:`~repro.cluster.pool.MachinePool`'s record).
 
     A machine is a shell over its row of a :class:`ComponentStore`:
     a cluster's machines share the cluster's store (row == id); a
@@ -335,10 +324,10 @@ class Machine:
         else:
             self._row = machine_id
         self._store = store
-        self.state = MachineState.FREE
         #: Identifier of the leaf switch this machine hangs off.
         self.switch_id: Optional[int] = None
-        #: Set by the injector while a fault is active on this machine.
+        #: Ids of the faults active on this machine, in injection
+        #: order (the injector adds and drops them).
         self.active_fault_ids: List[int] = []
 
     @property
@@ -372,10 +361,11 @@ class Machine:
         return bool(self._store.gpu["sdc_defective"][self._row].any())
 
     def reset_health(self) -> None:
-        """Restore all components to nominal (used after repair)."""
+        """Restore all components to nominal (used after repair).
+        ``active_fault_ids`` is the injector's: it drops an id when it
+        clears that fault."""
         self._store.reset_row(self._row)
-        self.active_fault_ids.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Machine {self.id} {self.state.value} "
+        return (f"<Machine {self.id} "
                 f"{'ok' if self.healthy() else 'UNHEALTHY'}>")

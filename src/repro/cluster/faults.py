@@ -275,11 +275,15 @@ class FaultInjector:
         self._ids = itertools.count()
         self.active_faults: Dict[int, Fault] = {}
         self.history: List[Fault] = []
-        self._listeners: List[Callable[[str, Fault], None]] = []
+        self._listeners: Dict[object, Callable[[str, Fault], None]] = {}
 
-    def add_listener(self, fn: Callable[[str, Fault], None]) -> None:
-        """``fn(event, fault)`` with event in {"inject", "clear"}."""
-        self._listeners.append(fn)
+    def add_listener(self, fn: Callable[[str, Fault], None]
+                     ) -> Callable[[], None]:
+        """``fn(event, fault)`` with event in {"inject", "clear"};
+        returns the call that unsubscribes ``fn``."""
+        token = object()
+        self._listeners[token] = fn
+        return lambda: self._listeners.pop(token, None)
 
     # ------------------------------------------------------------------
     def inject(self, fault: Fault) -> Fault:
@@ -310,12 +314,11 @@ class FaultInjector:
 
     def clear_machine(self, machine_id: int) -> None:
         """Clear every active fault touching a machine (repair)."""
-        for fault in list(self.active_faults.values()):
-            if machine_id in fault.machine_ids:
-                self.clear(fault)
+        for fault in self.machine_faults(machine_id):
+            self.clear(fault)
 
     def _notify(self, event: str, fault: Fault) -> None:
-        for fn in list(self._listeners):
+        for fn in list(self._listeners.values()):
             fn(event, fault)
 
     # ------------------------------------------------------------------
@@ -330,8 +333,9 @@ class FaultInjector:
         return sorted(out)
 
     def machine_faults(self, machine_id: int) -> List[Fault]:
-        return [f for f in self.active_faults.values()
-                if machine_id in f.machine_ids]
+        """Active faults touching a machine, in injection order."""
+        return [self.active_faults[fid] for fid in
+                self._cluster.machine(machine_id).active_fault_ids]
 
     def active_by_symptom(self, symptom: FaultSymptom) -> List[Fault]:
         return [f for f in self.active_faults.values()

@@ -1,9 +1,23 @@
-"""Machine pool: active / warm-standby / free machines + provisioning.
+"""Machine pool: the one ledger of machine state and ownership.
 
-The pool owns the scheduling-time model that Table 7 and Fig. 12 are
-built on.  All restart flavours (full requeue, reschedule-evicted-only,
-warm standby, oracle) are expressed in terms of the same primitive
-delays so the comparisons stay internally consistent:
+Every machine of the cluster is in exactly one of the pool's records:
+``free``, ``active`` (the keys of ``owners``), ``standby``,
+``provisioning`` or ``repairing``.  ``evicted`` and ``blacklist`` are
+labels on top: evicted machines are in repair, and blacklisted ones are
+in repair or reclaimed from ``free`` (spot capacity).  Nothing outside
+this module mutates those records.
+
+Owner rule: every allocation names its owner (a job name) and the pool
+records it, so the active machines are exactly the owned ones.  A
+release that names an owner frees only the machines that owner holds;
+machines evicted since, or handed to another job, are not its to
+return.  Eviction clears the owner.
+
+The pool also owns the scheduling-time model that Table 7 and Fig. 12
+are built on.  All restart flavours (full requeue,
+reschedule-evicted-only, warm standby, oracle) are expressed in terms
+of the same primitive delays so the comparisons stay internally
+consistent:
 
 * ``requeue`` pays metadata clearing + quota reallocation + full pod
   rebuilds, and grows with cluster scale;
@@ -17,9 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import Callable, Dict, Iterable, KeysView, List, Optional, Set
 
-from repro.cluster.components import MachineState
 from repro.cluster.placement import AnyFreePolicy, PlacementPolicy
 from repro.cluster.topology import Cluster
 from repro.sim import Simulator
@@ -97,7 +110,7 @@ class InsufficientMachines(RuntimeError):
 
 
 class MachinePool:
-    """Tracks machine lifecycle and provisions warm standbys.
+    """Tracks machine lifecycle and ownership; provisions warm standbys.
 
     The pool is deliberately mechanism-only: *when* to evict and *how
     many* standbys to keep are policy decisions made by the controller
@@ -118,9 +131,12 @@ class MachinePool:
         self.placement = placement or AnyFreePolicy()
         self.self_check = self_check or SelfCheckRunner()
         self.self_check_results: List["SelfCheckResult"] = []
-        self.active: Set[int] = set()
+        #: active machine id -> the job that holds it
+        self.owners: Dict[int, str] = {}
         self.standby: Set[int] = set()
         self.provisioning: Set[int] = set()
+        #: in offline repair: evicted, or rejected by the self-check
+        self.repairing: Set[int] = set()
         self.evicted: Set[int] = set()
         self.blacklist: Set[int] = set()
         self.free: Set[int] = {m.id for m in cluster.machines}
@@ -136,12 +152,21 @@ class MachinePool:
         self.standby_idle_machine_seconds = 0.0
         self._standby_since: dict = {}
 
+    @property
+    def active(self) -> KeysView[int]:
+        """Machines serving a job: exactly the owned ones."""
+        return self.owners.keys()
+
+    def available(self) -> int:
+        """Free machines an allocation may take (not blacklisted)."""
+        return len(self.free) - len(self.free & self.blacklist)
+
     # ------------------------------------------------------------------
     # initial allocation
     # ------------------------------------------------------------------
-    def allocate_active(self, count: int) -> List[int]:
-        """Take ``count`` machines for the job (instant; job start cost
-        is accounted separately by the recovery model).
+    def allocate_active(self, count: int, owner: str) -> List[int]:
+        """Take ``count`` free machines for job ``owner`` (instant; job
+        start cost is accounted separately by the recovery model).
 
         *Which* machines are taken is the placement policy's call:
         every allocation — scheduler dispatch and standby provisioning
@@ -149,9 +174,7 @@ class MachinePool:
         choice to :attr:`placement`.
         """
         chosen = self._take_free(count)
-        for mid in chosen:
-            self._set_state(mid, MachineState.ACTIVE)
-            self.active.add(mid)
+        self.owners.update(dict.fromkeys(chosen, owner))
         return chosen
 
     def _take_free(self, count: int) -> List[int]:
@@ -174,8 +197,20 @@ class MachinePool:
         self.free.difference_update(chosen)
         return chosen
 
-    def _set_state(self, mid: int, state: MachineState) -> None:
-        self.cluster.machine(mid).state = state
+    # ------------------------------------------------------------------
+    # spot capacity
+    # ------------------------------------------------------------------
+    def reclaim_idle(self, count: int) -> List[int]:
+        """Block up to ``count`` idle machines, lowest ids first: they
+        stay in ``free`` but no allocation takes them until
+        :meth:`return_idle` (spot capacity taken back)."""
+        idle = sorted(self.free - self.blacklist)[:max(0, count)]
+        self.blacklist.update(idle)
+        return idle
+
+    def return_idle(self, machine_ids: Iterable[int]) -> None:
+        """Lift a :meth:`reclaim_idle` block."""
+        self.blacklist.difference_update(machine_ids)
 
     # ------------------------------------------------------------------
     # warm standby provisioning
@@ -190,7 +225,6 @@ class MachinePool:
         chosen = self._take_free(count)
         delay = self.times.pod_build_s + self.times.self_check_s
         for mid in chosen:
-            self._set_state(mid, MachineState.PROVISIONING)
             self.provisioning.add(mid)
             self.sim.schedule(delay, lambda mid=mid: self._finish_provision(mid))
         return chosen
@@ -203,7 +237,6 @@ class MachinePool:
         result = self.self_check.run(machine)
         self.self_check_results.append(result)
         if result.passed:
-            self._set_state(mid, MachineState.STANDBY)
             self.standby.add(mid)
             self._standby_since[mid] = self.sim.now
             if self.on_standby_ready is not None:
@@ -211,15 +244,15 @@ class MachinePool:
         else:
             self._send_to_repair(mid)
 
-    def take_standbys(self, count: int) -> List[int]:
-        """Activate up to ``count`` warm standbys (may return fewer)."""
+    def take_standbys(self, count: int, owner: str) -> List[int]:
+        """Activate up to ``count`` warm standbys for job ``owner``
+        (may return fewer)."""
         chosen = sorted(self.standby)[:count]
         for mid in chosen:
             self.standby.discard(mid)
             idle = self.sim.now - self._standby_since.pop(mid, self.sim.now)
             self.standby_idle_machine_seconds += idle
-            self._set_state(mid, MachineState.ACTIVE)
-            self.active.add(mid)
+            self.owners[mid] = owner
         return chosen
 
     def release_standbys(self, count: int) -> List[int]:
@@ -240,7 +273,6 @@ class MachinePool:
             self.standby.discard(mid)
             idle = self.sim.now - self._standby_since.pop(mid, self.sim.now)
             self.standby_idle_machine_seconds += idle
-            self._set_state(mid, MachineState.FREE)
             self.free.add(mid)
         return sorted(chosen)
 
@@ -253,59 +285,65 @@ class MachinePool:
         """Standbys ready or being built — what resizing targets."""
         return len(self.standby) + len(self.provisioning)
 
-    def release(self, machine_ids: List[int]) -> None:
-        """Return healthy ACTIVE machines to FREE (job completed).
+    def release(self, machine_ids: Iterable[int],
+                owner: Optional[str] = None) -> None:
+        """Return healthy ACTIVE machines to FREE (job completed,
+        shrank or was preempted).
 
         Unlike :meth:`evict` there is no repair detour: the machines
-        did nothing wrong — the job holding them simply finished, so
-        they are immediately reusable by the scheduler.
+        did nothing wrong, so they are immediately reusable by the
+        scheduler.  With ``owner``, only the machines that owner holds
+        are freed and the rest are skipped; without, every machine
+        must be active.
         """
         for mid in machine_ids:
-            if mid not in self.active:
+            holder = self.owners.get(mid)
+            if owner is None and holder is None:
                 raise ValueError(f"machine {mid} is not active")
-            self.active.discard(mid)
-            self._set_state(mid, MachineState.FREE)
-            self.free.add(mid)
+            if owner is None or holder == owner:
+                del self.owners[mid]
+                self.free.add(mid)
 
     # ------------------------------------------------------------------
     # eviction & repair
     # ------------------------------------------------------------------
     def evict(self, machine_ids: List[int], blacklist: bool = True) -> None:
-        """Remove machines from the job; optionally block their IPs."""
+        """Send machines to repair from wherever they are (their job,
+        the standby pool); optionally block their IPs."""
         for mid in machine_ids:
-            if mid in self.active:
-                self.active.discard(mid)
-            elif mid in self.standby:
+            self.owners.pop(mid, None)
+            self.free.discard(mid)
+            self.provisioning.discard(mid)      # cancels the build
+            if mid in self.standby:
                 self.standby.discard(mid)
                 self._standby_since.pop(mid, None)
             self.evicted.add(mid)
             if blacklist:
                 self.blacklist.add(mid)
-            self._set_state(mid, MachineState.BLACKLISTED if blacklist
-                            else MachineState.EVICTED)
             self._send_to_repair(mid)
 
     def _send_to_repair(self, mid: int) -> None:
+        self.repairing.add(mid)
         self.sim.schedule(self.times.repair_s,
                           lambda: self._finish_repair(mid))
 
     def _finish_repair(self, mid: int) -> None:
-        """Repair restores full health and returns the machine to FREE."""
-        machine = self.cluster.machine(mid)
+        """Repair restores full health and returns the machine to FREE
+        — unless an earlier repair of it already did (a machine evicted
+        twice is repaired twice; the second leaves its state alone)."""
         if self.on_repair is not None:
             self.on_repair(mid)
-        machine.reset_health()
+        self.cluster.machine(mid).reset_health()
         self.evicted.discard(mid)
         self.blacklist.discard(mid)
-        if machine.state in (MachineState.EVICTED, MachineState.BLACKLISTED,
-                             MachineState.PROVISIONING):
-            self._set_state(mid, MachineState.FREE)
+        if mid in self.repairing:
+            self.repairing.discard(mid)
             self.free.add(mid)
 
     # ------------------------------------------------------------------
     def counts(self) -> dict:
         return {
-            "active": len(self.active),
+            "active": len(self.owners),
             "standby": len(self.standby),
             "provisioning": len(self.provisioning),
             "evicted": len(self.evicted),

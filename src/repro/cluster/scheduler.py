@@ -292,9 +292,6 @@ class FleetScheduler:
             self._pending_release[name] = request.num_machines
 
     # ------------------------------------------------------------------
-    def available_machines(self) -> int:
-        return len(self.pool.free - self.pool.blacklist)
-
     def _head_reservation(self, head_need: int
                           ) -> Tuple[Optional[float], int]:
         """EASY reservation for a blocked head: ``(start_time, spare)``.
@@ -307,7 +304,7 @@ class FleetScheduler:
         planned durations (open-ended jobs, or releases that only
         repairs will provide).
         """
-        acc = self.available_machines()
+        acc = self.pool.available()
         if acc >= head_need:
             # enough capacity right now: the "reservation" is
             # immediate (dispatch only asks for blocked heads, but a
@@ -339,7 +336,7 @@ class FleetScheduler:
         reservation: Optional[Tuple[Optional[float], int]] = None
         for request in sorted(self.queue,
                               key=lambda r: (-r.priority, r.seq)):
-            if self.available_machines() < request.num_machines:
+            if self.pool.available() < request.num_machines:
                 if not self.backfill or self._pending_release:
                     # machines freed by an in-flight preemption/shrink
                     # plan are earmarked for the blocked head: letting
@@ -369,7 +366,8 @@ class FleetScheduler:
                         continue  # would delay the head: stay queued
                 self.stats["backfilled"] += 1
             self.queue.remove(request)
-            machines = self.pool.allocate_active(request.num_machines)
+            machines = self.pool.allocate_active(request.num_machines,
+                                                 request.name)
             request.started_at = self.sim.now
             self.running[request.name] = request
             self.stats["started"] += 1
@@ -419,7 +417,7 @@ class FleetScheduler:
         if self.preemption == "none" and self.resize is None:
             return
         head = min(self.queue, key=lambda r: (-r.priority, r.seq))
-        shortfall = (head.num_machines - self.available_machines()
+        shortfall = (head.num_machines - self.pool.available()
                      - sum(self._pending_release.values()))
         if shortfall <= 0:
             return      # in-flight returns already cover the head
@@ -464,7 +462,7 @@ class FleetScheduler:
     def _grow_elastic(self) -> None:
         """Hand free capacity to running elastic jobs (queue empty):
         highest priority first, oldest first within a class."""
-        available = self.available_machines()
+        available = self.pool.available()
         if available <= 0:
             return
         for request in sorted(self.running.values(),

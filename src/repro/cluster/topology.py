@@ -14,8 +14,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.cluster.components import (ComponentStore, Machine, MachineSpec,
-                                      MachineState)
+from repro.cluster.components import ComponentStore, Machine, MachineSpec
 
 
 class Switch:
@@ -115,9 +114,6 @@ class Cluster:
         machine = self.machine(machine_id)
         return (self.switch_of(machine_id).up
                 and any(n.up for n in machine.nics))
-
-    def machines_in_state(self, state: MachineState) -> List[Machine]:
-        return [m for m in self.machines if m.state == state]
 
     def unhealthy_machines(self,
                            among: Optional[Iterable[int]] = None

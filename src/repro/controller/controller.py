@@ -106,10 +106,13 @@ class RobustController:
                  detector: Optional[AnomalyDetector] = None,
                  policy: Optional[RecoveryPolicy] = None,
                  incident_log: Optional[IncidentLog] = None,
-                 config: Optional[ControllerConfig] = None):
+                 config: Optional[ControllerConfig] = None, *,
+                 owner: str):
         self.sim = sim
         self.job = job
         self.pool = pool
+        #: the job's name: the pool owner of every machine it takes
+        self.owner = owner
         self.injector = injector
         self.diagnoser = diagnoser
         self.replay = replay
@@ -149,10 +152,6 @@ class RobustController:
         #: a preempted-then-resumed job can never be restarted by a
         #: stale pre-preemption incident chain
         self._epoch = 0
-        #: machines acquired for an in-flight recovery but not yet
-        #: bound into the job (the restart delay hasn't elapsed);
-        #: platforms must not treat them as anyone else's to release
-        self.pending_replacements: set = set()
 
     def retire(self) -> None:
         """Permanently stop recovering this job (it completed or was
@@ -561,22 +560,18 @@ class RobustController:
         if epoch is None:
             epoch = self._epoch
         if self.retired or epoch != self._epoch:
-            self.pool.release([m for m in acquired
-                               if m in self.pool.active])
-            self.pending_replacements.difference_update(acquired)
+            self.pool.release(acquired, owner=self.owner)
             return
         needed = len(evicted) - len(acquired)
-        acquired.extend(self.pool.take_standbys(needed))
+        acquired.extend(self.pool.take_standbys(needed, self.owner))
         needed = len(evicted) - len(acquired)
         from_free = 0
         if needed > 0:
-            available = len(self.pool.free - self.pool.blacklist)
-            take = min(needed, available)
+            take = min(needed, self.pool.available())
             if take > 0:
-                acquired.extend(self.pool.allocate_active(take))
+                acquired.extend(self.pool.allocate_active(take, self.owner))
                 from_free = take
                 needed -= take
-        self.pending_replacements.update(acquired)
         if needed > 0:
             incident.actions.append(f"waiting_for_{needed}_machines")
             self.sim.schedule(60.0, lambda: self._acquire_replacements(
@@ -603,11 +598,8 @@ class RobustController:
         epoch = self._epoch
 
         def do_restart() -> None:
-            self.pending_replacements.difference_update(
-                replacements.values())
             if self.retired or epoch != self._epoch:
-                self.pool.release([m for m in replacements.values()
-                                   if m in self.pool.active])
+                self.pool.release(replacements.values(), owner=self.owner)
                 if self.retired:
                     self._handling = None
                 return
@@ -734,7 +726,7 @@ class RobustController:
         deficit = target - (self.pool.standby_count
                             + len(self.pool.provisioning))
         if deficit > 0:
-            available = len(self.pool.free - self.pool.blacklist)
+            available = self.pool.available()
             if available > 0:
                 self.pool.provision_standbys(min(deficit, available))
 
@@ -744,10 +736,7 @@ class RobustController:
 
     def _finish(self, incident: Incident) -> None:
         incident.recovered_at = self.sim.now
-        if incident.phase is not IncidentPhase.ESCALATED:
-            incident.phase = IncidentPhase.RESOLVED
-        else:
-            incident.phase = IncidentPhase.RESOLVED
+        incident.phase = IncidentPhase.RESOLVED
         self.last_recovery_at = self.sim.now
         self._handling = None
         if self.detector is not None:

@@ -97,9 +97,11 @@ class ManagementStack:
     def shutdown(self) -> None:
         """Stop the job for good: retire the controller (in-flight
         recovery callbacks become no-ops), kill the training
-        processes, and silence the periodic monitor tasks."""
+        processes, leave the fault feed, and silence the periodic
+        monitor tasks."""
         self.controller.retire()
         self.job.suspend()
+        self.job.leave_fault_feed()
         self.collector.stop()
         self.inspections.stop()
 
@@ -107,7 +109,8 @@ class ManagementStack:
         """Reversibly stop the job (preemption or resize): suspend the
         controller's recovery (in-flight chains die at the epoch
         bump), kill the training processes, silence the monitors.
-        Unlike :meth:`shutdown`, :meth:`resume` brings it back."""
+        Unlike :meth:`shutdown`, :meth:`resume` brings it back, so the
+        job stays on the fault feed."""
         self.controller.suspend_recovery()
         self.job.suspend()
         self.collector.stop()
@@ -156,16 +159,18 @@ class ManagementStack:
 def build_management_stack(sim: Simulator, cluster: Cluster,
                            pool: MachinePool, injector: FaultInjector,
                            job_config: TrainingJobConfig,
-                           diag_rng: RngStreams,
+                           owner: str, diag_rng: RngStreams,
                            replay_rng: Optional[RngStreams] = None,
                            config: Optional[StackConfig] = None
                            ) -> ManagementStack:
     """Construct the full per-job management stack (the Fig. 4 wiring).
 
-    ``diag_rng``/``replay_rng`` are the RNG streams handed to the
-    diagnoser and the dual-phase replay; the single-job system passes
-    one shared stream for both (its historical behaviour), while the
-    platform forks a named stream per job so jobs stay decorrelated.
+    ``owner`` is the job's name: the controller names it on every
+    machine it takes from ``pool``.  ``diag_rng``/``replay_rng`` are
+    the RNG streams handed to the diagnoser and the dual-phase replay;
+    the single-job system passes one shared stream for both (its
+    historical behaviour), while the platform forks a named stream per
+    job so jobs stay decorrelated.
     """
     config = config or StackConfig()
     if replay_rng is None:
@@ -205,7 +210,7 @@ def build_management_stack(sim: Simulator, cluster: Cluster,
         hotupdate, standby_policy=config.standby,
         ckpt_manager=ckpt_manager, detector=detector,
         policy=config.policy, incident_log=incident_log,
-        config=config.controller)
+        config=config.controller, owner=owner)
     detector.add_listener(controller.on_anomaly)
     inspections.add_listener(controller.on_inspection_event)
     return ManagementStack(

@@ -205,8 +205,7 @@ class StandbyResizer:
         if abs(target - supply) <= self.config.hysteresis:
             return 0
         if target > supply:
-            free = len(self.pool.free - self.pool.blacklist)
-            grow = min(target - supply, free)
+            grow = min(target - supply, self.pool.available())
             if grow > 0:
                 self.pool.provision_standbys(grow)
                 self.stats["resizes"] += 1

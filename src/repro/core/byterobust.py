@@ -190,7 +190,7 @@ class ByteRobustSystem:
         self.pool.on_repair = self.injector.clear_machine
         self.stack = build_management_stack(
             self.sim, self.cluster, self.pool, self.injector, config.job,
-            diag_rng=self.rng,
+            owner=config.job.model.name, diag_rng=self.rng,
             config=StackConfig(
                 collector=config.collector,
                 detector=config.detector,
@@ -229,7 +229,8 @@ class ByteRobustSystem:
         if self._started:
             raise RuntimeError("system already started")
         self._started = True
-        machines = self.pool.allocate_active(self.job.num_machines)
+        machines = self.pool.allocate_active(self.job.num_machines,
+                                             self.controller.owner)
         self.controller.ensure_standbys()
         self.stack.launch(machines)
 

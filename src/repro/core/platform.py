@@ -333,7 +333,7 @@ class TrainingPlatform:
                      initial_mfu: float) -> ManagementStack:
         return build_management_stack(
             self.sim, self.cluster, self.pool, self.injector, job_config,
-            diag_rng=self.rng.fork(f"diag:{name}"),
+            owner=name, diag_rng=self.rng.fork(f"diag:{name}"),
             replay_rng=self.rng.fork(f"replay:{name}"),
             config=StackConfig(
                 collector=self.config.collector,
@@ -425,8 +425,8 @@ class TrainingPlatform:
         # a capacity-capped provisioning is recorded, not dropped
         self.standby_target = self.config.standby.standby_count(
             len(self.pool.active))
-        available = len(self.pool.free - self.pool.blacklist)
-        self.standby_provisioned = min(self.standby_target, available)
+        self.standby_provisioned = min(self.standby_target,
+                                       self.pool.available())
         if self.standby_provisioned > 0:
             self.pool.provision_standbys(self.standby_provisioned)
         if self.config.standby_target > 0:
@@ -466,22 +466,6 @@ class TrainingPlatform:
                 managed.remaining_s,
                 lambda m=managed: self._complete(m))
 
-    def _release_machines(self, managed: ManagedJob) -> None:
-        """Return ``managed``'s machines to the pool — but only the
-        ones it still owns: evicted machines are in repair (not
-        ACTIVE); a repaired machine re-allocated to a running job — or
-        acquired by another job's in-flight recovery and not yet
-        bound — must stay with its new owner."""
-        others = set()
-        for other in self.jobs.values():
-            if other is managed:
-                continue
-            others.update(other.controller.pending_replacements)
-            if other.running:
-                others.update(other.job.machines)
-        self.pool.release([m for m in managed.job.machines
-                           if m in self.pool.active and m not in others])
-
     def _complete(self, managed: ManagedJob) -> None:
         """Planned completion: tear the job down, return machines."""
         if managed.completed:
@@ -500,7 +484,7 @@ class TrainingPlatform:
         managed.is_resizing = False
         self._record(managed, "completed")
         managed.stack.shutdown()
-        self._release_machines(managed)
+        self.pool.release(managed.job.machines, owner=managed.name)
         self.scheduler.complete(managed.name)
 
     # ------------------------------------------------------------------
@@ -602,7 +586,7 @@ class TrainingPlatform:
         managed.resume_step = resume_step
         self._record(managed, "preempted")
         managed.stack.pause()
-        self._release_machines(managed)
+        self.pool.release(managed.job.machines, owner=managed.name)
         self.scheduler.preempted(managed.name, managed.remaining_s)
 
     def _scaled_parallelism(self, par: ParallelismConfig,
@@ -657,8 +641,7 @@ class TrainingPlatform:
         abort = new_par is None or new_size == old_size
         if not abort and new_size > old_size:
             # the free capacity the scheduler saw may be gone by now
-            avail = len(self.pool.free - self.pool.blacklist)
-            abort = avail < new_size - old_size
+            abort = self.pool.available() < new_size - old_size
         if abort:
             managed.is_resizing = False
             self._record(managed, "resize_aborted")
@@ -674,11 +657,10 @@ class TrainingPlatform:
         machines = list(job.machines)
         if new_size < old_size:
             keep = machines[:new_size]
-            self.pool.release([m for m in machines[new_size:]
-                               if m in self.pool.active])
+            self.pool.release(machines[new_size:], owner=managed.name)
         else:
             keep = machines + self.pool.allocate_active(
-                new_size - old_size)
+                new_size - old_size, managed.name)
         managed.resize_events.append({
             "t": float(self.sim.now), "from": int(old_size),
             "to": int(new_size), "step": int(step)})

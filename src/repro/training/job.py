@@ -115,8 +115,11 @@ class TrainingJob:
         self._completion_handle = None
         self._step_started_at: Optional[float] = None
         self._injector = injector
+        #: unsubscribes the job from the fault feed (teardown)
+        self.leave_fault_feed: Callable[[], None] = lambda: None
         if injector is not None:
-            injector.add_listener(self._on_fault_event)
+            self.leave_fault_feed = injector.add_listener(
+                self._on_fault_event)
 
     # ------------------------------------------------------------------
     # machine binding
@@ -302,17 +305,8 @@ class TrainingJob:
     def _active_job_faults(self) -> List[Fault]:
         if self._injector is None:
             return []
-        out = []
-        for fault in self._injector.active_faults.values():
-            if not fault.machine_ids and fault.switch_id is None:
-                out.append(fault)       # service-level: affects any job
-            elif any(self.uses_machine(m) for m in fault.machine_ids):
-                out.append(fault)
-            elif fault.switch_id is not None and any(
-                    self.uses_machine(m) for m in self._switch_machines(
-                        fault.switch_id)):
-                out.append(fault)
-        return out
+        return [f for f in self._injector.active_faults.values()
+                if self._fault_touches_job(f)]
 
     def _switch_machines(self, switch_id: int) -> List[int]:
         if self._injector is None:
@@ -322,7 +316,7 @@ class TrainingJob:
 
     def _fault_touches_job(self, fault: Fault) -> bool:
         if not fault.machine_ids and fault.switch_id is None:
-            return True
+            return True             # service-level: affects any job
         if any(self.uses_machine(m) for m in fault.machine_ids):
             return True
         if fault.switch_id is not None:

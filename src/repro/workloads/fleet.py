@@ -351,10 +351,8 @@ class FleetScenario:
         current = len(self._spot_offline)
         if target_offline > current:
             need = target_offline - current
-            idle = sorted(pool.free - pool.blacklist)[:need]
-            for mid in idle:
-                pool.blacklist.add(mid)
-                self._spot_offline.add(mid)
+            idle = pool.reclaim_idle(need)
+            self._spot_offline.update(idle)
             self._spot_stats["reclaimed"] += len(idle)
             shortfall_machines = need - len(idle)
             if shortfall_machines > 0:
@@ -369,9 +367,8 @@ class FleetScenario:
                         shortfall_machines -= victim.num_machines
         elif target_offline < current:
             back = sorted(self._spot_offline)[:current - target_offline]
-            for mid in back:
-                pool.blacklist.discard(mid)
-                self._spot_offline.discard(mid)
+            pool.return_idle(back)
+            self._spot_offline.difference_update(back)
             self._spot_stats["returned"] += len(back)
             self.platform.scheduler.dispatch()
 

@@ -4,6 +4,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -12,7 +14,6 @@ from repro.cluster import (
     FaultInjector,
     FaultSymptom,
     MachinePool,
-    MachineState,
     ProvisioningTimes,
     RootCause,
 )
@@ -324,16 +325,16 @@ class TestMachinePool:
 
     def test_allocate_active(self):
         sim, cluster, pool = self.make()
-        ids = pool.allocate_active(4)
+        ids = pool.allocate_active(4, "job")
         assert len(ids) == 4
-        assert all(cluster.machine(i).state is MachineState.ACTIVE
-                   for i in ids)
+        assert pool.active == set(ids)
+        assert all(pool.owners[i] == "job" for i in ids)
         assert pool.counts()["free"] == 4
 
     def test_allocate_too_many_raises(self):
         sim, cluster, pool = self.make()
         with pytest.raises(InsufficientMachines):
-            pool.allocate_active(9)
+            pool.allocate_active(9, "job")
 
     def test_provision_standby_takes_time(self):
         sim, cluster, pool = self.make()
@@ -353,33 +354,34 @@ class TestMachinePool:
         sim, cluster, pool = self.make()
         ids = pool.provision_standbys(2)
         sim.run(until=400)
-        taken = pool.take_standbys(1)
+        taken = pool.take_standbys(1, "job")
         assert len(taken) == 1
-        assert cluster.machine(taken[0]).state is MachineState.ACTIVE
+        assert pool.owners[taken[0]] == "job"
+        assert taken[0] not in pool.standby
         assert pool.standby_count == 1
 
     def test_take_more_standbys_than_available(self):
         sim, cluster, pool = self.make()
         pool.provision_standbys(1)
         sim.run(until=400)
-        assert len(pool.take_standbys(5)) == 1
+        assert len(pool.take_standbys(5, "job")) == 1
 
     def test_evict_blacklists_and_repairs(self):
         sim, cluster, pool = self.make()
-        ids = pool.allocate_active(4)
+        ids = pool.allocate_active(4, "job")
         pool.evict([ids[0]])
         assert ids[0] in pool.blacklist
-        assert cluster.machine(ids[0]).state is MachineState.BLACKLISTED
+        assert ids[0] in pool.repairing and ids[0] not in pool.active
         sim.run(until=pool.times.repair_s + 1)
         assert ids[0] in pool.free
         assert ids[0] not in pool.blacklist
-        assert cluster.machine(ids[0]).state is MachineState.FREE
+        assert ids[0] not in pool.repairing
 
     def test_evicted_machine_not_reallocated_while_blacklisted(self):
         sim, cluster, pool = self.make()
-        ids = pool.allocate_active(4)
+        ids = pool.allocate_active(4, "job")
         pool.evict([ids[0]])
-        new = pool.allocate_active(4)
+        new = pool.allocate_active(4, "job")
         assert ids[0] not in new
 
     def test_standby_ready_callback(self):
@@ -395,5 +397,103 @@ class TestMachinePool:
         pool.provision_standbys(1)
         sim.run(until=300)        # ready at 300
         sim.run(until=500)
-        pool.take_standbys(1)
+        pool.take_standbys(1, "job")
         assert pool.standby_idle_machine_seconds == pytest.approx(200.0)
+
+
+POOL_OPS = st.lists(st.tuples(
+    st.sampled_from(["allocate", "take", "provision", "release", "evict",
+                     "advance", "reclaim", "return"]),
+    st.integers(0, 11), st.sampled_from(["a", "b"]), st.booleans()),
+    max_size=40)
+
+
+class TestPoolLedger:
+    """The pool's records partition the fleet and record ownership."""
+
+    N = 12
+
+    def check(self, pool):
+        records = [pool.free, set(pool.active), pool.standby,
+                   pool.provisioning, pool.repairing]
+        assert sum(len(r) for r in records) == self.N
+        assert set().union(*records) == set(range(self.N))
+        assert set(pool.owners.values()) <= {"a", "b"}
+        assert pool.evicted <= pool.repairing
+        assert pool.blacklist <= pool.repairing | pool.free
+        assert pool.counts() == {
+            "active": len(pool.active), "standby": len(pool.standby),
+            "provisioning": len(pool.provisioning),
+            "evicted": len(pool.evicted), "free": len(pool.free),
+            "blacklisted": len(pool.blacklist)}
+        assert pool.available() == len(pool.free - pool.blacklist)
+
+    @settings(max_examples=60, deadline=None)
+    @given(POOL_OPS)
+    def test_random_operations_keep_the_ledger(self, ops):
+        sim = Simulator()
+        cluster = make_cluster(n=self.N)
+        pool = MachinePool(sim, cluster)
+        reclaimed = []
+        for op, k, owner, flag in ops:
+            count = k % 4 + 1
+            if op == "allocate" and pool.available() >= count:
+                ids = pool.allocate_active(count, owner)
+                assert all(pool.owners[m] == owner for m in ids)
+            elif op == "take":
+                for mid in pool.take_standbys(count, owner):
+                    assert pool.owners[mid] == owner
+            elif op == "provision":
+                ids = pool.provision_standbys(min(count, pool.available()))
+                if flag and ids:    # this one fails its self-check
+                    cluster.machine(ids[0]).host.kernel_panic = True
+            elif op == "release":
+                other = {m for m, o in pool.owners.items() if o != owner}
+                pool.release(range(k, self.N), owner=owner)
+                assert all(pool.owners.get(m) not in (None, owner)
+                           for m in other)
+                assert owner not in [pool.owners[m]
+                                     for m in range(k, self.N)
+                                     if m in pool.owners]
+            elif op == "evict":
+                # machines in repair may be evicted again
+                held = sorted(set(pool.active) | pool.standby
+                              | pool.repairing)
+                victims = held[k % 3:][:count] if held else []
+                pool.evict(victims, blacklist=flag)
+                assert not set(victims) & (set(pool.active) | pool.standby)
+            elif op == "advance":
+                # half a repair: a machine evicted twice sees its
+                # repairs complete on different steps
+                sim.run(until=sim.now + (pool.times.repair_s / 2 if flag
+                                         else 60.0 * (k + 1)))
+            elif op == "reclaim":
+                reclaimed += pool.reclaim_idle(count)
+            elif op == "return":
+                pool.return_idle(reclaimed[:count])
+                del reclaimed[:count]
+            self.check(pool)
+
+    def test_second_repair_of_a_machine_changes_nothing(self):
+        sim = Simulator()
+        pool = MachinePool(sim, make_cluster(n=4))
+        mid = pool.allocate_active(1, "a")[0]
+        pool.evict([mid])
+        sim.run(until=pool.times.repair_s / 2)
+        pool.evict([mid])                 # evicted again while in repair
+        sim.run(until=pool.times.repair_s + 1)
+        assert mid in pool.free
+        assert pool.allocate_active(4, "b")[0] == mid
+        sim.run(until=2 * pool.times.repair_s)   # the second repair
+        assert pool.owners[mid] == "b" and mid not in pool.free
+
+    def test_failed_self_check_is_in_repair(self):
+        sim = Simulator()
+        cluster = make_cluster(n=4)
+        pool = MachinePool(sim, cluster)
+        mid = pool.provision_standbys(1)[0]
+        cluster.machine(mid).host.kernel_panic = True
+        sim.run(until=pool.times.pod_build_s + pool.times.self_check_s + 1)
+        assert mid in pool.repairing and mid not in pool.free
+        sim.run(until=sim.now + pool.times.repair_s)
+        assert mid in pool.free and cluster.machine(mid).healthy()

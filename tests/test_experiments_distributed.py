@@ -254,24 +254,38 @@ class TestRemoteExecutor:
     def test_cli_worker_subprocess_end_to_end(self, tmp_path):
         """Real `python -m repro worker` subprocesses against a live
         executor — one dies mid-sweep (SIGKILL semantics), the other
-        finishes everything."""
+        finishes everything.  The healthy worker starts only once the
+        doomed one has taken a cell and died, so it cannot drain the
+        queue first and leave nothing to re-queue."""
         reference = canonical(SweepRunner(workers=1).run(SPEC))
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         ex = RemoteExecutor(heartbeat_timeout_s=5.0)
         addr = f"{ex.address[0]}:{ex.address[1]}"
-        doomed = subprocess.Popen(
+        procs = [subprocess.Popen(
             [sys.executable, "-m", "repro", "worker", "--connect", addr,
-             "--fail-after", "0", "--quiet"], env=env)
-        healthy = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--connect", addr,
-             "--quiet"], env=env)
+             "--fail-after", "0", "--quiet"], env=env)]
+        done = threading.Event()
+
+        def start_healthy_after_requeue():
+            while ex.stats["requeued"] < 1:
+                if done.wait(0.05):
+                    return
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker", "--connect",
+                 addr, "--quiet"], env=env))
+
+        launcher = threading.Thread(target=start_healthy_after_requeue,
+                                    daemon=True)
+        launcher.start()
         try:
             with ex:
                 got = canonical(SweepRunner(executor=ex).run(SPEC))
             assert got == reference
             assert ex.stats["requeued"] >= 1
         finally:
-            for proc in (doomed, healthy):
+            done.set()
+            launcher.join(timeout=15)
+            for proc in procs:
                 try:
                     proc.wait(timeout=15)
                 except subprocess.TimeoutExpired:

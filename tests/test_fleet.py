@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, MachinePool
-from repro.cluster.components import MachineState
 from repro.cluster.scheduler import AdmissionError, FleetScheduler
 from repro.core.incidents import IncidentLog
 from repro.core.platform import (
@@ -240,12 +239,12 @@ class TestMachinePoolRelease:
         cluster = Cluster(ClusterSpec(num_machines=4,
                                       machines_per_switch=4))
         pool = MachinePool(sim, cluster)
-        mids = pool.allocate_active(3)
+        mids = pool.allocate_active(3, "job")
         pool.release(mids[:2])
         assert pool.counts()["active"] == 1
         assert pool.counts()["free"] == 3
         for mid in mids[:2]:
-            assert cluster.machine(mid).state is MachineState.FREE
+            assert mid in pool.free and mid not in pool.active
 
     def test_release_rejects_non_active_machines(self):
         sim = Simulator()
@@ -292,6 +291,23 @@ class TestDynamicPlatform:
         # the standby floor may hold one machine; the rest are free
         assert counts["free"] + counts["standby"] \
             + counts["provisioning"] == 8
+
+    def test_completed_jobs_leave_the_fault_feed(self):
+        """Teardown unsubscribes a job from the injector: only jobs
+        that have not completed stay on the fault feed."""
+        platform = TrainingPlatform(total_machines=8)
+        platform.submit(JobSpec("short", fleet_job_config(2),
+                                duration_s=1800.0))
+        platform.submit(JobSpec("long", fleet_job_config(2)))
+        platform.start()
+        platform.sim.schedule_at(2400.0, lambda: platform.submit(JobSpec(
+            "late", fleet_job_config(2), duration_s=1800.0)))
+        platform.sim.schedule_at(3000.0, lambda: platform.submit(JobSpec(
+            "queued", fleet_job_config(8))))
+        platform.run_until(3 * 3600.0)
+        live = [m for m in platform.jobs.values() if not m.completed]
+        assert [m.name for m in live] == ["long", "queued"]
+        assert len(platform.injector._listeners) == len(live)
 
     def test_standby_shortfall_recorded_not_dropped(self):
         # job takes the whole fleet: zero machines left for standbys
@@ -465,7 +481,7 @@ class TestSchedulerPreemption:
         sched.submit("low", 4, max_machines=8)
         # queue empty + 4 free machines: growth toward the ceiling
         assert resizes == [("low", 8)]
-        pool.allocate_active(4)
+        pool.allocate_active(4, "low")
         sched.resized("low", 8)
         assert sched.stats["grown"] == 1
         assert sched.running["low"].num_machines == 8

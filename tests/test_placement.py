@@ -20,7 +20,6 @@ from repro.cluster import (
     Cluster,
     ClusterSpec,
     MachinePool,
-    MachineState,
     PlacementError,
     make_placement_policy,
     placement_policy_names,
@@ -123,17 +122,17 @@ class TestPoolRouting:
     def test_default_pool_policy_is_any_free(self):
         sim, cluster, pool = make_pool()
         assert pool.placement.name == "any-free"
-        assert pool.allocate_active(3) == [0, 1, 2]
+        assert pool.allocate_active(3, "job") == [0, 1, 2]
 
     def test_pack_pool_allocates_single_switch(self):
         sim, cluster, pool = make_pool(placement=PackPolicy())
-        pool.allocate_active(2)      # takes the emptiest switch whole
-        chosen = pool.allocate_active(4)
+        pool.allocate_active(2, "job")      # takes the emptiest switch whole
+        chosen = pool.allocate_active(4, "job")
         assert switch_span(cluster, chosen) == 1
 
     def test_spread_pool_allocates_across_switches(self):
         sim, cluster, pool = make_pool(placement=SpreadPolicy())
-        chosen = pool.allocate_active(4)
+        chosen = pool.allocate_active(4, "job")
         assert switch_span(cluster, chosen) == 4
 
     def test_platform_config_selects_policy(self):
@@ -169,7 +168,6 @@ class TestReleaseStandbys:
         assert released == [1, 2]
         assert pool.standby == {0}
         for mid in released:
-            assert cluster.machine(mid).state is MachineState.FREE
             assert mid in pool.free
 
     def test_release_accounts_idle_machine_seconds(self):
@@ -209,7 +207,7 @@ class TestStandbyResizer:
 
     def test_grows_toward_ratio_target(self):
         sim, pool, resizer = self.make()
-        pool.allocate_active(8)                   # target = ceil(2.0)
+        pool.allocate_active(8, "job")                   # target = ceil(2.0)
         delta = resizer.resize_once()
         assert delta == 2
         assert pool.standby_supply == 2
@@ -218,13 +216,13 @@ class TestStandbyResizer:
 
     def test_hysteresis_suppresses_small_gaps(self):
         sim, pool, resizer = self.make(ratio=0.25, hysteresis=1)
-        pool.allocate_active(4)                   # target 1, supply 0
+        pool.allocate_active(4, "job")                   # target 1, supply 0
         assert resizer.resize_once() == 0         # inside the deadband
         assert resizer.stats["resizes"] == 0
 
     def test_shrinks_when_active_fleet_contracts(self):
         sim, pool, resizer = self.make()
-        active = pool.allocate_active(12)         # target 3
+        active = pool.allocate_active(12, "job")         # target 3
         resizer.resize_once()
         sim.run(until=pool.times.pod_build_s
                 + pool.times.self_check_s + 1.0)
@@ -239,24 +237,24 @@ class TestStandbyResizer:
 
     def test_binomial_target_when_ratio_zero(self):
         sim, pool, resizer = self.make(ratio=0.0)
-        pool.allocate_active(8)
+        pool.allocate_active(8, "job")
         assert resizer.target() == StandbyPolicy().standby_count(8)
 
     def test_max_standbys_caps_target(self):
         sim, pool, resizer = self.make(ratio=1.0, max_standbys=2)
-        pool.allocate_active(8)
+        pool.allocate_active(8, "job")
         assert resizer.target() == 2
 
     def test_grow_capped_by_free_machines(self):
         sim, pool, resizer = self.make(machines=8, ratio=1.0,
                                        hysteresis=0)
-        pool.allocate_active(6)
+        pool.allocate_active(6, "job")
         assert resizer.resize_once() == 2         # only 2 free left
         assert resizer.stats["grown"] == 2
 
     def test_periodic_tick_drives_resizing(self):
         sim, pool, resizer = self.make(interval=600.0)
-        pool.allocate_active(8)
+        pool.allocate_active(8, "job")
         resizer.start()
         with pytest.raises(RuntimeError):
             resizer.start()

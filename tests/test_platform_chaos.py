@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.components import MachineState
 from repro.cluster.faults import FaultSymptom
 from repro.core.platform import JobSpec, TrainingPlatform
 from repro.parallelism import ParallelismConfig
@@ -150,11 +149,11 @@ class TestChaos:
                                  IncidentPhase.LOCALIZING,
                                  IncidentPhase.RECOVERING,
                                  IncidentPhase.ESCALATED)
-        # 4. the job never runs on a blacklisted machine
+        # 4. the job never runs on a blacklisted machine, and it owns
+        #    every machine it runs on
         for mid in system.job.machines:
             assert mid not in system.pool.blacklist
-            assert (system.cluster.machine(mid).state
-                    is MachineState.ACTIVE)
+            assert system.pool.owners.get(mid) == system.controller.owner
         # 5. resolved incidents have consistent timelines
         for inc in system.incident_log.resolved():
             if inc.mechanism == "BatchSkip":
