@@ -31,9 +31,6 @@ class ProcessNode:
         for child in self.children:
             yield from child.walk()
 
-    def find_by_role(self, role: str) -> List["ProcessNode"]:
-        return [node for node in self.walk() if node.role == role]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ProcessNode {self.pid} {self.name} ({self.role})>"
 

@@ -37,12 +37,6 @@ class TraceCapture:
     traces: List[StackTrace] = field(default_factory=list)
     process_trees: Dict[int, ProcessNode] = field(default_factory=dict)
 
-    def traces_by_machine(self) -> Dict[int, List[StackTrace]]:
-        out: Dict[int, List[StackTrace]] = {}
-        for trace in self.traces:
-            out.setdefault(trace.machine_id, []).append(trace)
-        return out
-
 
 class OnDemandTracer:
     """Captures stacks from all pods of a job on request."""

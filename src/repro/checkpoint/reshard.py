@@ -81,9 +81,6 @@ class ReshardPlan:
     def bytes_into(self, target_rank: int) -> int:
         return sum(t.total_bytes for t in self.transfers_to(target_rank))
 
-    def source_fan_in(self, target_rank: int) -> int:
-        return len(self.transfers_to(target_rank))
-
 
 def plan_reshard(source: ParallelismConfig, target: ParallelismConfig,
                  model_total_bytes: int,

@@ -159,12 +159,6 @@ class Fault:
     def active(self) -> bool:
         return self.injected_at >= 0 and self.cleared_at is None
 
-    @property
-    def is_machine_fault(self) -> bool:
-        """True if some specific machine is at fault (evictable)."""
-        return self.root_cause is RootCause.INFRASTRUCTURE and bool(
-            self.machine_ids)
-
     def describe(self) -> str:
         where = (f"machines={self.machine_ids}" if self.machine_ids
                  else f"switch={self.switch_id}" if self.switch_id is not None

@@ -10,7 +10,7 @@ on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -122,11 +122,6 @@ class Cluster:
         return [i for i in ids
                 if not self.machines[i].healthy()
                 or not self.network_reachable(i)]
-
-    def health_snapshot(self) -> Dict[int, bool]:
-        """machine_id → fully-healthy flag, for dashboards/tests."""
-        return {m.id: m.healthy() and self.network_reachable(m.id)
-                for m in self.machines}
 
     @property
     def total_gpus(self) -> int:

@@ -89,8 +89,6 @@ class ControllerConfig:
     failslow_interval_s: float = 10.0
     #: Simulated human mean-time-to-fix for escalated incidents.
     human_fix_s: float = 2 * 3600.0
-    #: Target standby pool refilled after each take (None = policy P99).
-    replenish_to_p99: bool = True
 
 
 class RobustController:
@@ -729,10 +727,6 @@ class RobustController:
             available = self.pool.available()
             if available > 0:
                 self.pool.provision_standbys(min(deficit, available))
-
-    def ensure_standbys(self) -> None:
-        """Provision the initial P99 standby pool (call at job start)."""
-        self._replenish_standbys()
 
     def _finish(self, incident: Incident) -> None:
         incident.recovered_at = self.sim.now

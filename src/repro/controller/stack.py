@@ -1,20 +1,19 @@
 """One per-job management stack, one way to build it.
 
-Every managed training job — whether it is the single job inside a
-:class:`~repro.core.byterobust.ByteRobustSystem` or one of many on a
-:class:`~repro.core.platform.TrainingPlatform` — carries the same
-data-plane/control-plane entourage from Fig. 4: metrics collector,
-anomaly detector, inspection engine, on-demand tracer, diagnoser,
-dual-phase replay, runtime analyzer, hot-update manager, optional
-checkpoint engine, incident log, and the robust controller that ties
-the event streams together.  :func:`build_management_stack` is the
-single construction path for that wiring; entry points differ only in
-the knobs they pass, never in the plumbing.
+Every managed training job on a
+:class:`~repro.core.platform.TrainingPlatform` — including the one job
+of a :class:`~repro.core.byterobust.ByteRobustSystem` — carries the
+same data-plane/control-plane entourage from Fig. 4: metrics
+collector, anomaly detector, inspection engine, on-demand tracer,
+diagnoser, dual-phase replay, runtime analyzer, hot-update manager,
+optional checkpoint engine, incident log, and the robust controller
+that ties the event streams together.  :func:`build_management_stack`
+is the single construction path for that wiring, and the platform is
+its one caller.
 
 Construction order is part of the contract: components are created and
-listeners attached in a fixed sequence so simulator/RNG state evolves
-identically however the stack is reached (the sim-equivalence suite
-pins this for the single-job path).
+listeners attached in a fixed sequence, and simulator/RNG state
+depends on that sequence (the golden payload digests pin it).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.agent.tracer import OnDemandTracer
 from repro.analyzer.aggregation import AggregationConfig, RuntimeAnalyzer
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.storage import StorageTiers
-from repro.checkpoint.strategies import ByteRobustSave, SaveStrategy
+from repro.checkpoint.strategies import ByteRobustSave
 from repro.cluster.faults import FaultInjector
 from repro.cluster.pool import MachinePool
 from repro.cluster.topology import Cluster
@@ -47,23 +46,18 @@ from repro.training.metrics import CodeVersionProfile, MfuModel
 
 @dataclass
 class StackConfig:
-    """Knobs for one job's management stack (entry-point agnostic)."""
+    """Knobs for one job's management stack."""
 
     collector: CollectorConfig = field(default_factory=CollectorConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     inspections: InspectionConfig = field(default_factory=InspectionConfig)
-    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
     standby: StandbyPolicy = field(default_factory=StandbyPolicy)
     policy: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    initial_code_profile: CodeVersionProfile = field(
-        default_factory=lambda: CodeVersionProfile("v0", 0.30))
     use_real_minigpt: bool = False
-    #: Enable the checkpoint engine (None strategy = ByteRobust save).
+    #: Enable the ByteRobust-save checkpoint engine (ZeRO stage 1).
     checkpointing: bool = False
-    checkpoint_strategy: Optional[SaveStrategy] = None
     remote_checkpoint_every_steps: int = 100
-    zero_stage: int = 1
 
 
 @dataclass
@@ -82,9 +76,6 @@ class ManagementStack:
     ckpt_manager: Optional[CheckpointManager]
     incident_log: IncidentLog
     controller: RobustController
-    #: Aggregation config kept so elastic resizes can rebuild the
-    #: topology-bound analyzer; None on stacks that never resize.
-    aggregation: Optional[AggregationConfig] = None
 
     def launch(self, machine_ids: List[int], at_step: int = 0) -> None:
         """Bind machines and start monitor + job (standbys are the
@@ -145,8 +136,8 @@ class ManagementStack:
                 tp=parallelism.tp, pp=parallelism.pp, dp=parallelism.dp,
                 zero_stage=1)
             self.ckpt_manager.rebind(at_step, shard_sizes=shard_sizes)
-        self.analyzer = RuntimeAnalyzer(
-            self.job.topology, self.aggregation or AggregationConfig())
+        self.analyzer = RuntimeAnalyzer(self.job.topology,
+                                        AggregationConfig())
         self.controller.analyzer = self.analyzer
         self.collector.start()
         self.inspections.start()
@@ -160,7 +151,7 @@ def build_management_stack(sim: Simulator, cluster: Cluster,
                            pool: MachinePool, injector: FaultInjector,
                            job_config: TrainingJobConfig,
                            owner: str, diag_rng: RngStreams,
-                           replay_rng: Optional[RngStreams] = None,
+                           replay_rng: RngStreams,
                            config: Optional[StackConfig] = None
                            ) -> ManagementStack:
     """Construct the full per-job management stack (the Fig. 4 wiring).
@@ -168,16 +159,14 @@ def build_management_stack(sim: Simulator, cluster: Cluster,
     ``owner`` is the job's name: the controller names it on every
     machine it takes from ``pool``.  ``diag_rng``/``replay_rng`` are
     the RNG streams handed to the diagnoser and the dual-phase replay;
-    the single-job system passes one shared stream for both (its
-    historical behaviour), while the platform forks a named stream per
-    job so jobs stay decorrelated.
+    the platform forks a named pair per job so jobs stay decorrelated.
+    Every job starts on the ``v0`` code version at 30% MFU.
     """
     config = config or StackConfig()
-    if replay_rng is None:
-        replay_rng = diag_rng
+    initial_profile = CodeVersionProfile("v0", 0.30)
     job = TrainingJob(
         sim, job_config, injector=injector,
-        mfu_model=MfuModel(config.initial_code_profile))
+        mfu_model=MfuModel(initial_profile))
     collector = MetricsCollector(sim, job, config.collector)
     detector = AnomalyDetector(sim, collector, config.detector)
     inspections = InspectionEngine(
@@ -185,10 +174,10 @@ def build_management_stack(sim: Simulator, cluster: Cluster,
     diagnoser = Diagnoser(cluster, diag_rng,
                           use_real_minigpt=config.use_real_minigpt)
     replay = DualPhaseReplay(cluster, replay_rng)
-    analyzer = RuntimeAnalyzer(job.topology, config.aggregation)
+    analyzer = RuntimeAnalyzer(job.topology, AggregationConfig())
     tracer = OnDemandTracer(sim, job)
     hotupdate = HotUpdateManager(
-        sim, initial_profile=config.initial_code_profile)
+        sim, initial_profile=initial_profile)
     ckpt_manager: Optional[CheckpointManager] = None
     if config.checkpointing:
         from repro.parallelism import zero_shard_sizes
@@ -198,11 +187,11 @@ def build_management_stack(sim: Simulator, cluster: Cluster,
             tp=job_config.parallelism.tp,
             pp=job_config.parallelism.pp,
             dp=job_config.parallelism.dp,
-            zero_stage=config.zero_stage)
+            zero_stage=1)
         tiers = StorageTiers(machine_spec=cluster.spec.machine_spec)
         ckpt_manager = CheckpointManager(
             sim, job, shard_sizes, tiers,
-            strategy=config.checkpoint_strategy or ByteRobustSave(),
+            strategy=ByteRobustSave(),
             remote_every_steps=config.remote_checkpoint_every_steps)
     incident_log = IncidentLog()
     controller = RobustController(
@@ -218,4 +207,4 @@ def build_management_stack(sim: Simulator, cluster: Cluster,
         inspections=inspections, diagnoser=diagnoser, replay=replay,
         analyzer=analyzer, tracer=tracer, hotupdate=hotupdate,
         ckpt_manager=ckpt_manager, incident_log=incident_log,
-        controller=controller, aggregation=config.aggregation)
+        controller=controller)

@@ -6,10 +6,9 @@
   sliding-window effective-training-time ratio, plus the unproductive-
   time breakdown of Fig. 3 (detection / localization / failover /
   recompute);
-* :mod:`repro.core.byterobust` — the :class:`ByteRobustSystem` facade
-  that wires the cluster, training job, monitor, controller, analyzer,
-  and checkpoint engine together, and the :class:`RunReport` produced
-  by a simulated production run;
+* :mod:`repro.core.byterobust` — the :class:`ByteRobustSystem` facade,
+  a one-job :class:`TrainingPlatform`, and the :class:`RunReport`
+  produced by a simulated production run;
 * :mod:`repro.core.platform` — the multi-job
   :class:`TrainingPlatform`: jobs enter as a typed :class:`JobSpec`
   and come back as a live :class:`JobHandle` whose

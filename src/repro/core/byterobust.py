@@ -1,16 +1,18 @@
-"""The :class:`ByteRobustSystem` facade: one object, whole stack.
+"""The :class:`ByteRobustSystem` facade: one job on a one-job platform.
 
-Construction wires the full architecture of Fig. 4 around a single
-training job:
+A single robust training deployment is one job on a
+:class:`~repro.core.platform.TrainingPlatform`, built the way every
+fleet job is built: the platform owns the simulator, cluster, fault
+injector, machine pool and warm-standby reserve, and the job's Fig. 4
+management stack comes from the shared
+:func:`~repro.controller.stack.build_management_stack`.  The facade
+only sizes the cluster for its job (the job's machines plus P99
+standbys and 25% headroom, min 8), submits that job under the model's
+name, and reads it back:
 
-* data plane — metrics collector + anomaly detector, inspection engine,
-  on-demand tracer, checkpoint manager;
-* control plane — robust controller (Fig. 5 policy), runtime analyzer,
-  hot-update manager, warm-standby provisioning.
-
-``start()`` allocates machines, provisions the P99 standby pool, and
-launches the job; ``run_until()`` advances simulated time; ``report()``
-produces the :class:`RunReport` every benchmark and example consumes.
+``start()`` dispatches the job and provisions the P99 standby pool;
+``run_until()`` advances simulated time; ``report()`` produces the
+:class:`RunReport` every benchmark and example consumes.
 """
 
 from __future__ import annotations
@@ -18,24 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analyzer.aggregation import AggregationConfig
-from repro.checkpoint.strategies import SaveStrategy
 from repro.cluster.components import MachineSpec
-from repro.cluster.faults import FaultInjector
-from repro.cluster.pool import MachinePool, ProvisioningTimes
-from repro.cluster.topology import Cluster, ClusterSpec
 from repro.controller.controller import ControllerConfig
 from repro.controller.policy import RecoveryPolicy
-from repro.controller.stack import StackConfig, build_management_stack
 from repro.controller.standby import StandbyPolicy
 from repro.core.ettr import EttrSeries, EttrTracker, UnproductiveBreakdown
 from repro.core.incidents import IncidentLog
+from repro.core.platform import JobSpec, PlatformConfig, TrainingPlatform
 from repro.monitor.collectors import CollectorConfig
 from repro.monitor.detectors import DetectorConfig
 from repro.monitor.inspections import InspectionConfig
-from repro.sim import RngStreams, Simulator
 from repro.training.job import TrainingJobConfig
-from repro.training.metrics import CodeVersionProfile
 
 
 @dataclass
@@ -44,28 +39,17 @@ class SystemConfig:
 
     job: TrainingJobConfig
     seed: int = 0
-    #: Extra cluster capacity beyond the job (standbys + spares).  None
-    #: sizes it automatically (P99 standbys + 25% headroom, min 8).
-    spare_machines: Optional[int] = None
     machine_spec: MachineSpec = field(default_factory=MachineSpec)
     machines_per_switch: int = 16
-    initial_code_profile: CodeVersionProfile = field(
-        default_factory=lambda: CodeVersionProfile("v0", 0.30))
     collector: CollectorConfig = field(default_factory=CollectorConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     inspections: InspectionConfig = field(default_factory=InspectionConfig)
-    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
     standby: StandbyPolicy = field(default_factory=StandbyPolicy)
-    provisioning: ProvisioningTimes = field(
-        default_factory=ProvisioningTimes)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     policy: RecoveryPolicy = field(default_factory=RecoveryPolicy)
-    #: Enable the checkpoint manager (None strategy = ByteRobust save).
+    #: Enable the ByteRobust checkpoint engine.
     checkpointing: bool = True
-    checkpoint_strategy: Optional[SaveStrategy] = None
     remote_checkpoint_every_steps: int = 100
-    zero_stage: int = 1
-    ettr_window_s: float = 3600.0
     #: Run the real MiniGPT reference workload for bit-wise alignment
     #: (slower per diagnosis, but a genuine numerical verification).
     use_real_minigpt: bool = True
@@ -168,71 +152,49 @@ class RunReport:
 
 
 class ByteRobustSystem:
-    """A fully wired robust-training deployment on the simulator."""
+    """A fully wired robust-training deployment: one job on a
+    one-job :class:`~repro.core.platform.TrainingPlatform`."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
-        self.sim = Simulator()
-        self.rng = RngStreams(config.seed)
-        job_machines = config.job.parallelism.world_size \
-            // config.job.parallelism.gpus_per_machine
-        spare = config.spare_machines
-        if spare is None:
-            p99 = config.standby.standby_count(job_machines)
-            spare = max(8, p99 + job_machines // 4)
-        self.cluster = Cluster(ClusterSpec(
-            num_machines=job_machines + spare,
-            machine_spec=config.machine_spec,
-            machines_per_switch=config.machines_per_switch))
-        self.injector = FaultInjector(self.sim, self.cluster)
-        self.pool = MachinePool(self.sim, self.cluster,
-                                times=config.provisioning)
-        self.pool.on_repair = self.injector.clear_machine
-        self.stack = build_management_stack(
-            self.sim, self.cluster, self.pool, self.injector, config.job,
-            owner=config.job.model.name, diag_rng=self.rng,
-            config=StackConfig(
+        job_machines = config.job.parallelism.num_machines
+        spare = max(8, config.standby.standby_count(job_machines)
+                    + job_machines // 4)
+        self.platform = TrainingPlatform(
+            job_machines + spare, PlatformConfig(
+                seed=config.seed,
+                machine_spec=config.machine_spec,
+                machines_per_switch=config.machines_per_switch,
+                standby=config.standby,
                 collector=config.collector,
                 detector=config.detector,
                 inspections=config.inspections,
-                aggregation=config.aggregation,
-                standby=config.standby,
                 policy=config.policy,
                 controller=config.controller,
-                initial_code_profile=config.initial_code_profile,
-                use_real_minigpt=config.use_real_minigpt,
-                checkpointing=config.checkpointing,
-                checkpoint_strategy=config.checkpoint_strategy,
+                checkpoint=config.checkpointing,
                 remote_checkpoint_every_steps=(
                     config.remote_checkpoint_every_steps),
-                zero_stage=config.zero_stage))
+                use_real_minigpt=config.use_real_minigpt))
+        self.stack = self.platform.submit(
+            JobSpec(config.job.model.name, config.job)).stack
+        self.sim = self.platform.sim
+        self.injector = self.platform.injector
+        self.pool = self.platform.pool
         self.job = self.stack.job
-        self.collector = self.stack.collector
-        self.detector = self.stack.detector
-        self.inspections = self.stack.inspections
         self.diagnoser = self.stack.diagnoser
         self.replay = self.stack.replay
-        self.analyzer = self.stack.analyzer
         self.tracer = self.stack.tracer
         self.hotupdate = self.stack.hotupdate
-        self.ckpt_manager = self.stack.ckpt_manager
         self.incident_log = self.stack.incident_log
         self.controller = self.stack.controller
-        self._started = False
         self._mfu_samples: List[tuple] = []
-        self.collector.on_step(
+        self.stack.collector.on_step(
             lambda m: self._mfu_samples.append((m.step, m.mfu)))
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Allocate machines, provision standbys, launch everything."""
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
-        machines = self.pool.allocate_active(self.job.num_machines,
-                                             self.controller.owner)
-        self.controller.ensure_standbys()
-        self.stack.launch(machines)
+        """Dispatch the job and provision its standbys (once)."""
+        self.platform.start()
 
     def run_until(self, t: float) -> None:
         self.sim.run(until=t)
@@ -241,7 +203,7 @@ class ByteRobustSystem:
     def report(self, run_end: Optional[float] = None,
                samples: int = 200) -> RunReport:
         end = run_end if run_end is not None else self.sim.now
-        tracker = EttrTracker(window_s=self.config.ettr_window_s)
+        tracker = EttrTracker()
         ettr = tracker.series(self.job.step_records, run_end=end,
                               samples=samples)
         breakdown = tracker.breakdown(

@@ -107,12 +107,6 @@ class IncidentLog:
         return [i for i in self.incidents
                 if i.phase is IncidentPhase.RESOLVED]
 
-    def by_mechanism(self) -> Dict[str, List[Incident]]:
-        out: Dict[str, List[Incident]] = {}
-        for incident in self.resolved():
-            out.setdefault(incident.mechanism, []).append(incident)
-        return out
-
     def by_symptom(self) -> Dict[FaultSymptom, List[Incident]]:
         out: Dict[FaultSymptom, List[Incident]] = {}
         for incident in self.incidents:

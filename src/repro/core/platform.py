@@ -5,7 +5,10 @@ months, Table 1), not a single run.  The :class:`TrainingPlatform`
 runs many independently-managed jobs — each with its own monitor,
 controller, analyzer and incident log, all built through the shared
 :func:`~repro.controller.stack.build_management_stack` — on one
-cluster, one machine pool, and one warm-standby reserve.
+cluster, one machine pool, and one warm-standby reserve.  It is the
+only place a simulator, cluster, fault injector or machine pool is
+built: the single-job :class:`~repro.core.byterobust.ByteRobustSystem`
+is a platform running one job.
 
 Jobs are *dynamic*: :meth:`submit` is legal at any simulated time, a
 :class:`~repro.cluster.scheduler.FleetScheduler` queues requests that
@@ -61,7 +64,6 @@ from repro.monitor.detectors import AnomalyDetector, DetectorConfig
 from repro.monitor.inspections import InspectionConfig, InspectionEngine
 from repro.sim import RngStreams, Simulator
 from repro.training.job import TrainingJob, TrainingJobConfig
-from repro.training.metrics import CodeVersionProfile
 
 
 class HandleState(enum.Enum):
@@ -90,7 +92,6 @@ class JobSpec:
     priority: int = 0
     #: planned runtime; None = runs until the simulation horizon
     duration_s: Optional[float] = None
-    initial_mfu: float = 0.30
     #: elastic size bounds (None/None = fixed size): the scheduler may
     #: shrink the job to ``min_machines`` to admit higher-priority
     #: work and grow it to ``max_machines`` when capacity sits free
@@ -279,6 +280,9 @@ class PlatformConfig:
     checkpoint: bool = False
     #: remote-persist cadence for checkpointing jobs
     remote_checkpoint_every_steps: int = 100
+    #: run the real MiniGPT reference workload for bit-wise alignment
+    #: (slower per diagnosis than the analytic stand-in)
+    use_real_minigpt: bool = False
     #: "none" | "kill" | "checkpoint" — whether (and how) the
     #: scheduler may preempt running jobs for blocked higher-priority
     #: work: "checkpoint" drains the victim to its next step/checkpoint
@@ -329,8 +333,8 @@ class TrainingPlatform:
     # ------------------------------------------------------------------
     # job intake
     # ------------------------------------------------------------------
-    def _build_stack(self, name: str, job_config: TrainingJobConfig,
-                     initial_mfu: float) -> ManagementStack:
+    def _build_stack(self, name: str,
+                     job_config: TrainingJobConfig) -> ManagementStack:
         return build_management_stack(
             self.sim, self.cluster, self.pool, self.injector, job_config,
             owner=name, diag_rng=self.rng.fork(f"diag:{name}"),
@@ -342,8 +346,7 @@ class TrainingPlatform:
                 standby=self.config.standby,
                 policy=self.config.policy,
                 controller=self.config.controller,
-                initial_code_profile=CodeVersionProfile(
-                    "v0", initial_mfu),
+                use_real_minigpt=self.config.use_real_minigpt,
                 # the cross-group backup plan needs a peer machine, so
                 # single-machine jobs run without the engine (boundary
                 # preemption still works; kill falls back to step 0)
@@ -375,8 +378,7 @@ class TrainingPlatform:
         self.scheduler.check_admission(spec.name, spec.num_machines,
                                        min_machines=spec.min_machines,
                                        max_machines=spec.max_machines)
-        stack = self._build_stack(spec.name, spec.job_config,
-                                  spec.initial_mfu)
+        stack = self._build_stack(spec.name, spec.job_config)
         min_machines = spec.min_machines
         if min_machines is not None and stack.ckpt_manager is not None:
             # the cross-group backup plan needs a peer machine, so

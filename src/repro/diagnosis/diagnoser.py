@@ -93,9 +93,3 @@ class Diagnoser:
                 report.suspects = result.suspects
                 break
         return report
-
-    def quick_screen(self, machine_ids: Sequence[int]) -> DiagnosisReport:
-        """EUD-only screen, used before reusing machines after restarts."""
-        result = self.eud.run(machine_ids)
-        return DiagnosisReport(reports=[result], suspects=result.suspects,
-                               total_duration_s=result.duration_s)

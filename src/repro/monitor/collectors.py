@@ -152,9 +152,6 @@ class MetricsCollector:
                     fn(event)
 
     # ------------------------------------------------------------------
-    def recent_steps(self, count: int) -> List[StepMetrics]:
-        return self.steps.recent(count)
-
     def gauge_window(self, window_s: float) -> List[GaugeSample]:
         # samples are appended in time order, so the window is a suffix:
         # scan from the newest backwards, O(window) not O(history)

@@ -5,9 +5,9 @@ the seed behavior of every hot path the fast path optimized:
 
 * the event engine — :class:`~repro.sim._reference.ReferenceSimulator`
   (object handles on the heap, ``step()`` per event, one heap push per
-  periodic tick) is swapped in for every newly built
-  :class:`~repro.core.byterobust.ByteRobustSystem` and
-  :class:`~repro.core.platform.TrainingPlatform`;
+  periodic tick) is swapped in at the one place a simulator is
+  built, :class:`~repro.core.platform.TrainingPlatform` — which every
+  :class:`~repro.core.byterobust.ByteRobustSystem` runs on;
 * the inspection sweeps — the seed per-component scans below (no O(1)
   health rollup, ``cluster.machine()`` lookups per machine) replace the
   fast-path sweeps;
@@ -33,7 +33,6 @@ from typing import Dict, Iterator
 
 import numpy as np
 
-import repro.core.byterobust as _core
 import repro.core.platform as _platform
 from repro.monitor.inspections import InspectionEngine, SignalConfidence
 from repro.sim._reference import ReferenceSimulator
@@ -158,7 +157,6 @@ def seed_baseline() -> Iterator[None]:
     not an execution mode.
     """
     saved = (
-        _core.Simulator,
         _platform.Simulator,
         InspectionEngine._sweep_network,
         InspectionEngine._sweep_gpu,
@@ -167,7 +165,6 @@ def seed_baseline() -> Iterator[None]:
         LossCurve.grad_norm,
         TrainingJob.machines,
     )
-    _core.Simulator = ReferenceSimulator
     _platform.Simulator = ReferenceSimulator
     InspectionEngine._sweep_network = _seed_sweep_network
     InspectionEngine._sweep_gpu = _seed_sweep_gpu
@@ -178,8 +175,7 @@ def seed_baseline() -> Iterator[None]:
     try:
         yield
     finally:
-        (_core.Simulator,
-         _platform.Simulator,
+        (_platform.Simulator,
          InspectionEngine._sweep_network,
          InspectionEngine._sweep_gpu,
          InspectionEngine._sweep_host,

@@ -23,8 +23,8 @@ its members as a batch, in registration order — O(1) heap traffic per
 cadence instead of O(tasks).  :meth:`Simulator.every` remains the
 general path for jittered or irregular repetition.
 
-The run loop is inlined (no per-event :meth:`step` call, no redundant
-cancelled-entry scan).  Semantics track the seed implementation kept in
+The run loop pops and runs events inline: there is no per-event step
+method and no redundant cancelled-entry scan.  Semantics track the seed implementation kept in
 :mod:`repro.sim._reference`: ``tests/test_sim_equivalence.py`` pins
 identical callback order on tie-heavy synthetic workloads and
 byte-identical reports on the production scenarios.  One theoretical
@@ -88,9 +88,6 @@ class EventHandle:
             entry[3] = None
             self.cancelled = True
             self._sim._pending -= 1
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return self._entry[:3] < other._entry[:3]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -167,21 +164,6 @@ class Simulator:
         while queue and queue[0][3] is None:
             heappop(queue)
 
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False if none remain."""
-        self._drop_cancelled()
-        if not self._queue:
-            return False
-        entry = heappop(self._queue)
-        callback = entry[3]
-        entry[3] = None
-        self._pending -= 1
-        if entry[0] < self._now:  # pragma: no cover - invariant guard
-            raise SimulationError("event queue went backwards in time")
-        self._now = entry[0]
-        callback()
-        return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Run events until the queue empties or ``until`` is reached.
@@ -199,7 +181,7 @@ class Simulator:
                 f"cannot run until {until}: already at {self._now}")
         self._running = True
         executed = 0
-        # Inlined loop: one heap pop per event, no per-event step()
+        # Inlined loop: one heap pop per event, no per-event call
         # frame, one liveness check folded into the callback load.
         queue = self._queue
         try:

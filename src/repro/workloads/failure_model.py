@@ -37,8 +37,3 @@ def daily_machine_failure_prob(gpus_per_machine: int = 8,
     per_gpu_rate = 1.0 / mtbf_seconds(1, anchor_gpus, anchor_mtbf_s)
     machine_rate = per_gpu_rate * gpus_per_machine
     return 1.0 - math.exp(-machine_rate * 24 * 3600.0)
-
-
-def expected_failures(num_gpus: int, duration_s: float) -> float:
-    """Expected failure count for a job of this scale and length."""
-    return duration_s / mtbf_seconds(num_gpus)

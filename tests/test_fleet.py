@@ -7,7 +7,8 @@ Three layers under test:
   asynchronous capacity pickup;
 * the dynamic :class:`~repro.core.platform.TrainingPlatform` —
   ``submit()`` at any sim time, planned completions returning
-  machines, standby-shortfall accounting, shared-stack construction;
+  machines, standby-shortfall accounting, and the single-job facade
+  as a one-job platform;
 * the registered ``fleet-*`` scenarios — property-tested (hypothesis)
   to produce JSON-round-trip-stable payloads that are byte-identical
   at any sweep worker count, the PR 3 cache-equality invariant.
@@ -321,17 +322,40 @@ class TestDynamicPlatform:
         assert standby["provisioned"] == 0
         assert standby["shortfall"] == standby["target"]
 
-    def test_both_entry_points_share_stack_builder(self):
-        from repro.controller.stack import ManagementStack
+    def test_facade_is_a_one_job_platform(self):
         from repro.core.byterobust import ByteRobustSystem, SystemConfig
 
-        platform = TrainingPlatform(total_machines=8)
-        managed = platform.submit(JobSpec("a", fleet_job_config(4)))
-        assert isinstance(managed.stack, ManagementStack)
-        system = ByteRobustSystem(SystemConfig(job=fleet_job_config(4)))
-        assert isinstance(system.stack, ManagementStack)
-        assert system.controller is system.stack.controller
-        assert managed.controller is managed.stack.controller
+        config = SystemConfig(job=fleet_job_config(4))
+        system = ByteRobustSystem(config)
+        [handle] = system.platform.jobs.values()
+        assert handle.stack is system.stack
+        assert system.controller is handle.controller
+        system.start()
+        name = config.job.model.name
+        assert handle.state is HandleState.RUNNING
+        assert system.pool.owners == {mid: name
+                                      for mid in system.job.machines}
+        assert (system.pool.standby_count
+                + len(system.pool.provisioning)
+                == config.standby.standby_count(system.job.num_machines))
+        with pytest.raises(RuntimeError):
+            system.start()
+
+    def test_bitwise_alignment_follows_use_real_minigpt(self):
+        from repro.core.byterobust import ByteRobustSystem, SystemConfig
+        from repro.diagnosis.minigpt import MiniGptAlignmentTest
+        from repro.diagnosis.suites import BitwiseAlignmentTest
+
+        def bitwise(config=None):
+            platform = TrainingPlatform(total_machines=4, config=config)
+            handle = platform.submit(JobSpec("a", fleet_job_config(2)))
+            return handle.stack.diagnoser.bitwise
+
+        system = ByteRobustSystem(SystemConfig(job=fleet_job_config(2)))
+        assert isinstance(system.diagnoser.bitwise, MiniGptAlignmentTest)
+        assert isinstance(bitwise(), BitwiseAlignmentTest)
+        assert isinstance(bitwise(PlatformConfig(use_real_minigpt=True)),
+                          MiniGptAlignmentTest)
 
     def test_submitted_jobs_may_overcommit_and_queue(self):
         platform = TrainingPlatform(total_machines=6)

@@ -106,7 +106,11 @@ def test_scenario_reports_byte_identical(scenario):
     params = {"duration_s": 4 * 3600.0}
     fast = get_scenario(scenario).build(**params).run()
     with seed_baseline():
-        seed = get_scenario(scenario).build(**params).run()
+        built = get_scenario(scenario).build(**params)
+        # a patch that misses the construction site would compare the
+        # fast path with itself and pass vacuously
+        assert isinstance(built.system.sim, ReferenceSimulator)
+        seed = built.run()
     assert (json.dumps(fast.to_dict(), sort_keys=True)
             == json.dumps(seed.to_dict(), sort_keys=True))
 
