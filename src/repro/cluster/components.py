@@ -15,7 +15,7 @@ onto it, created on access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -224,9 +224,12 @@ class ComponentStore:
 
     Every write goes through a view (or :meth:`reset_row` /
     :meth:`set_switch`), which re-derives the written machine's rollup
-    mask from its columns and bumps :attr:`version`.  Equal versions at
-    two instants therefore prove nothing changed in between, and the
-    masks can be read at any time without a sync.
+    mask from its columns, bumps :attr:`version` and stamps the new
+    value on the written row (:attr:`row_version`) or switch
+    (:attr:`switch_version`).  Equal versions at two instants prove
+    nothing changed in between, and a stamp no newer than an earlier
+    version proves its row or switch did not.  The masks can be read
+    at any time without a sync.
     """
 
     def __init__(self, machines: int, spec: MachineSpec,
@@ -246,12 +249,11 @@ class ComponentStore:
                                if machine_switch is None else machine_switch)
         self.switch_up = np.ones(
             int(self.machine_switch.max(initial=-1)) + 1, dtype=bool)
-        #: change counter: bumps on every write
+        #: change counter: bumps on every write, and the counter value
+        #: of the last write to each machine row and each switch
         self.version = 0
-        #: (ids copy, intp array) of the last query — sweeps ask about
-        #: the same machine set tick after tick, so the conversion is
-        #: almost always a list compare instead of an O(n) fromiter
-        self._ids_cache: "Tuple[List[int], np.ndarray] | None" = None
+        self.row_version = np.zeros(machines, dtype=np.int64)
+        self.switch_version = np.zeros(len(self.switch_up), dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _changed(self, kind, cols: Dict[str, np.ndarray], row: int) -> None:
@@ -260,6 +262,7 @@ class ComponentStore:
         predicates, which the equivalence tests use as the oracle)."""
         getattr(self, kind.MASK)[row] = kind.row_ok(cols, row)
         self.version += 1
+        self.row_version[row] = self.version
 
     def reset_row(self, row: int) -> None:
         """Restore one machine's components to nominal (a row fill)."""
@@ -272,38 +275,20 @@ class ComponentStore:
             self.xid_events.pop((row, index), None)
         self.dmesg_xids.pop(row, None)
         self.version += 1
+        self.row_version[row] = self.version
 
     def set_switch(self, switch_id: int, up: bool) -> None:
         self.switch_up[switch_id] = up
         self.version += 1
+        self.switch_version[switch_id] = self.version
 
     # ------------------------------------------------------------------
-    def _ids_array(self, ids: Sequence[int]) -> np.ndarray:
-        """``ids`` as an intp array, cached by content (keyed on a
-        *copy*: the caller may mutate its list in place)."""
-        cached = self._ids_cache
-        if cached is not None and cached[0] == ids:
-            return cached[1]
-        arr = np.fromiter(ids, dtype=np.intp, count=len(ids))
-        self._ids_cache = (list(ids), arr)
-        return arr
-
-    def unhealthy(self, ids: Sequence[int], subsystem: str) -> List[int]:
-        """Ids (in input order) whose ``subsystem`` rollup — a
-        :class:`ComponentHealth` field name — is unhealthy."""
-        arr = self._ids_array(ids)
+    def unhealthy(self, ids: np.ndarray, subsystem: str) -> List[int]:
+        """Ids of the intp array ``ids`` (in its order) whose
+        ``subsystem`` rollup — a :class:`ComponentHealth` field name —
+        is unhealthy."""
         mask: np.ndarray = getattr(self, subsystem)
-        return arr[~mask[arr]].tolist()
-
-    def switches_first_seen(self, ids: Sequence[int]
-                            ) -> List[Tuple[int, bool]]:
-        """``(switch_id, up)`` for the switches the machines hang off,
-        in order of first appearance over ``ids``."""
-        arr = self._ids_array(ids)
-        sw = self.machine_switch[arr]
-        uniq, first = np.unique(sw, return_index=True)
-        sw_ids = uniq[np.argsort(first, kind="stable")]
-        return list(zip(sw_ids.tolist(), self.switch_up[sw_ids].tolist()))
+        return ids[~mask[ids]].tolist()
 
 
 class Machine:

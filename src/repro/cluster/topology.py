@@ -76,15 +76,6 @@ class Cluster:
                    self.store)
             for sw_id in range(-(-n // per))]
 
-    def health_version(self) -> int:
-        """Cluster-wide change counter: bumps on *any* component write.
-
-        Equal values across two instants prove no machine or switch
-        state changed in between, which lets periodic sweeps skip
-        re-scanning a provably-unchanged fleet.
-        """
-        return self.store.version
-
     # ------------------------------------------------------------------
     def machine(self, machine_id: int) -> Machine:
         if not 0 <= machine_id < len(self.machines):

@@ -47,7 +47,8 @@ class SystemConfig:
     standby: StandbyPolicy = field(default_factory=StandbyPolicy)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     policy: RecoveryPolicy = field(default_factory=RecoveryPolicy)
-    #: Enable the ByteRobust checkpoint engine.
+    #: Enable the ByteRobust checkpoint engine (jobs on two or more
+    #: machines only: the cross-group backup needs a peer machine).
     checkpointing: bool = True
     remote_checkpoint_every_steps: int = 100
     #: Run the real MiniGPT reference workload for bit-wise alignment

@@ -274,9 +274,9 @@ class PlatformConfig:
     standby_resize_s: float = 900.0
     #: resize deadband in machines (suppresses provisioning churn)
     standby_hysteresis: int = 1
-    #: build the checkpoint engine into every job's stack (the
-    #: carried-over ROADMAP item: threads ``StackConfig.checkpointing``
-    #: through :func:`build_management_stack`)
+    #: build the checkpoint engine into the stack of every job on two
+    #: or more machines; a one-machine job runs without it, since the
+    #: cross-group backup needs a peer machine
     checkpoint: bool = False
     #: remote-persist cadence for checkpointing jobs
     remote_checkpoint_every_steps: int = 100

@@ -25,6 +25,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cluster.topology import Cluster
 from repro.sim import Simulator
 
@@ -71,15 +73,20 @@ class InspectionConfig:
 
 
 class InspectionEngine:
-    """Runs the three inspection loops over a set of machines."""
+    """Runs the three inspection loops over a set of machines.
+
+    ``machine_ids`` returns the machines worth inspecting (the job's
+    active machines; the set changes across recoveries).  The sweeps
+    read a view of that set — its intp id array and its leaf switches
+    in first-seen order — rebuilt only when the returned contents
+    differ from a private copy (so a caller may mutate its list).
+    """
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  machine_ids: Callable[[], List[int]],
                  config: Optional[InspectionConfig] = None):
         self.sim = sim
         self.cluster = cluster
-        #: callable returning the machines currently worth inspecting
-        #: (the job's active machines; it changes across recoveries)
         self._machine_ids = machine_ids
         self.config = config or InspectionConfig()
         self.events: List[InspectionEvent] = []
@@ -88,35 +95,66 @@ class InspectionEngine:
         self._last_emit: Dict[Tuple[str, Tuple[int, ...]], float] = {}
         self._tasks: list = []
         self._started = False
-        #: category -> (cluster version, inspected ids) of the last
-        #: *clean* sweep; see the fast-path note above the sweeps.
-        self._clean_state: Dict[str, Tuple[int, List[int]]] = {}
         #: the cluster's columnar component store: sweeps pull their
         #: unhealthy candidates from its rollup masks
         self._store = cluster.store
+        #: the view: a copy of the ids it was built from, their array,
+        #: and their switch ids in first-seen order
+        self._ids: Optional[List[int]] = None
+        self._arr = self._switches = np.empty(0, dtype=np.intp)
+        #: category -> store version of its last clean sweep of the view
+        self._clean_at: Dict[str, int] = {}
+        #: (store version, newest row stamp, newest switch stamp) of
+        #: the view, computed at most once per store version
+        self._stamps = (-1, 0, 0)
 
-    def _skip_unchanged(self, category: str, ids: List[int]
-                        ) -> Optional[int]:
-        """Cluster version if this sweep must run, None to skip it.
+    def _refresh_view(self) -> None:
+        ids = self._machine_ids()
+        if ids != self._ids:
+            self._ids = list(ids)
+            arr = self._arr = np.fromiter(ids, dtype=np.intp,
+                                          count=len(ids))
+            uniq, first = np.unique(self._store.machine_switch[arr],
+                                    return_index=True)
+            self._switches = uniq[np.argsort(first, kind="stable")]
+            self._clean_at.clear()
+            self._stamps = (-1, 0, 0)
 
-        A sweep may be skipped only when the previous sweep over the
-        *same machines* found every inspected component healthy and the
-        cluster-wide change counter proves nothing was written since:
-        a clean sweep is a pure read, so re-running it cannot emit,
-        strike, or dedup anything.
+    def _skip_unchanged(self, category: str) -> bool:
+        """True when this sweep may be skipped.
+
+        That holds when the category's last sweep of the view found
+        every inspected component healthy, and no stamp on the view's
+        rows (or, for the network sweep, its switches) is newer than
+        that sweep: a clean sweep is a pure read, so re-running it
+        cannot emit, strike, or dedup anything.  With the store counter
+        unchanged this is one integer compare; otherwise it reads the
+        view's newest stamps (one max over its rows and one over its
+        switches, shared by the three categories until the next write)
+        and advances the clean stamp when it passes.
         """
-        ver = self.cluster.health_version()
-        state = self._clean_state.get(category)
-        if state is not None and state[0] == ver and state[1] == ids:
-            return None
-        return ver
+        clean_at = self._clean_at.get(category)
+        if clean_at is None:
+            return False
+        store = self._store
+        version = store.version
+        if version != clean_at:
+            stamps = self._stamps
+            if stamps[0] != version:
+                stamps = self._stamps = (
+                    version, store.row_version[self._arr].max(initial=0),
+                    store.switch_version[self._switches].max(initial=0))
+            if stamps[1] > clean_at or (category == "network"
+                                        and stamps[2] > clean_at):
+                return False
+            self._clean_at[category] = version
+        return True
 
-    def _mark_clean(self, category: str, ver: int, ids: List[int],
-                    clean: bool) -> None:
+    def _mark_clean(self, category: str, clean: bool) -> None:
         if clean:
-            self._clean_state[category] = (ver, list(ids))
+            self._clean_at[category] = self._store.version
         else:
-            self._clean_state.pop(category, None)
+            self._clean_at.pop(category, None)
 
     def add_listener(self, fn: Callable[[InspectionEvent], None]) -> None:
         self._listeners.append(fn)
@@ -182,12 +220,11 @@ class InspectionEngine:
     # event content, deduplication, and ordering are byte-identical to
     # the seed sweeps.
     def _sweep_network(self) -> None:
-        ids = self._machine_ids()
-        ver = self._skip_unchanged("network", ids)
-        if ver is None:
+        self._refresh_view()
+        if self._skip_unchanged("network"):
             return
         machines = self.cluster.machines
-        unhealthy = self._store.unhealthy(ids, "nics_ok")
+        unhealthy = self._store.unhealthy(self._arr, "nics_ok")
         clean = not unhealthy
         for mid in unhealthy:
             machine = machines[mid]
@@ -198,10 +235,12 @@ class InspectionEngine:
                    >= nic.FLAP_LOSS_THRESHOLD for nic in machine.nics):
                 self._emit("port_flapping", "network",
                            SignalConfidence.NETWORK, [mid])
-        switches_seen = self._store.switches_first_seen(ids)
+        switches_seen = list(zip(
+            self._switches.tolist(),
+            self._store.switch_up[self._switches].tolist()))
         if any(not up for _, up in switches_seen):
             clean = False
-        self._mark_clean("network", ver, ids, clean)
+        self._mark_clean("network", clean)
         for sw_id, up in switches_seen:
             if up:
                 self._switch_strikes.pop(sw_id, None)
@@ -219,12 +258,11 @@ class InspectionEngine:
                            switch_id=sw_id)
 
     def _sweep_gpu(self) -> None:
-        ids = self._machine_ids()
-        ver = self._skip_unchanged("gpu", ids)
-        if ver is None:
+        self._refresh_view()
+        if self._skip_unchanged("gpu"):
             return
         machines = self.cluster.machines
-        unhealthy = self._store.unhealthy(ids, "gpus_ok")
+        unhealthy = self._store.unhealthy(self._arr, "gpus_ok")
         clean = not unhealthy
         for mid in unhealthy:
             machine = machines[mid]
@@ -247,15 +285,14 @@ class InspectionEngine:
                 elif gpu.pcie_bandwidth_frac < 0.8:
                     self._emit("pcie_degraded", "gpu",
                                SignalConfidence.WARN, [mid])
-        self._mark_clean("gpu", ver, ids, clean)
+        self._mark_clean("gpu", clean)
 
     def _sweep_host(self) -> None:
-        ids = self._machine_ids()
-        ver = self._skip_unchanged("host", ids)
-        if ver is None:
+        self._refresh_view()
+        if self._skip_unchanged("host"):
             return
         machines = self.cluster.machines
-        unhealthy = self._store.unhealthy(ids, "host_ok")
+        unhealthy = self._store.unhealthy(self._arr, "host_ok")
         clean = not unhealthy
         for mid in unhealthy:
             host = machines[mid].host
@@ -279,4 +316,4 @@ class InspectionEngine:
             elif host.cpu_load_frac >= host.CPU_OVERLOAD_FRAC:
                 self._emit("cpu_overload", "host", SignalConfidence.WARN,
                            [mid])
-        self._mark_clean("host", ver, ids, clean)
+        self._mark_clean("host", clean)

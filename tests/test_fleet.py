@@ -341,6 +341,23 @@ class TestDynamicPlatform:
         with pytest.raises(RuntimeError):
             system.start()
 
+    def test_checkpoint_engine_needs_a_peer_machine(self):
+        """``checkpoint=True`` builds the engine only for jobs on two
+        or more machines: the cross-group backup needs a peer."""
+        from repro.checkpoint import CheckpointManager
+        from repro.core.byterobust import ByteRobustSystem, SystemConfig
+
+        platform = TrainingPlatform(
+            total_machines=4, config=PlatformConfig(checkpoint=True))
+        one = platform.submit(JobSpec("one", fleet_job_config(1)))
+        two = platform.submit(JobSpec("two", fleet_job_config(2)))
+        assert one.stack.ckpt_manager is None
+        assert isinstance(two.stack.ckpt_manager, CheckpointManager)
+        for machines, expected in ((1, type(None)), (2, CheckpointManager)):
+            system = ByteRobustSystem(SystemConfig(
+                job=fleet_job_config(machines), checkpointing=True))
+            assert isinstance(system.stack.ckpt_manager, expected)
+
     def test_bitwise_alignment_follows_use_real_minigpt(self):
         from repro.core.byterobust import ByteRobustSystem, SystemConfig
         from repro.diagnosis.minigpt import MiniGptAlignmentTest

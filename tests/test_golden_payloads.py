@@ -7,7 +7,8 @@ shows up as a digest mismatch rather than needing a kept-alive copy of
 the old code.  ``GOLDEN`` holds the big cells at hand-picked windows:
 single-job runs (``dense``, ``degraded-network``), the ~10k-GPU
 ``dense-xl``, a day of the 100k-GPU ``fleet-quarter`` (vectorized
-substrate) and the multi-tenant ``fleet-preemption``.  ``CATALOG``
+substrate) and the multi-tenant ``fleet-preemption``; ``FULL_WIDTH``
+adds two days of ``fleet-quarter`` at three seeds.  ``CATALOG``
 covers every other registered scenario at its defaults, with
 ``duration_s`` (where the scenario has one) capped at six hours.
 
@@ -33,6 +34,14 @@ GOLDEN = [
      "71b47b388e33b35bf44e06dc506c4d2f4371451a028d9c780d0e744e169cae53"),
     ("fleet-preemption", {},
      "7824fc166b4447e0e1df6df40949cf54423e6a2f2dfbdaacc7487910087526f4"),
+]
+
+#: ``fleet-quarter`` at full width over two days, the window in which
+#: one job's health writes meet other jobs' inspection sweeps
+FULL_WIDTH = [
+    (0, "e52e03eb2c6cfbf7083f17a711e88c0abb0d2a8b5aa5573ac693dd8a41e18f61"),
+    (1, "34611f7e36b3bc8be1f845e1fb39a926480cd579b56b4ab4866cd2288108fe12"),
+    (2, "cc3b45dee28b4b2a82fa8dbc2d1c38e8d2b9ff380a3031e112cb9551272d7a6d"),
 ]
 
 #: Every other registered scenario: defaults, with ``duration_s`` capped at
@@ -105,13 +114,25 @@ CATALOG = [
 ]
 
 
-@pytest.mark.parametrize("scenario,params,digest", GOLDEN + CATALOG,
-                         ids=[case[0] for case in GOLDEN + CATALOG])
-def test_golden_payload_digest(scenario, params, digest):
+def _digest(scenario, params):
     result = SweepRunner(workers=1, cache=None).run(
         SweepSpec(scenario, params=params))
     blob = json.dumps(result.to_dict(), sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario,params,digest", GOLDEN + CATALOG,
+                         ids=[case[0] for case in GOLDEN + CATALOG])
+def test_golden_payload_digest(scenario, params, digest):
+    assert _digest(scenario, params) == digest
+
+
+@pytest.mark.parametrize("seed,digest", FULL_WIDTH,
+                         ids=[str(case[0]) for case in FULL_WIDTH])
+def test_fleet_quarter_full_width_digest(seed, digest):
+    params = {"duration_s": 172800.0, "checkpoint_interval_s": 0.0,
+              "seed": seed}
+    assert _digest("fleet-quarter", params) == digest
 
 
 def test_every_registered_scenario_is_pinned():

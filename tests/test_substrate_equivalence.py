@@ -12,13 +12,15 @@ scalar references:
   the deleted per-machine loops;
 * the store's rollup masks are checked against the per-view scalar
   predicates after arbitrary write sequences;
-* scripted sweep runs assert the live emission stream (content, order,
-  dedup, switch strikes) equals the seed per-component sweeps kept in
-  :mod:`repro.perf.baseline`.
+* scripted sweep runs of three engines on one cluster assert each
+  live emission stream (content, order, dedup, switch strikes) equals
+  the seed per-component sweeps kept in :mod:`repro.perf.baseline`,
+  which never skip.
 """
 
 import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from repro.cluster.placement import PackPolicy, machines_by_switch
 from repro.monitor.inspections import InspectionEngine
 from repro.perf import seed_baseline
 from repro.sim import Simulator
+from repro.training import TrainingJob
+from repro.workloads.fleet import fleet_job_config
 
 
 def test_component_health_named_fields():
@@ -195,7 +199,8 @@ def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
                                   machines_per_switch=per_switch))
     held_gpu = cluster.machines[0].gpus[3]
     held_host = cluster.machines[0].host
-    version = cluster.health_version()
+    store = cluster.store
+    version = store.version
     for op in ops:
         if op[0] == "write":
             _, midx, index, (kind, name, value) = op
@@ -207,8 +212,14 @@ def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
             cluster.machines[op[1] % machines].reset_health()
         else:
             cluster.switches[op[1] % len(cluster.switches)].up = op[2]
-        assert cluster.health_version() > version
-        version = cluster.health_version()
+        assert store.version > version
+        version = store.version
+        # every write stamps the new counter value on what it wrote
+        if op[0] == "switch":
+            stamped = store.switch_version[op[1] % len(cluster.switches)]
+        else:
+            stamped = store.row_version[op[1] % machines]
+        assert stamped == version
         _assert_store_matches_views(cluster)
 
     cluster.machines[0].reset_health()
@@ -216,17 +227,19 @@ def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
     assert held_host.healthy() and held_host.dmesg_xids == []
     _assert_store_matches_views(cluster)
 
-    # mask queries agree with the views for full, shuffled and subset
-    # id lists
+    # an inspection engine's view of full, shuffled and subset id
+    # lists agrees with the views: mask queries over its id array, and
+    # its switches in first-seen order
     rng = np.random.default_rng(seed)
     full = list(range(machines))
     shuffled = rng.permutation(machines).tolist()
     subset = sorted(rng.choice(machines, size=max(1, machines // 2),
                                replace=False).tolist())
-    store = cluster.store
     for ids in (full, shuffled, subset):
+        engine = InspectionEngine(Simulator(), cluster, lambda ids=ids: ids)
+        engine._refresh_view()
         for subsystem in ("host_ok", "gpus_ok", "nics_ok"):
-            assert store.unhealthy(ids, subsystem) == [
+            assert store.unhealthy(engine._arr, subsystem) == [
                 mid for mid in ids
                 if not getattr(cluster.machines[mid].component_health(),
                                subsystem)]
@@ -234,7 +247,9 @@ def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
         for mid in ids:
             sw = cluster.switch_of(mid)
             seen.setdefault(sw.id, sw.up)
-        assert store.switches_first_seen(ids) == list(seen.items())
+        assert engine._switches.tolist() == list(seen)
+        assert store.switch_up[engine._switches].tolist() == list(
+            seen.values())
 
 
 def test_store_masks_track_every_field_write():
@@ -254,18 +269,65 @@ def test_store_masks_track_every_field_write():
         _assert_store_matches_views(cluster)
 
 
-def test_ids_array_cache_guards_in_place_mutation():
-    """Mutating the caller's id list in place must not serve a stale
-    cached array (the cache keys on a copy, not the caller's object)."""
+def test_inspection_view_follows_machine_set_changes():
+    """The engine's view follows the callable's contents — a list
+    mutated in place included — and keeps its clean stamps while the
+    contents stay equal, even across a new list object."""
     cluster = Cluster(ClusterSpec(num_machines=8, machines_per_switch=4))
     store = cluster.store
     cluster.machines[7].gpus[0].temperature_c = 95.0
     ids = list(range(8))
-    assert store.unhealthy(ids, "gpus_ok") == [7]
+    engine = InspectionEngine(Simulator(), cluster, lambda: ids)
+    engine._refresh_view()
+    assert store.unhealthy(engine._arr, "gpus_ok") == [7]
     ids.pop()                       # same list object, new contents
-    assert store.unhealthy(ids, "gpus_ok") == []
+    engine._refresh_view()
+    assert store.unhealthy(engine._arr, "gpus_ok") == []
+    assert engine._switches.tolist() == [0, 1]
+    engine._sweep_gpu()
+    assert engine._skip_unchanged("gpu")
+    assert not engine._skip_unchanged("host")
+    arr = engine._arr
+    ids = list(ids)                 # new object, equal contents
+    engine._refresh_view()
+    assert engine._arr is arr and engine._skip_unchanged("gpu")
     ids.append(7)
-    assert store.unhealthy(ids, "gpus_ok") == [7]
+    engine._refresh_view()
+    assert store.unhealthy(engine._arr, "gpus_ok") == [7]
+    assert not engine._skip_unchanged("gpu")
+
+    job = TrainingJob(Simulator(), fleet_job_config(2))
+    job.bind_machines([7, 0])
+    engine = InspectionEngine(Simulator(), cluster, lambda: job.machines)
+    engine._refresh_view()
+    assert engine._arr.tolist() == [7, 0]
+    assert engine._switches.tolist() == [1, 0]
+    job.replace_machines({7: 6})
+    engine._refresh_view()
+    assert store.unhealthy(engine._arr, "gpus_ok") == []
+
+
+def test_job_machines_is_a_new_list_after_every_binding_change():
+    """``job.machines`` is one shared list per binding (callers must
+    not mutate it), so a binding change hands out a new list and leaves
+    the lists earlier callers hold as they were."""
+    config = fleet_job_config(2)
+    job = TrainingJob(Simulator(), config)
+    seen = []
+    for change in (lambda: job.bind_machines([0, 1]),
+                   lambda: job.bind_machines([0, 1]),
+                   lambda: job.replace_machines({1: 5}),
+                   lambda: job.rebind_parallelism(config.parallelism,
+                                                  [0, 5]),
+                   lambda: job.rebind_parallelism(
+                       replace(config.parallelism, dp=3), [4, 5, 6])):
+        change()
+        machines = job.machines
+        assert job.machines is machines
+        assert all(machines is not old for old in seen)
+        seen.append(machines)
+    assert [list(m) for m in seen] == [[0, 1], [0, 1], [0, 5], [0, 5],
+                                       [4, 5, 6]]
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +375,33 @@ def test_pack_placement_matches_scalar_selection(machines, per_switch,
 # inspection sweeps: emission streams
 # ---------------------------------------------------------------------------
 
+#: the scripted engines' machine sets on the 96-machine, 8-per-switch
+#: cluster: disjoint, and the first two share leaf switch 4
+_ENGINE_SETS = (list(range(0, 36)), list(range(36, 64)),
+                list(range(64, 96)))
+
+
 def _scripted_sweep_events(seed: int, seed_sweeps: bool) -> list:
-    """Run scripted fault flips under an InspectionEngine — the live
-    mask-driven sweeps, or the seed per-component scans of
-    :mod:`repro.perf.baseline` when ``seed_sweeps``."""
+    """Run scripted fault flips under three InspectionEngines on one
+    cluster — the live mask-driven sweeps, or the seed per-component
+    scans of :mod:`repro.perf.baseline` (which never skip) when
+    ``seed_sweeps`` — and return each engine's emission stream."""
     patch = seed_baseline() if seed_sweeps else contextlib.nullcontext()
     with patch:
         cluster = Cluster(ClusterSpec(num_machines=96,
                                       machines_per_switch=8))
         sim = Simulator()
-        ids = list(range(96))
-        engine = InspectionEngine(sim, cluster, lambda: ids)
-        engine.start()
+        sets = [list(ids) for ids in _ENGINE_SETS]
+        engines = [InspectionEngine(sim, cluster, lambda i=i: sets[i])
+                   for i in range(len(sets))]
+        for engine in engines:
+            engine.start()
     rng = np.random.default_rng(seed)
     # scripted flips: machine component faults, heals, and switch
     # outages spread over 20 simulated minutes — enough sweeps for
     # dedup windows, re-emits, and two-strike switch alerts to all
     # engage
-    for _ in range(40):
+    for _ in range(60):
         at = float(rng.uniform(0.0, 1200.0))
         midx = int(rng.integers(0, 96))
         op = _WRITE_OPS[int(rng.integers(0, len(_WRITE_OPS)))]
@@ -342,16 +413,26 @@ def _scripted_sweep_events(seed: int, seed_sweeps: bool) -> list:
         up = bool(rng.random() < 0.4)
         sim.schedule_at(at, lambda sidx=sidx, up=up:
                         setattr(cluster.switches[sidx], "up", up))
+    # an outage of the shared switch, long enough for two strikes
+    at = float(rng.uniform(0.0, 1000.0))
+    sim.schedule_at(at, lambda: setattr(cluster.switches[4], "up", False))
+    sim.schedule_at(at + 100.0,
+                    lambda: setattr(cluster.switches[4], "up", True))
+    # machine-set changes the way a job rebinds: a new list object,
+    # once with equal contents and once without four machines
+    sim.schedule_at(300.0, lambda: sets.__setitem__(1, list(sets[1])))
+    sim.schedule_at(600.0, lambda: sets.__setitem__(2, sets[2][:-4]))
     sim.run(until=1500.0)
-    engine.stop()
-    return [(e.time, e.item, e.category, e.confidence,
-             tuple(e.machine_ids), e.switch_id)
-            for e in engine.events]
+    for engine in engines:
+        engine.stop()
+    return [[(e.time, e.item, e.category, e.confidence,
+              tuple(e.machine_ids), e.switch_id)
+             for e in engine.events] for engine in engines]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23])
 def test_sweep_emissions_match_seed_sweeps(seed):
     live = _scripted_sweep_events(seed, seed_sweeps=False)
     reference = _scripted_sweep_events(seed, seed_sweeps=True)
-    assert reference, "script produced no emissions — test is vacuous"
+    assert all(reference), "an engine saw no emissions — test is vacuous"
     assert live == reference
