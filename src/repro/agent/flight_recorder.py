@@ -42,30 +42,38 @@ class CollectiveRecord:
 
 
 class FlightRecorder:
-    """Per-rank ring buffers of recent collectives."""
+    """Per-rank ring buffers of recent collectives.
+
+    A rank's buffer and sequence counter are created on its first
+    :meth:`record`: most jobs never capture a trace, so a recorder that
+    was never written holds nothing per rank.
+    """
 
     def __init__(self, topology: RankTopology, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.topology = topology
         self.capacity = capacity
-        self._buffers: Dict[int, Deque[CollectiveRecord]] = {
-            r: deque(maxlen=capacity) for r in topology.iter_ranks()}
-        self._seq: Dict[int, int] = {r: 0 for r in topology.iter_ranks()}
+        self._buffers: Dict[int, Deque[CollectiveRecord]] = {}
+        #: rank -> sequence number of its next collective
+        self._seq: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def record(self, rank: int, op: CollectiveOp, group_dim: str,
                time: float, completed: bool = True) -> CollectiveRecord:
         """Record a collective launch on ``rank``."""
-        if rank not in self._buffers:
-            raise ValueError(f"unknown rank {rank}")
-        seq = self._seq[rank]
-        self._seq[rank] += 1
+        buf = self._buffers.get(rank)
+        if buf is None:
+            if rank not in range(self.topology.world_size):
+                raise ValueError(f"unknown rank {rank}")
+            buf = self._buffers[rank] = deque(maxlen=self.capacity)
+        seq = self._seq.get(rank, 0)
+        self._seq[rank] = seq + 1
         rec = CollectiveRecord(
             seq=seq, op=op, group_dim=group_dim,
             group_index=self.topology.group_index_of(rank, group_dim),
             time=time, completed=completed)
-        self._buffers[rank].append(rec)
+        buf.append(rec)
         return rec
 
     def record_step(self, time: float,
@@ -91,14 +99,14 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------
     def last_record(self, rank: int) -> Optional[CollectiveRecord]:
-        buf = self._buffers[rank]
+        buf = self._buffers.get(rank)
         return buf[-1] if buf else None
 
     def last_seq(self, rank: int) -> int:
-        return self._seq[rank] - 1
+        return self._seq.get(rank, 0) - 1
 
     def dump(self, rank: int) -> List[CollectiveRecord]:
-        return list(self._buffers[rank])
+        return list(self._buffers.get(rank, ()))
 
     # ------------------------------------------------------------------
     # hang analysis

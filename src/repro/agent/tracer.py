@@ -48,7 +48,6 @@ class OnDemandTracer:
         from repro.agent.flight_recorder import FlightRecorder
         self.sim = sim
         self.job = job
-        self.captures: List[TraceCapture] = []
         #: NCCL flight recorder (Sec. 7): collective launch history used
         #: to corroborate stack-based hang isolation
         self.flight_recorder = FlightRecorder(job.topology)
@@ -78,7 +77,6 @@ class OnDemandTracer:
                     rank=proc.rank, machine_id=machine_id,
                     process_name=proc.name, kind=kind,
                     frames=make_trace(proc.rank, machine_id, kind).frames))
-        self.captures.append(capture)
         return capture
 
     # ------------------------------------------------------------------

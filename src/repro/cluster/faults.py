@@ -268,7 +268,6 @@ class FaultInjector:
         self._cluster = cluster
         self._ids = itertools.count()
         self.active_faults: Dict[int, Fault] = {}
-        self.history: List[Fault] = []
         self._listeners: Dict[object, Callable[[str, Fault], None]] = {}
 
     def add_listener(self, fn: Callable[[str, Fault], None]
@@ -287,7 +286,6 @@ class FaultInjector:
         for mid in fault.machine_ids:
             self._cluster.machine(mid).active_fault_ids.append(fault.fault_id)
         self.active_faults[fault.fault_id] = fault
-        self.history.append(fault)
         self._notify("inject", fault)
         if fault.transient:
             self._sim.schedule(fault.auto_recover_after,

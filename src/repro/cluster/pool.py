@@ -130,7 +130,6 @@ class MachinePool:
         #: historical lowest-ids-first choice byte for byte.
         self.placement = placement or AnyFreePolicy()
         self.self_check = self_check or SelfCheckRunner()
-        self.self_check_results: List["SelfCheckResult"] = []
         #: active machine id -> the job that holds it
         self.owners: Dict[int, str] = {}
         self.standby: Set[int] = set()
@@ -234,9 +233,7 @@ class MachinePool:
             return  # was cancelled
         self.provisioning.discard(mid)
         machine = self.cluster.machine(mid)
-        result = self.self_check.run(machine)
-        self.self_check_results.append(result)
-        if result.passed:
+        if self.self_check.run(machine).passed:
             self.standby.add(mid)
             self._standby_since[mid] = self.sim.now
             if self.on_standby_ready is not None:

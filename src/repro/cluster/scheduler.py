@@ -144,7 +144,6 @@ class FleetScheduler:
         self.resize = resize
         self.queue: List[JobRequest] = []
         self.running: Dict[str, JobRequest] = {}
-        self.finished: List[JobRequest] = []
         self._seq = 0
         self._retry_armed = False
         #: machines promised back by in-flight preemptions/shrinks,
@@ -234,7 +233,6 @@ class FleetScheduler:
         self._pending_release.pop(name, None)
         self._resizing.discard(name)
         self.stats["completed"] += 1
-        self.finished.append(request)
         self.dispatch()
 
     # ------------------------------------------------------------------

@@ -77,6 +77,10 @@ _ITEM_SYMPTOM = {
     "cpu_overload": FaultSymptom.CPU_OVERLOAD,
 }
 
+#: An MFU decline is pinned on the machines of WARN inspection events
+#: (thermal, PCIe, CPU overload) seen at most this long before it.
+WARN_CORROBORATION_S = 600.0
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -127,6 +131,8 @@ class RobustController:
         self.last_recovery_at: float = 0.0
         self._handling: Optional[Incident] = None
         self._network_alerts: List[tuple] = []   # (time, machine_ids)
+        #: WARN inspection events of the last WARN_CORROBORATION_S,
+        #: oldest first
         self._warn_events: List[InspectionEvent] = []
         #: times of recent aggregation-based evictions; recurring
         #: implicit failures stop over-evicting and enter the Fig. 5
@@ -182,7 +188,11 @@ class RobustController:
             self.suppressed_events += 1
             return
         if event.confidence is SignalConfidence.WARN:
-            self._warn_events.append(event)
+            warns = self._warn_events
+            cutoff = self.sim.now - WARN_CORROBORATION_S
+            while warns and warns[0].time < cutoff:
+                del warns[0]
+            warns.append(event)
             return
         symptom = _ITEM_SYMPTOM.get(event.item, FaultSymptom.CUDA_ERROR)
         machines = [m for m in event.machine_ids
@@ -433,7 +443,7 @@ class RobustController:
         incident.phase = IncidentPhase.LOCALIZING
         # corroborate with WARN inspections (thermal throttling) first
         recent = [e for e in self._warn_events
-                  if e.time >= self.sim.now - 600.0
+                  if e.time >= self.sim.now - WARN_CORROBORATION_S
                   and any(self.job.uses_machine(m) for m in e.machine_ids)]
         if recent:
             machines = sorted({m for e in recent for m in e.machine_ids

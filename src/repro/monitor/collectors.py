@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from repro.sim import Simulator
-from repro.sim.columnar import ColumnarRing
 from repro.training.job import LogEvent, TrainingJob
 from repro.training.metrics import StepMetrics
 
@@ -27,19 +24,6 @@ class GaugeSample:
     tensorcore_util_frac: float
 
 
-#: Column layouts for the struct-of-arrays histories.  Field order must
-#: match the dataclass constructors — rows are rebuilt positionally.
-_STEP_COLUMNS = (
-    ("step", np.int64), ("time", np.float64), ("duration_s", np.float64),
-    ("loss", np.float64), ("grad_norm", np.float64),
-    ("mfu", np.float64), ("tokens", np.int64),
-)
-_GAUGE_COLUMNS = (
-    ("time", np.float64), ("rdma_traffic_frac", np.float64),
-    ("tensorcore_util_frac", np.float64),
-)
-
-
 @dataclass(frozen=True)
 class CollectorConfig:
     #: Gauge poll cadence (RDMA counters / DCGM utilization).
@@ -47,9 +31,6 @@ class CollectorConfig:
     #: Log tail cadence — bounds explicit-failure detection latency
     #: (the paper reports ~60 s detection via log indicators).
     log_interval_s: float = 30.0
-    #: History retention (samples); the rings drop the oldest
-    #: sample once full, so month-long windows stay bounded.
-    max_samples: int = 100_000
 
 
 class MetricsCollector:
@@ -60,15 +41,6 @@ class MetricsCollector:
         self.sim = sim
         self.job = job
         self.config = config or CollectorConfig()
-        cap = self.config.max_samples
-        # Typed numpy columns instead of one dataclass per row: the
-        # default cap retains ~a month of steps.
-        self.steps = ColumnarRing(
-            cap, [f for f, _ in _STEP_COLUMNS],
-            [d for _, d in _STEP_COLUMNS], StepMetrics)
-        self.gauges = ColumnarRing(
-            cap, [f for f, _ in _GAUGE_COLUMNS],
-            [d for _, d in _GAUGE_COLUMNS], GaugeSample)
         self._log_cursor = 0
         self._step_listeners: List[Callable[[StepMetrics], None]] = []
         self._gauge_listeners: List[Callable[[GaugeSample], None]] = []
@@ -109,10 +81,11 @@ class MetricsCollector:
         """Stop polling and detach from the job.
 
         Detaching the step subscription matters beyond hygiene: a
-        stopped collector that stays subscribed keeps appending every
-        later step to its history — and keeps the collector (and its
-        buffers) alive for as long as the job object lives, a leak per
-        stack teardown at fleet scale.
+        stopped collector that stays subscribed keeps dispatching every
+        later step to its detector — which may raise anomalies for a
+        retired job — and keeps the collector and its listeners alive
+        for as long as the job object lives, a leak per stack teardown
+        at fleet scale.
         """
         for task in self._tasks:
             task.stop()
@@ -128,7 +101,6 @@ class MetricsCollector:
     # call: at fleet scale most collectors poll with no listeners at
     # all, and the per-poll allocation is pure overhead.
     def _on_step(self, metrics: StepMetrics) -> None:
-        self.steps.append(metrics)
         if self._step_listeners:
             for fn in tuple(self._step_listeners):
                 fn(metrics)
@@ -138,7 +110,6 @@ class MetricsCollector:
             time=self.sim.now,
             rdma_traffic_frac=self.job.rdma_traffic_frac(),
             tensorcore_util_frac=self.job.tensorcore_util_frac())
-        self.gauges.append(sample)
         if self._gauge_listeners:
             for fn in tuple(self._gauge_listeners):
                 fn(sample)
@@ -150,10 +121,3 @@ class MetricsCollector:
             if self._log_listeners:
                 for fn in tuple(self._log_listeners):
                     fn(event)
-
-    # ------------------------------------------------------------------
-    def gauge_window(self, window_s: float) -> List[GaugeSample]:
-        # samples are appended in time order, so the window is a suffix:
-        # scan from the newest backwards, O(window) not O(history)
-        cutoff = self.sim.now - window_s
-        return self.gauges.tail_while(lambda g: g.time >= cutoff)

@@ -78,7 +78,6 @@ class AnomalyDetector:
         self.sim = sim
         self.collector = collector
         self.config = config or DetectorConfig()
-        self.anomalies: List[AnomalyEvent] = []
         self._listeners: List[Callable[[AnomalyEvent], None]] = []
         self._loss_history: List[float] = []
         self._zero_rdma_since: Optional[float] = None
@@ -105,7 +104,6 @@ class AnomalyDetector:
         event = AnomalyEvent(time=self.sim.now, kind=kind, detail=detail,
                              machine_ids=machine_ids or [],
                              log_event=log_event)
-        self.anomalies.append(event)
         for fn in list(self._listeners):
             fn(event)
 

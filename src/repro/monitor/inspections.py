@@ -89,7 +89,6 @@ class InspectionEngine:
         self.cluster = cluster
         self._machine_ids = machine_ids
         self.config = config or InspectionConfig()
-        self.events: List[InspectionEvent] = []
         self._listeners: List[Callable[[InspectionEvent], None]] = []
         self._switch_strikes: Dict[int, int] = {}
         self._last_emit: Dict[Tuple[str, Tuple[int, ...]], float] = {}
@@ -207,7 +206,6 @@ class InspectionEngine:
             time=self.sim.now, item=item, category=category,
             confidence=confidence, machine_ids=sorted(machine_ids),
             switch_id=switch_id)
-        self.events.append(event)
         for fn in list(self._listeners):
             fn(event)
 

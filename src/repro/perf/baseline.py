@@ -22,8 +22,9 @@ both modes produce byte-identical reports,
 :func:`_seed_noise` / :func:`_seed_grad_norm`, and
 ``tests/test_substrate_equivalence.py`` checks the live sweeps'
 emission stream against the seed sweeps.  Everything else (hazard
-draws, collector rings, placement, scenario wiring) runs unpatched,
-which keeps the patch surface small and the oracle trustworthy.
+draws, the metrics collector, placement, scenario wiring) runs
+unpatched, which keeps the patch surface small and the oracle
+trustworthy.
 """
 
 from __future__ import annotations

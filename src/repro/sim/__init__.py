@@ -7,8 +7,6 @@ deterministic, callback-driven kernel:
 * :class:`~repro.sim.engine.Simulator` — the event loop and simulated
   clock.  Everything in the reproduction advances time exclusively
   through a ``Simulator`` so runs are reproducible bit-for-bit.
-* :class:`~repro.sim.columnar.ColumnarRing` — bounded struct-of-arrays
-  history for metric streams.
 * :class:`~repro.sim.rng.RngStreams` — named, independently seeded
   random streams so adding randomness to one subsystem never perturbs
   another.
@@ -21,11 +19,9 @@ from repro.sim.engine import (
     TickGroup,
     TickMember,
 )
-from repro.sim.columnar import ColumnarRing
 from repro.sim.rng import RngStreams
 
 __all__ = [
-    "ColumnarRing",
     "EventHandle",
     "PeriodicTask",
     "RngStreams",

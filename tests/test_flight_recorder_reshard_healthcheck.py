@@ -68,7 +68,23 @@ class TestFlightRecorder:
         with pytest.raises(ValueError):
             rec.record(999, CollectiveOp.BARRIER, "tp", 0.0)
         with pytest.raises(ValueError):
+            rec.record(-1, CollectiveOp.BARRIER, "tp", 0.0)
+        with pytest.raises(ValueError):
             FlightRecorder(topo(), capacity=0)
+
+    def test_per_rank_state_is_created_on_first_record(self):
+        """A recorder that was never written holds no per-rank buffer;
+        unrecorded ranks read as empty."""
+        rec = FlightRecorder(topo(tp=8, pp=16, dp=64, gpm=8))
+        assert rec.topology.world_size == 8192
+        assert rec._buffers == {} and rec._seq == {}
+        assert rec.last_record(5) is None
+        assert rec.last_seq(5) == -1
+        assert rec.dump(5) == []
+        rec.record(5, CollectiveOp.BARRIER, "tp", 0.0)
+        assert list(rec._buffers) == [5] and list(rec._seq) == [5]
+        assert rec.last_seq(5) == 0
+        assert rec.last_seq(6) == -1 and rec.dump(6) == []
 
 
 class TestReshardPlan:
@@ -204,7 +220,7 @@ class TestSelfChecks:
         with pytest.raises(ValueError):
             SelfCheckRunner(battery=[])
 
-    def test_pool_records_self_check_results(self):
+    def test_pool_admits_only_self_checked_standbys(self):
         sim = Simulator()
         cluster = Cluster(ClusterSpec(num_machines=4,
                                       machines_per_switch=4))
@@ -212,9 +228,9 @@ class TestSelfChecks:
         ids = pool.provision_standbys(2)
         cluster.machine(ids[0]).gpus[0].available = False
         sim.run(until=400)
-        assert len(pool.self_check_results) == 2
-        outcomes = {r.machine_id: r.passed
-                    for r in pool.self_check_results}
-        assert outcomes[ids[0]] is False
-        assert outcomes[ids[1]] is True
+        # the passing machine is a standby; the failing one went to
+        # repair instead
+        assert ids[1] in pool.standby
+        assert ids[0] not in pool.standby
+        assert ids[0] in pool.repairing
         assert pool.standby_count == 1

@@ -1,4 +1,4 @@
-"""The block-RNG metrics plane: determinism, eviction, columnar rings.
+"""The block-RNG metrics plane: determinism and cache eviction.
 
 The loss/grad-norm model draws noise in 4096-step blocks (one
 generator construction per block instead of per step).  Everything
@@ -10,16 +10,12 @@ after a rollback, Fig. 2) rests on exactly that.
 """
 
 import math
-from types import SimpleNamespace
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cache import CACHE_SCHEMA_VERSION
 from repro.perf.baseline import _seed_grad_norm, _seed_noise
-from repro.sim.columnar import ColumnarRing
 from repro.training.metrics import (
     BLOCK_STEPS,
     METRICS_SCHEMA_VERSION,
@@ -128,113 +124,3 @@ class TestBlockDeterminism:
         reports computed under different draws."""
         assert METRICS_SCHEMA_VERSION == 2
         assert CACHE_SCHEMA_VERSION == 4
-
-
-@pytest.fixture
-def step_ring():
-    from repro.monitor.collectors import _STEP_COLUMNS
-    from repro.training.metrics import StepMetrics
-
-    return ColumnarRing(8, [f for f, _ in _STEP_COLUMNS],
-                        [d for _, d in _STEP_COLUMNS], StepMetrics)
-
-
-def _metrics(step):
-    from repro.training.metrics import StepMetrics
-
-    return StepMetrics(step=step, time=step * 2.0, duration_s=2.0,
-                       loss=10.0 - step * 0.01, grad_norm=0.4,
-                       mfu=0.35, tokens=4096)
-
-
-class TestColumnarRing:
-    def test_rows_roundtrip_exactly(self, step_ring):
-        rows = [_metrics(i) for i in range(5)]
-        for row in rows:
-            step_ring.append(row)
-        assert len(step_ring) == 5
-        assert list(step_ring) == rows
-        assert step_ring[-1] == rows[-1]
-        assert step_ring[0] == rows[0]
-        assert isinstance(step_ring[0].step, int)
-        assert isinstance(step_ring[0].loss, float)
-
-    def test_wraps_at_capacity(self, step_ring):
-        for i in range(20):
-            step_ring.append(_metrics(i))
-        assert len(step_ring) == 8
-        assert [m.step for m in step_ring] == list(range(12, 20))
-        assert step_ring[-1].step == 19
-        assert step_ring[0].step == 12
-        with pytest.raises(IndexError):
-            step_ring[8]
-        with pytest.raises(IndexError):
-            step_ring[-9]
-
-    def test_recent_and_tail_while_match_deque(self):
-        """Behavioral parity with a ``deque(maxlen=16)`` of the rows."""
-        from collections import deque
-
-        from repro.monitor.collectors import _GAUGE_COLUMNS, GaugeSample
-
-        columnar = ColumnarRing(16, [f for f, _ in _GAUGE_COLUMNS],
-                                [d for _, d in _GAUGE_COLUMNS],
-                                GaugeSample)
-        reference = deque(maxlen=16)
-        for i in range(40):
-            sample = GaugeSample(time=float(i), rdma_traffic_frac=1.0,
-                                 tensorcore_util_frac=0.5)
-            columnar.append(sample)
-            reference.append(sample)
-        rows = list(reference)
-        assert list(columnar) == rows
-        assert [columnar[i] for i in (0, 5, -1, -16)] == [
-            rows[i] for i in (0, 5, -1, -16)]
-        for count in (0, 3, 16, 99):
-            assert columnar.recent(count) == (rows[-count:] if count
-                                              else [])
-        assert columnar.tail_while(lambda g: g.time >= 35.0) == rows[-5:]
-        assert columnar.tail_while(lambda g: g.time < 0) == []
-        assert columnar.tail_while(lambda g: True) == rows
-
-    def test_geometric_growth_defers_allocation(self):
-        ring = ColumnarRing(100_000, ["x"], [np.float64], float)
-        assert ring._alloc < 1024     # far below capacity up front
-        for i in range(5_000):
-            ring.append(SimpleNamespace(x=float(i)))
-        assert 5_000 <= ring._alloc < 100_000
-        assert len(ring) == 5_000
-        assert ring[-1] == 4_999.0
-
-    def test_column_view_oldest_first(self, step_ring):
-        for i in range(20):
-            step_ring.append(_metrics(i))
-        col = step_ring.column("step")
-        assert col.tolist() == list(range(12, 20))
-        assert step_ring.column("time").tolist() == [
-            s * 2.0 for s in range(12, 20)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ColumnarRing(0, ["x"], [np.float64], float)
-        with pytest.raises(ValueError):
-            ColumnarRing(4, ["x", "y"], [np.float64], float)
-
-
-class TestCollectorHistories:
-    def test_deep_histories_go_columnar(self):
-        from repro.monitor.collectors import (
-            CollectorConfig,
-            MetricsCollector,
-        )
-        from repro.sim import Simulator
-        from repro.training.job import TrainingJob
-        from repro.workloads.scenarios import _dense_job
-
-        sim = Simulator()
-        job = TrainingJob(sim, _dense_job(2))
-        collector = MetricsCollector(sim, job,
-                                     CollectorConfig(max_samples=100_000))
-        assert isinstance(collector.steps, ColumnarRing)
-        assert isinstance(collector.gauges, ColumnarRing)
-        assert collector.steps.maxlen == 100_000

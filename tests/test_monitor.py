@@ -160,12 +160,17 @@ class TestMetricsCollector:
     def test_collects_steps_and_gauges(self):
         sim, cluster, inj, job = setup_env()
         collector = MetricsCollector(sim, job)
+        steps, gauges = [], []
+        collector.on_step(steps.append)
+        collector.on_gauge(gauges.append)
         collector.start()
         job.start()
         sim.run(until=job.step_time() * 3 + 1)
-        assert len(collector.steps) == 3
-        assert collector.gauges
-        assert collector.gauges[-1].rdma_traffic_frac == pytest.approx(1.0)
+        assert [m.step for m in steps] == [1, 2, 3]
+        assert gauges
+        assert [g.time for g in gauges] == [
+            10.0 * (i + 1) for i in range(len(gauges))]
+        assert gauges[-1].rdma_traffic_frac == pytest.approx(1.0)
 
     def test_log_tail_latency_bounded_by_interval(self):
         sim, cluster, inj, job = setup_env()
@@ -185,15 +190,6 @@ class TestMetricsCollector:
         # crash at t=45, next log sweep at t=60
         assert 45.0 < seen[0].time + 1e-9 <= 75.0
 
-    def test_gauge_window(self):
-        sim, cluster, inj, job = setup_env()
-        collector = MetricsCollector(sim, job)
-        collector.start()
-        job.start()
-        sim.run(until=100.0)
-        recent = collector.gauge_window(30.0)
-        assert all(g.time >= 70.0 for g in recent)
-
     def test_stop_detaches_step_listener(self):
         sim, cluster, inj, job = setup_env()
         collector = MetricsCollector(sim, job)
@@ -207,26 +203,28 @@ class TestMetricsCollector:
 
     def test_shutdown_releases_collector_subscription(self):
         """ManagementStack.shutdown() must leave no collector callback
-        on the job: a retired stack that stays subscribed keeps
-        accumulating history (and is kept alive by the job) forever."""
+        on the job: a retired stack that stays subscribed keeps feeding
+        its detector (and is kept alive by the job) forever."""
         from repro.core.byterobust import ByteRobustSystem, SystemConfig
         from repro.workloads.fleet import fleet_job_config
 
         system = ByteRobustSystem(SystemConfig(job=fleet_job_config(2)))
+        stack = system.stack
+        seen = []
+        stack.collector.on_step(seen.append)
         system.start()
         system.sim.run(until=120.0)
-        stack = system.stack
         assert stack.collector._on_step in stack.job.step_listeners
-        collected = len(stack.collector.steps)
+        collected = len(seen)
         assert collected > 0
         stack.shutdown()
         assert stack.collector._on_step not in stack.job.step_listeners
         # even if something force-restarts the job later, the retired
-        # collector's history no longer grows
+        # collector dispatches none of its steps
         stack.job.restart(from_step=stack.job.current_step)
         system.sim.run(until=600.0)
         assert stack.job.current_step > collected
-        assert len(stack.collector.steps) == collected
+        assert len(seen) == collected
 
 
 class TestAnomalyDetector:

@@ -394,7 +394,9 @@ def _scripted_sweep_events(seed: int, seed_sweeps: bool) -> list:
         sets = [list(ids) for ids in _ENGINE_SETS]
         engines = [InspectionEngine(sim, cluster, lambda i=i: sets[i])
                    for i in range(len(sets))]
-        for engine in engines:
+        streams = [[] for _ in engines]
+        for engine, stream in zip(engines, streams):
+            engine.add_listener(stream.append)
             engine.start()
     rng = np.random.default_rng(seed)
     # scripted flips: machine component faults, heals, and switch
@@ -427,7 +429,7 @@ def _scripted_sweep_events(seed: int, seed_sweeps: bool) -> list:
         engine.stop()
     return [[(e.time, e.item, e.category, e.confidence,
               tuple(e.machine_ids), e.switch_id)
-             for e in engine.events] for engine in engines]
+             for e in stream] for stream in streams]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23])

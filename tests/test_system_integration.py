@@ -12,8 +12,12 @@ from repro.cluster.faults import (
     RootCauseDetail,
 )
 from repro.controller import CodeUpdate
-from repro.controller.controller import IncidentMechanism
-from repro.monitor.detectors import DetectorConfig
+from repro.controller.controller import (
+    WARN_CORROBORATION_S,
+    IncidentMechanism,
+)
+from repro.monitor.detectors import AnomalyEvent, AnomalyKind, DetectorConfig
+from repro.monitor.inspections import InspectionEvent, SignalConfidence
 from repro.parallelism import ParallelismConfig
 from repro.training import JobState, TrainingJobConfig
 from repro.training.metrics import CodeVersionProfile
@@ -182,6 +186,60 @@ class TestImplicitFailureHandling:
         assert inc.symptom is FaultSymptom.NAN_VALUE
         assert inc.mechanism == IncidentMechanism.AUTOFT_ER
         assert victim in inc.evicted_machines
+
+
+class TestWarnCorroboration:
+    """An MFU decline is pinned on the job machines named by WARN
+    inspection events of the last ``WARN_CORROBORATION_S``."""
+
+    def warn_at(self, s, t, machine):
+        s.sim.schedule_at(t, lambda: s.controller.on_inspection_event(
+            InspectionEvent(time=s.sim.now, item="gpu_high_temperature",
+                            category="gpu",
+                            confidence=SignalConfidence.WARN,
+                            machine_ids=[machine])))
+
+    def decline_at(self, s, t):
+        s.sim.schedule_at(t, lambda: s.controller.on_anomaly(
+            AnomalyEvent(time=s.sim.now, kind=AnomalyKind.MFU_DECLINE,
+                         detail="scripted decline")))
+
+    def test_recent_warn_evicts_its_machine(self):
+        s = make_system()
+        victim = s.job.machines[2]
+        self.warn_at(s, 1000.0, victim)
+        self.decline_at(s, 1000.0 + WARN_CORROBORATION_S - 1.0)
+        s.run_until(3000)
+        inc = s.incident_log.incidents[0]
+        assert inc.actions[0] == "warn_corroboration"
+        assert inc.evicted_machines == [victim]
+        assert inc.mechanism == IncidentMechanism.AUTOFT_ER
+        assert victim not in s.job.machines
+
+    def test_older_warn_falls_through_to_failslow_voting(self):
+        s = make_system()
+        victim = s.job.machines[2]
+        self.warn_at(s, 1000.0, victim)
+        self.decline_at(s, 1000.0 + WARN_CORROBORATION_S + 1.0)
+        s.run_until(3000)
+        inc = s.incident_log.incidents[0]
+        assert inc.actions[0] == "failslow_voting"
+        assert "warn_corroboration" not in inc.actions
+        assert victim not in inc.evicted_machines
+
+    def test_repeated_warns_keep_only_the_window(self):
+        """A persistent WARN re-emits once per dedup window for the
+        life of the job; the controller keeps only the events it could
+        still corroborate with."""
+        s = make_system()
+        victim = s.job.machines[2]
+        for k in range(72):                      # six hours
+            self.warn_at(s, 300.0 * (k + 1), victim)
+        s.run_until(300.0 * 72 + 1.0)
+        warns = s.controller._warn_events
+        # pruned when the last one arrived, at t = 21600
+        assert [e.time for e in warns] == [21000.0, 21300.0, 21600.0]
+        assert not s.incident_log.incidents
 
 
 class TestUserCodeAndManualPaths:
