@@ -15,7 +15,8 @@ onto it, created on access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Collection, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -224,12 +225,9 @@ class ComponentStore:
 
     Every write goes through a view (or :meth:`reset_row` /
     :meth:`set_switch`), which re-derives the written machine's rollup
-    mask from its columns, bumps :attr:`version` and stamps the new
-    value on the written row (:attr:`row_version`) or switch
-    (:attr:`switch_version`).  Equal versions at two instants prove
-    nothing changed in between, and a stamp no newer than an earlier
-    version proves its row or switch did not.  The masks can be read
-    at any time without a sync.
+    mask from its columns and then calls the watchers of the written
+    row or switch (:meth:`watch`).  The masks can be read at any time
+    without a sync.
     """
 
     def __init__(self, machines: int, spec: MachineSpec,
@@ -249,20 +247,46 @@ class ComponentStore:
                                if machine_switch is None else machine_switch)
         self.switch_up = np.ones(
             int(self.machine_switch.max(initial=-1)) + 1, dtype=bool)
-        #: change counter: bumps on every write, and the counter value
-        #: of the last write to each machine row and each switch
-        self.version = 0
-        self.row_version = np.zeros(machines, dtype=np.int64)
-        self.switch_version = np.zeros(len(self.switch_up), dtype=np.int64)
+        #: machine row / switch id -> its watchers (see :meth:`watch`)
+        self.row_watchers: Dict[int, Tuple[Callable, ...]] = {}
+        self.switch_watchers: Dict[int, Tuple[Callable, ...]] = {}
 
     # ------------------------------------------------------------------
+    def watch(self, fn: Callable[[Optional[str]], None],
+              rows: Collection[int], switches: Collection[int]) -> None:
+        """Call ``fn(table)`` after every write to one of ``rows`` or
+        ``switches`` (each free of repeats) until :meth:`unwatch`:
+        ``table`` names what was written (``"gpu"``, ``"nic"``,
+        ``"host"`` or ``"switch"``), ``None`` for a reset of the whole
+        row.  ``fn`` must not (un)watch from the call."""
+        for table, keys in ((self.row_watchers, rows),
+                            (self.switch_watchers, switches)):
+            # a job's view is hundreds of rows: register them in bulk,
+            # then append to the few that were watched already
+            shared = {key: table[key] for key in table.keys() & keys}
+            table.update(dict.fromkeys(keys, (fn,)))
+            for key, fns in shared.items():
+                table[key] = fns + (fn,)
+
+    def unwatch(self, fn: Callable[[Optional[str]], None],
+                rows: Collection[int], switches: Collection[int]) -> None:
+        """Undo :meth:`watch` of ``fn`` for ``rows`` and ``switches``."""
+        for table, keys in ((self.row_watchers, rows),
+                            (self.switch_watchers, switches)):
+            popped = list(map(table.pop, keys))
+            if max(map(len, popped), default=1) > 1:
+                for key, fns in zip(keys, popped):
+                    rest = tuple(f for f in fns if f != fn)
+                    if rest:
+                        table[key] = rest
+
     def _changed(self, kind, cols: Dict[str, np.ndarray], row: int) -> None:
         """A ``kind`` column of ``row`` was written: re-derive the row's
         rollup from the columns (not through the views' scalar
         predicates, which the equivalence tests use as the oracle)."""
         getattr(self, kind.MASK)[row] = kind.row_ok(cols, row)
-        self.version += 1
-        self.row_version[row] = self.version
+        for fn in self.row_watchers.get(row, ()):
+            fn(kind.TABLE)
 
     def reset_row(self, row: int) -> None:
         """Restore one machine's components to nominal (a row fill)."""
@@ -274,13 +298,13 @@ class ComponentStore:
         for index in range(self.gpu["available"].shape[1]):
             self.xid_events.pop((row, index), None)
         self.dmesg_xids.pop(row, None)
-        self.version += 1
-        self.row_version[row] = self.version
+        for fn in self.row_watchers.get(row, ()):
+            fn(None)
 
     def set_switch(self, switch_id: int, up: bool) -> None:
         self.switch_up[switch_id] = up
-        self.version += 1
-        self.switch_version[switch_id] = self.version
+        for fn in self.switch_watchers.get(switch_id, ()):
+            fn("switch")
 
     # ------------------------------------------------------------------
     def unhealthy(self, ids: np.ndarray, subsystem: str) -> List[int]:

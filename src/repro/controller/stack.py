@@ -170,7 +170,8 @@ def build_management_stack(sim: Simulator, cluster: Cluster,
     collector = MetricsCollector(sim, job, config.collector)
     detector = AnomalyDetector(sim, collector, config.detector)
     inspections = InspectionEngine(
-        sim, cluster, lambda: job.machines, config.inspections)
+        sim, cluster, lambda: job.machines, config.inspections,
+        wake_on=job.change_listeners)
     diagnoser = Diagnoser(cluster, diag_rng,
                           use_real_minigpt=config.use_real_minigpt)
     replay = DualPhaseReplay(cluster, replay_rng)

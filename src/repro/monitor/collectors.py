@@ -5,15 +5,22 @@ The collector subscribes to the training job's step completions (the
 wandb-style continuously observable metrics), polls its RDMA-traffic and
 TensorCore-utilization gauges (the event-derived system performance
 metrics), and tails its log events.  Detectors consume these streams.
+
+Both polls sleep on their ticks while polling again could not matter,
+and the job's change hook wakes them: the log poll once it has read
+every log event, the gauge poll while the job is ``RUNNING`` and every
+gauge listener returned a truthy "settled" for the last sample (the
+listener's state would not move on a repeat of it, and a running job's
+gauges only move with its MFU model).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.sim import Simulator
-from repro.training.job import LogEvent, TrainingJob
+from repro.sim import Simulator, TickMember
+from repro.training.job import JobState, LogEvent, TrainingJob
 from repro.training.metrics import StepMetrics
 
 
@@ -43,17 +50,23 @@ class MetricsCollector:
         self.config = config or CollectorConfig()
         self._log_cursor = 0
         self._step_listeners: List[Callable[[StepMetrics], None]] = []
-        self._gauge_listeners: List[Callable[[GaugeSample], None]] = []
+        self._gauge_listeners: List[Callable[[GaugeSample], Any]] = []
         self._log_listeners: List[Callable[[LogEvent], None]] = []
-        self._tasks: list = []
+        #: [gauge poll, log poll] tick members, while started
+        self._tasks: List[TickMember] = []
         job.step_listeners.append(self._on_step)
+        job.change_listeners.append(self._wake)
 
     # ------------------------------------------------------------------
     def on_step(self, fn: Callable[[StepMetrics], None]) -> None:
         self._step_listeners.append(fn)
 
-    def on_gauge(self, fn: Callable[[GaugeSample], None]) -> None:
+    def on_gauge(self, fn: Callable[[GaugeSample], Any]) -> None:
+        """Subscribe to gauge samples.  A listener returns a truthy
+        "settled" when another sample equal to this one would change
+        nothing it holds; while all do, a running job's poll sleeps."""
         self._gauge_listeners.append(fn)
+        self._wake()
 
     def on_log(self, fn: Callable[[LogEvent], None]) -> None:
         self._log_listeners.append(fn)
@@ -64,8 +77,11 @@ class MetricsCollector:
         # Re-attach after a stop(); the fresh-construction attach stays
         # in __init__ so listener ordering (pinned by the equivalence
         # suite) is unchanged for the common build-then-start flow.
-        if self._on_step not in self.job.step_listeners:
-            self.job.step_listeners.append(self._on_step)
+        job = self.job
+        if self._on_step not in job.step_listeners:
+            job.step_listeners.append(self._on_step)
+        if self._wake not in job.change_listeners:
+            job.change_listeners.append(self._wake)
         # Coalesced ticks: the gauge poll shares a TickGroup (one heap
         # entry per cadence) with any other same-interval task, e.g.
         # the inspection engine's GPU sweep.
@@ -90,10 +106,14 @@ class MetricsCollector:
         for task in self._tasks:
             task.stop()
         self._tasks = []
-        try:
-            self.job.step_listeners.remove(self._on_step)
-        except ValueError:
-            pass
+        for listeners, fn in ((self.job.step_listeners, self._on_step),
+                              (self.job.change_listeners, self._wake)):
+            if fn in listeners:
+                listeners.remove(fn)
+
+    def _wake(self) -> None:
+        for task in self._tasks:
+            task.wake()
 
     # ------------------------------------------------------------------
     # The dispatch loops copy the listener list (a listener may attach
@@ -106,18 +126,27 @@ class MetricsCollector:
                 fn(metrics)
 
     def _poll_gauges(self) -> None:
+        job = self.job
         sample = GaugeSample(
             time=self.sim.now,
-            rdma_traffic_frac=self.job.rdma_traffic_frac(),
-            tensorcore_util_frac=self.job.tensorcore_util_frac())
+            rdma_traffic_frac=job.rdma_traffic_frac(),
+            tensorcore_util_frac=job.tensorcore_util_frac())
+        settled = True
         if self._gauge_listeners:
             for fn in tuple(self._gauge_listeners):
-                fn(sample)
+                if not fn(sample):
+                    settled = False
+        # read the state after the dispatch: a listener may have moved it
+        if settled and job.state is JobState.RUNNING and self._tasks:
+            self._tasks[0].sleep()
 
     def _poll_logs(self) -> None:
-        while self._log_cursor < len(self.job.log_events):
-            event = self.job.log_events[self._log_cursor]
+        events = self.job.log_events
+        while self._log_cursor < len(events):
+            event = events[self._log_cursor]
             self._log_cursor += 1
             if self._log_listeners:
                 for fn in tuple(self._log_listeners):
                     fn(event)
+        if self._tasks:
+            self._tasks[1].sleep()

@@ -123,7 +123,10 @@ class AnomalyDetector:
         if len(self._loss_history) > 4 * self.config.spike_history:
             del self._loss_history[:self.config.spike_history]
 
-    def _on_gauge(self, sample: GaugeSample) -> None:
+    def _on_gauge(self, sample: GaugeSample) -> bool:
+        """Advance the hang and fail-slow latches; True ("settled") when
+        the sample is above both thresholds, which leaves all four
+        latches clear, so a repeat of it would change nothing."""
         cfg = self.config
         # hang: traffic pinned at ~zero
         if sample.rdma_traffic_frac <= cfg.zero_traffic_frac:
@@ -155,6 +158,8 @@ class AnomalyDetector:
         else:
             self._low_mfu_since = None
             self._decline_reported = False
+        return (sample.rdma_traffic_frac > cfg.zero_traffic_frac
+                and sample.tensorcore_util_frac >= cfg.mfu_decline_frac)
 
     def _on_log(self, event: LogEvent) -> None:
         if event.level != "error":

@@ -17,6 +17,11 @@ Every anomaly becomes an :class:`InspectionEvent` with a *confidence*:
   tolerates a couple within a window before evicting;
 * ``WARN``    — suggestive but not damning (high temperature): used to
   corroborate MFU-decline diagnosis.
+
+A sweep that finds its category clean sleeps on its tick until
+something it reads changes — a component-store write to one of the
+inspected machines or their leaf switches, or a new machine set — so
+a healthy job costs no sweep work between faults.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.topology import Cluster
-from repro.sim import Simulator
+from repro.sim import Simulator, TickMember
 
 
 class SignalConfidence(enum.Enum):
@@ -72,6 +77,14 @@ class InspectionConfig:
                 "host": self.host_interval_s}[category]
 
 
+#: an empty view
+_NONE = np.empty(0, dtype=np.intp)
+
+#: store table written -> the sweep that reads it
+_SWEEP_OF_TABLE = {"nic": "network", "switch": "network", "gpu": "gpu",
+                   "host": "host"}
+
+
 class InspectionEngine:
     """Runs the three inspection loops over a set of machines.
 
@@ -80,106 +93,120 @@ class InspectionEngine:
     read a view of that set — its intp id array and its leaf switches
     in first-seen order — rebuilt only when the returned contents
     differ from a private copy (so a caller may mutate its list).
+
+    A sweep that finds its category clean sleeps: re-running it before
+    anything it reads changes would be a pure read that emits, strikes
+    and dedups nothing.  The engine watches its view's rows and
+    switches in the component store, and a write there wakes the sweep
+    that reads it; rebuilding the view wakes all three.  ``wake_on``
+    is a listener list the engine joins while started (the job's
+    ``change_listeners``), so a binding change wakes every sweep;
+    whoever changes the machine set behind ``machine_ids`` otherwise
+    calls :meth:`wake`.
     """
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  machine_ids: Callable[[], List[int]],
-                 config: Optional[InspectionConfig] = None):
+                 config: Optional[InspectionConfig] = None,
+                 wake_on: Optional[List[Callable[[], None]]] = None):
         self.sim = sim
         self.cluster = cluster
         self._machine_ids = machine_ids
         self.config = config or InspectionConfig()
+        self._wake_on = wake_on
         self._listeners: List[Callable[[InspectionEvent], None]] = []
         self._switch_strikes: Dict[int, int] = {}
         self._last_emit: Dict[Tuple[str, Tuple[int, ...]], float] = {}
-        self._tasks: list = []
-        self._started = False
+        #: category -> its sweep's tick member, while started
+        self._tasks: Dict[str, TickMember] = {}
         #: the cluster's columnar component store: sweeps pull their
         #: unhealthy candidates from its rollup masks
         self._store = cluster.store
-        #: the view: a copy of the ids it was built from, their array,
-        #: and their switch ids in first-seen order
+        #: the view: a copy of the ids it was built from (None: no
+        #: view), their array, and their switch ids in first-seen order;
+        #: the engine watches the array's rows and the switches
         self._ids: Optional[List[int]] = None
-        self._arr = self._switches = np.empty(0, dtype=np.intp)
-        #: category -> store version of its last clean sweep of the view
-        self._clean_at: Dict[str, int] = {}
-        #: (store version, newest row stamp, newest switch stamp) of
-        #: the view, computed at most once per store version
-        self._stamps = (-1, 0, 0)
+        self._arr = self._switches = _NONE
 
     def _refresh_view(self) -> None:
         ids = self._machine_ids()
-        if ids != self._ids:
-            self._ids = list(ids)
-            arr = self._arr = np.fromiter(ids, dtype=np.intp,
-                                          count=len(ids))
-            uniq, first = np.unique(self._store.machine_switch[arr],
-                                    return_index=True)
-            self._switches = uniq[np.argsort(first, kind="stable")]
-            self._clean_at.clear()
-            self._stamps = (-1, 0, 0)
+        if ids == self._ids:
+            return
+        old_arr, old_switches = self._arr, self._switches
+        self._ids = list(ids)
+        arr = self._arr = np.fromiter(ids, dtype=np.intp, count=len(ids))
+        # switches in first-seen order; dropping a row whose switch
+        # repeats the previous row's keeps that order and shrinks the
+        # list (jobs are laid out switch by switch)
+        sw = self._store.machine_switch[arr]
+        seen = dict.fromkeys(sw[:1].tolist()
+                             + sw[1:][sw[1:] != sw[:-1]].tolist())
+        self._switches = np.fromiter(seen, dtype=np.intp, count=len(seen))
+        # (un)watch only what changed: a recovery swaps one machine of
+        # hundreds in place
+        if len(arr) == len(old_arr):
+            moved = arr != old_arr
+            old_arr, arr = old_arr[moved], arr[moved]
+        watched = set(old_switches.tolist())
+        self._store.unwatch(self._store_wrote, old_arr.tolist(),
+                            watched - seen.keys())
+        self._store.watch(self._store_wrote, arr.tolist(),
+                          seen.keys() - watched)
+        self.wake()
 
-    def _skip_unchanged(self, category: str) -> bool:
-        """True when this sweep may be skipped.
+    def _drop_view(self) -> None:
+        self._store.unwatch(self._store_wrote, self._arr.tolist(),
+                            self._switches.tolist())
+        self._ids = None
+        self._arr = self._switches = _NONE
 
-        That holds when the category's last sweep of the view found
-        every inspected component healthy, and no stamp on the view's
-        rows (or, for the network sweep, its switches) is newer than
-        that sweep: a clean sweep is a pure read, so re-running it
-        cannot emit, strike, or dedup anything.  With the store counter
-        unchanged this is one integer compare; otherwise it reads the
-        view's newest stamps (one max over its rows and one over its
-        switches, shared by the three categories until the next write)
-        and advances the clean stamp when it passes.
-        """
-        clean_at = self._clean_at.get(category)
-        if clean_at is None:
-            return False
-        store = self._store
-        version = store.version
-        if version != clean_at:
-            stamps = self._stamps
-            if stamps[0] != version:
-                stamps = self._stamps = (
-                    version, store.row_version[self._arr].max(initial=0),
-                    store.switch_version[self._switches].max(initial=0))
-            if stamps[1] > clean_at or (category == "network"
-                                        and stamps[2] > clean_at):
-                return False
-            self._clean_at[category] = version
-        return True
+    def _store_wrote(self, table: Optional[str]) -> None:
+        if table is None:
+            self.wake()
+        elif self._tasks:
+            self._tasks[_SWEEP_OF_TABLE[table]].wake()
 
-    def _mark_clean(self, category: str, clean: bool) -> None:
-        if clean:
-            self._clean_at[category] = self._store.version
-        else:
-            self._clean_at.pop(category, None)
+    def wake(self) -> None:
+        """Wake every sleeping sweep: each runs at its next tick."""
+        for task in self._tasks.values():
+            task.wake()
+
+    def _sleep_if(self, clean: bool, category: str) -> None:
+        if clean and category in self._tasks:
+            self._tasks[category].sleep()
 
     def add_listener(self, fn: Callable[[InspectionEvent], None]) -> None:
         self._listeners.append(fn)
 
     def start(self) -> None:
-        if self._started:
+        if self._tasks:
             return
-        self._started = True
         cfg = self.config
         # Coalesced ticks: each sweep joins the TickGroup for its
         # cadence, sharing one heap entry with every other task on the
         # same interval (e.g. the collector's gauge poll).
-        self._tasks = [
-            self.sim.every_tick(cfg.network_interval_s, self._sweep_network,
-                                first_delay=cfg.network_interval_s),
-            self.sim.every_tick(cfg.gpu_interval_s, self._sweep_gpu,
-                                first_delay=cfg.gpu_interval_s),
-            self.sim.every_tick(cfg.host_interval_s, self._sweep_host,
-                                first_delay=cfg.host_interval_s),
-        ]
+        self._tasks = {
+            "network": self.sim.every_tick(
+                cfg.network_interval_s, self._sweep_network,
+                first_delay=cfg.network_interval_s),
+            "gpu": self.sim.every_tick(cfg.gpu_interval_s, self._sweep_gpu,
+                                       first_delay=cfg.gpu_interval_s),
+            "host": self.sim.every_tick(
+                cfg.host_interval_s, self._sweep_host,
+                first_delay=cfg.host_interval_s),
+        }
+        if self._wake_on is not None:
+            self._wake_on.append(self.wake)
 
     def stop(self) -> None:
-        for task in self._tasks:
+        """Stop the sweeps, drop the store watches and leave
+        ``wake_on``."""
+        for task in self._tasks.values():
             task.stop()
-        self._tasks = []
-        self._started = False
+        self._tasks = {}
+        self._drop_view()
+        if self._wake_on is not None and self.wake in self._wake_on:
+            self._wake_on.remove(self.wake)
 
     # ------------------------------------------------------------------
     def _emit(self, item: str, category: str, confidence: SignalConfidence,
@@ -219,8 +246,6 @@ class InspectionEngine:
     # the seed sweeps.
     def _sweep_network(self) -> None:
         self._refresh_view()
-        if self._skip_unchanged("network"):
-            return
         machines = self.cluster.machines
         unhealthy = self._store.unhealthy(self._arr, "nics_ok")
         clean = not unhealthy
@@ -236,9 +261,6 @@ class InspectionEngine:
         switches_seen = list(zip(
             self._switches.tolist(),
             self._store.switch_up[self._switches].tolist()))
-        if any(not up for _, up in switches_seen):
-            clean = False
-        self._mark_clean("network", clean)
         for sw_id, up in switches_seen:
             if up:
                 self._switch_strikes.pop(sw_id, None)
@@ -254,11 +276,11 @@ class InspectionEngine:
                 self._emit("switch_down", "network",
                            SignalConfidence.NETWORK, affected,
                            switch_id=sw_id)
+        self._sleep_if(clean and all(up for _, up in switches_seen),
+                       "network")
 
     def _sweep_gpu(self) -> None:
         self._refresh_view()
-        if self._skip_unchanged("gpu"):
-            return
         machines = self.cluster.machines
         unhealthy = self._store.unhealthy(self._arr, "gpus_ok")
         clean = not unhealthy
@@ -283,12 +305,10 @@ class InspectionEngine:
                 elif gpu.pcie_bandwidth_frac < 0.8:
                     self._emit("pcie_degraded", "gpu",
                                SignalConfidence.WARN, [mid])
-        self._mark_clean("gpu", clean)
+        self._sleep_if(clean, "gpu")
 
     def _sweep_host(self) -> None:
         self._refresh_view()
-        if self._skip_unchanged("host"):
-            return
         machines = self.cluster.machines
         unhealthy = self._store.unhealthy(self._arr, "host_ok")
         clean = not unhealthy
@@ -314,4 +334,4 @@ class InspectionEngine:
             elif host.cpu_load_frac >= host.CPU_OVERLOAD_FRAC:
                 self._emit("cpu_overload", "host", SignalConfidence.WARN,
                            [mid])
-        self._mark_clean("host", clean)
+        self._sleep_if(clean, "host")

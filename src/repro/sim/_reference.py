@@ -14,7 +14,8 @@ event, and one heap push per periodic tick.  It is a test oracle:
 
 Apart from the ``every_tick`` shim (which maps onto per-task
 ``ReferencePeriodicTask`` loops, i.e. the seed semantics for the same
-call), nothing here should ever change.
+call) and the no-op ``sleep``/``wake`` stubs that make those loops
+never-sleeping members, nothing here should ever change.
 """
 
 from __future__ import annotations
@@ -189,6 +190,14 @@ class ReferencePeriodicTask:
     def stop(self) -> None:
         self._stopped = True
         self._handle.cancel()
+
+    # the seed tasks never sleep: these stubs let callers of the
+    # coalesced API run unchanged on this engine
+    def sleep(self) -> None:
+        pass
+
+    def wake(self) -> None:
+        pass
 
     @property
     def stopped(self) -> bool:

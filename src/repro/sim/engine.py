@@ -20,8 +20,12 @@ Periodic work has a second fast path: :meth:`Simulator.every_tick`
 coalesces same-cadence tasks (gauge polls, log tails, inspection sweeps)
 into one :class:`TickGroup` that occupies a single heap entry and fires
 its members as a batch, in registration order — O(1) heap traffic per
-cadence instead of O(tasks).  :meth:`Simulator.every` remains the
-general path for jittered or irregular repetition.
+cadence instead of O(tasks).  A member with nothing to do can
+:meth:`TickMember.sleep` until a writer calls :meth:`TickMember.wake`:
+the batch skips it with one flag test, and the group keeps its slot,
+its cadence and its heap entry, so sleeping changes no event order
+and no event count.  :meth:`Simulator.every` remains the general path
+for jittered or irregular repetition.
 
 The run loop pops and runs events inline: there is no per-event step
 method and no redundant cancelled-entry scan.  Semantics track the seed implementation kept in
@@ -171,8 +175,11 @@ class Simulator:
         Returns the number of events executed.  When ``until`` is given,
         the clock is advanced to exactly ``until`` even if the last event
         fires earlier, mirroring how a wall-clock observation window ends
-        at a fixed time.  An ``until`` earlier than ``now`` is an error:
-        the observation window would end before it began.
+        at a fixed time — unless ``max_events`` stopped the run with
+        events still due by ``until``, where the clock stays at the last
+        event so the next run resumes without going backwards.  An
+        ``until`` earlier than ``now`` is an error: the observation
+        window would end before it began.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -204,7 +211,11 @@ class Simulator:
         finally:
             self._running = False
         if until is not None and until > self._now:
-            self._now = until
+            # a stop on max_events leaves the window open: the clock
+            # reaches ``until`` only once nothing live is due by then
+            self._drop_cancelled()
+            if not queue or queue[0][0] > until:
+                self._now = until
         return executed
 
     def pending_count(self) -> int:
@@ -292,32 +303,59 @@ class PeriodicTask:
 
 
 class TickMember:
-    """One task's membership in a :class:`TickGroup`."""
+    """One task's membership in a :class:`TickGroup`.
 
-    __slots__ = ("_callback", "_stopped", "_group")
+    A member is live, asleep or stopped.  :meth:`sleep` makes the group
+    skip it at every tick until :meth:`wake`; a sleeping member keeps
+    its slot, so registration (and tie) order never changes.
+    """
+
+    __slots__ = ("_callback", "_stopped", "_live", "_group")
 
     def __init__(self, callback: Callable[[], Any], group: "TickGroup"):
         self._callback = callback
         self._stopped = False
+        #: fires at the next tick: the one flag the batch loop tests
+        self._live = True
         self._group = group
 
     def stop(self) -> None:
         """Stop future invocations.  Idempotent."""
         if not self._stopped:
             self._stopped = True
+            self._live = False
             self._group._member_stopped()
+
+    def sleep(self) -> None:
+        """Skip this task's ticks until :meth:`wake`.  The group keeps
+        its cadence (and its heap entry) even when every member
+        sleeps."""
+        self._live = False
+
+    def wake(self) -> None:
+        """Fire at the next tick that reaches this member's slot: this
+        tick if its batch has not got there yet.  A no-op on a stopped
+        member."""
+        self._live = not self._stopped
 
     @property
     def stopped(self) -> bool:
         return self._stopped
 
+    @property
+    def asleep(self) -> bool:
+        return not (self._live or self._stopped)
+
 
 class TickGroup:
     """A batch of same-cadence periodic tasks behind one heap entry.
 
-    Members fire in registration order at every tick; ticks are
-    anchored (``first + k * interval``) so the cadence never drifts.
-    When the last member stops, the group cancels its heap entry.
+    Members fire in registration order at every tick, except those
+    asleep; ticks are anchored (``first + k * interval``) so the cadence
+    never drifts.  The group re-arms every tick while any member is
+    not stopped — asleep included — so sleeping changes neither the
+    heap's sequence numbers nor the event count.  When the last member
+    stops, the group cancels its heap entry.
     """
 
     def __init__(self, sim: Simulator, interval: float, priority: int,
@@ -350,7 +388,7 @@ class TickGroup:
         if len(members) == 1:
             # single-member groups (a lone cadence) skip the batch loop
             member = members[0]
-            if not member._stopped:
+            if member._live:
                 try:
                     member._callback()
                 except BaseException:
@@ -361,7 +399,7 @@ class TickGroup:
             # fire on the next tick
             for i in range(len(members)):
                 member = members[i]
-                if not member._stopped:
+                if member._live:
                     try:
                         member._callback()
                     except BaseException:

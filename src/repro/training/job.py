@@ -17,7 +17,9 @@ and take effect according to the fault's
   until somebody stops the job.
 
 The controller talks to the job through ``suspend`` / ``restart``; the
-checkpoint engine and monitor subscribe to step completions.
+checkpoint engine and monitor subscribe to step completions, and the
+monitor's sleeping polls and sweeps to ``change_listeners`` (state,
+MFU model, machine binding and log appends).
 """
 
 from __future__ import annotations
@@ -90,8 +92,13 @@ class TrainingJob:
         self.config = config
         self.topology = RankTopology(config.parallelism)
         self.loss_curve = LossCurve(seed=config.loss_seed)
+        #: called with no argument after every state transition, MFU
+        #: model write, binding change and log append: what a sleeping
+        #: poll or sweep of this job must wake for
+        self.change_listeners: List[Callable[[], None]] = []
         self.mfu_model = mfu_model or MfuModel()
-        self.state = JobState.INIT
+        self.mfu_model.listeners.append(self._changed)
+        self._state = JobState.INIT
         #: logical machine slot -> physical machine id
         self.slot_to_machine: Dict[int, int] = {}
         self._machines_cache: Optional[List[int]] = None
@@ -122,6 +129,23 @@ class TrainingJob:
                 self._on_fault_event)
 
     # ------------------------------------------------------------------
+    # change hook
+    # ------------------------------------------------------------------
+    @property
+    def state(self) -> JobState:
+        return self._state
+
+    @state.setter
+    def state(self, state: JobState) -> None:
+        if state is not self._state:
+            self._state = state
+            self._changed()
+
+    def _changed(self) -> None:
+        for fn in self.change_listeners:
+            fn()
+
+    # ------------------------------------------------------------------
     # machine binding
     # ------------------------------------------------------------------
     @property
@@ -138,8 +162,9 @@ class TrainingJob:
         """
         cached = self._machines_cache
         if cached is None:
-            cached = [self.slot_to_machine[s]
-                      for s in range(self.num_machines)]
+            # slots are inserted in order and only ever reassigned, so
+            # the mapping's values are already in slot order
+            cached = list(self.slot_to_machine.values())
             self._machines_cache = cached
         return cached
 
@@ -151,6 +176,7 @@ class TrainingJob:
         self.slot_to_machine = dict(enumerate(machine_ids))
         self._machines_cache = None
         self._machine_to_slot = None
+        self._changed()
 
     def replace_machines(self, replacements: Dict[int, int]) -> None:
         """Swap physical machines into slots (phys_old -> phys_new)."""
@@ -161,6 +187,7 @@ class TrainingJob:
             self.slot_to_machine[inverse[old]] = new
         self._machines_cache = None
         self._machine_to_slot = None
+        self._changed()
 
     def rebind_parallelism(self, parallelism: ParallelismConfig,
                            machine_ids: Sequence[int]) -> None:
@@ -182,6 +209,7 @@ class TrainingJob:
         self.slot_to_machine = dict(enumerate(machine_ids))
         self._machines_cache = None
         self._machine_to_slot = None
+        self._changed()
 
     def slot_of_machine(self, machine_id: int) -> Optional[int]:
         # Fault blast-radius checks probe every fleet-wide active fault
@@ -372,6 +400,7 @@ class TrainingJob:
             fault_id=fault.fault_id)
         self.log_events.append(event)
         self.last_crash = event
+        self._changed()
 
     def _hang(self, fault: Fault) -> None:
         self._cancel_step()

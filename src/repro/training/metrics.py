@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -162,17 +162,26 @@ class MfuModel:
         self.profile = initial_profile or CodeVersionProfile("v0", 0.30)
         #: Named multiplicative degradations (e.g. "thermal" → 0.6).
         self._degradations: Dict[str, float] = {}
+        #: called with no argument after every write below
+        self.listeners: List[Callable[[], None]] = []
+
+    def _changed(self) -> None:
+        for fn in self.listeners:
+            fn()
 
     def set_profile(self, profile: CodeVersionProfile) -> None:
         self.profile = profile
+        self._changed()
 
     def set_degradation(self, name: str, factor: float) -> None:
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"degradation factor must be in (0,1]: {factor}")
         self._degradations[name] = factor
+        self._changed()
 
     def clear_degradation(self, name: str) -> None:
-        self._degradations.pop(name, None)
+        if self._degradations.pop(name, None) is not None:
+            self._changed()
 
     @property
     def degradations(self) -> Dict[str, float]:

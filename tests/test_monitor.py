@@ -152,6 +152,9 @@ class TestInspectionEngine:
         sim.run(until=10.0)
         assert not events                      # machine 3 not inspected
         machines.append(3)
+        # a clean sweep sleeps; changing the set outside a job's change
+        # hook must wake the engine (a job's binding change does)
+        engine.wake()
         sim.run(until=20.0)
         assert any(e.item == "disk_fault" for e in events)
 
@@ -354,3 +357,200 @@ class TestAnomalyDetector:
             detail=RootCauseDetail.UFM_FAULT, effect=JobEffect.HANG)))
         sim.run(until=600.0)
         assert sum(e.kind is AnomalyKind.HANG_SUSPECT for e in events) == 2
+
+
+class TestDormantPolls:
+    """The gauge and log polls and the inspection sweeps sleep between
+    changes; sleeping must never change what the monitor reports, and
+    a retired stack must leave no watch or hook behind."""
+
+    @staticmethod
+    def _scripted_run(seed, keep_gauges_awake):
+        """One job under a random script of a hang, a transient
+        slowdown, a critical hot update and a crash; returns the
+        detector's anomaly stream, the report payload and the number
+        of gauge samples the detector saw."""
+        import json
+
+        import numpy as np
+
+        from repro import ByteRobustSystem, SystemConfig
+        from repro.controller import CodeUpdate
+        from repro.training.metrics import CodeVersionProfile
+
+        rng = np.random.default_rng(seed)
+        system = ByteRobustSystem(SystemConfig(
+            job=TrainingJobConfig(
+                model=ModelSpec("t", 2 * 10**9, 2 * 10**9, 8,
+                                seq_len=2048),
+                parallelism=ParallelismConfig(tp=2, pp=2, dp=4,
+                                              gpus_per_machine=2),
+                global_batch_size=128, gpu_peak_tflops=100.0),
+            seed=seed, use_real_minigpt=False,
+            detector=DetectorConfig(hang_zero_rdma_s=120.0,
+                                    mfu_decline_window_s=60.0)))
+        collector, detector = system.stack.collector, system.stack.detector
+        anomalies, samples = [], []
+        detector.add_listener(lambda e: anomalies.append(
+            (e.time, e.kind.value, e.detail, tuple(e.machine_ids))))
+        # count the samples the detector sees, passing its verdict on
+        inner = collector._gauge_listeners[0]
+        collector._gauge_listeners[0] = lambda s: (
+            samples.append(s.time), inner(s))[1]
+        if keep_gauges_awake:
+            collector.on_gauge(lambda sample: None)
+        system.start()
+        machines = system.job.machines
+
+        def at(t, fn):
+            system.sim.schedule_at(float(t), fn)
+
+        def inject(**kw):
+            return lambda: system.injector.inject(Fault(**kw))
+
+        # a hang: the RDMA gauge drains over time while HUNG
+        at(rng.uniform(200, 1500), inject(
+            symptom=FaultSymptom.JOB_HANG,
+            root_cause=RootCause.INFRASTRUCTURE,
+            detail=RootCauseDetail.DEFECTIVE_CUDA_CORES,
+            machine_ids=[machines[int(rng.integers(len(machines)))]],
+            effect=JobEffect.HANG))
+        # a slowdown set and cleared, short or long enough to alert
+        at(rng.uniform(200, 3000), inject(
+            symptom=FaultSymptom.MFU_DECLINE,
+            root_cause=RootCause.INFRASTRUCTURE,
+            detail=RootCauseDetail.PCIE_DEGRADED,
+            machine_ids=[machines[int(rng.integers(len(machines)))]],
+            effect=JobEffect.SLOW, transient=True,
+            auto_recover_after=float(rng.uniform(15, 200))))
+        # a hot update: set_profile on the running job
+        at(rng.uniform(200, 3000),
+           lambda: system.controller.request_manual_update(CodeUpdate(
+               version="v1", critical=True,
+               profile=CodeVersionProfile("v1", float(
+                   rng.uniform(0.31, 0.45))))))
+        # a crash, which the controller answers with a restart
+        at(rng.uniform(200, 3000), inject(
+            symptom=FaultSymptom.GPU_UNAVAILABLE,
+            root_cause=RootCause.INFRASTRUCTURE,
+            detail=RootCauseDetail.GPU_LOST,
+            machine_ids=[machines[int(rng.integers(len(machines)))]],
+            log_signature="CUDA error: device unavailable",
+            exit_code=134))
+        system.run_until(5000.0)
+        payload = json.dumps(system.report().to_dict(), sort_keys=True)
+        return anomalies, payload, len(samples)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_gauge_sleep_matches_an_awake_poll(self, seed):
+        asleep = self._scripted_run(seed, keep_gauges_awake=False)
+        awake = self._scripted_run(seed, keep_gauges_awake=True)
+        kinds = {kind for _, kind, _, _ in awake[0]}
+        assert "hang_suspect" in kinds, "the script raised no hang"
+        assert asleep[:2] == awake[:2]
+        # the oracle is not vacuous: the poll did sleep
+        assert asleep[2] < awake[2] / 2
+
+    def test_gauge_poll_sleeps_only_while_running_and_settled(self):
+        sim, cluster, inj, job = setup_env()
+        collector = MetricsCollector(sim, job)
+        events = []
+        AnomalyDetector(sim, collector).add_listener(events.append)
+        collector.start()
+        job.start()
+        sim.run(until=10.0)
+        assert collector._tasks[0].asleep      # running, settled
+        job.mfu_model.set_degradation("thermal", 0.5)
+        assert not collector._tasks[0].asleep  # an MFU write wakes it
+        sim.run(until=200.0)
+        assert not collector._tasks[0].asleep  # low MFU: not settled
+        assert any(e.kind is AnomalyKind.MFU_DECLINE for e in events)
+        job.mfu_model.clear_degradation("thermal")
+        sim.run(until=210.0)
+        assert collector._tasks[0].asleep
+        job.mfu_model.set_degradation("mild", 0.9)   # still settled
+        sim.run(until=220.0)
+        assert collector._tasks[0].asleep
+        job.mfu_model.clear_degradation("mild")
+        assert not collector._tasks[0].asleep
+        sim.run(until=230.0)
+        job.suspend()                            # a state transition
+        sim.run(until=400.0)
+        assert not collector._tasks[0].asleep  # not running: awake
+
+    def test_gauge_poll_sleeps_only_while_running(self):
+        """A listener that is always settled still sees every sample
+        of a job that is not running."""
+        sim, cluster, inj, job = setup_env()
+        collector = MetricsCollector(sim, job)
+        seen = []
+        collector.on_gauge(lambda sample: seen.append(sample.time) or True)
+        collector.start()
+        sim.run(until=30.0)                      # INIT: polled
+        assert seen == [10.0, 20.0, 30.0]
+        job.start()
+        sim.run(until=60.0)                      # running: one sample
+        assert seen[3:] == [40.0]
+        job.suspend()
+        sim.run(until=80.0)
+        assert seen[4:] == [70.0, 80.0]
+
+    def test_log_poll_sleeps_until_a_log_event(self):
+        sim, cluster, inj, job = setup_env()
+        collector = MetricsCollector(sim, job)
+        seen = []
+        collector.on_log(seen.append)
+        collector.start()
+        job.start()
+        sim.run(until=30.0)
+        assert collector._tasks[1].asleep
+        inj.inject(Fault(symptom=FaultSymptom.CUDA_ERROR,
+                         root_cause=RootCause.INFRASTRUCTURE,
+                         detail=RootCauseDetail.GPU_HBM_FAULT,
+                         machine_ids=[0], log_signature="CUDA error"))
+        assert not collector._tasks[1].asleep
+        sim.run(until=60.0)
+        assert [e.message for e in seen] == ["CUDA error"]
+        assert collector._tasks[1].asleep
+
+    def test_shutdown_leaves_no_watch_and_no_hook(self):
+        from repro.core.byterobust import ByteRobustSystem, SystemConfig
+        from repro.workloads.fleet import fleet_job_config
+
+        system = ByteRobustSystem(SystemConfig(job=fleet_job_config(2)))
+        stack = system.stack
+        store = system.platform.cluster.store
+        engine = stack.inspections
+        system.start()
+        system.sim.run(until=120.0)
+        assert _watchers(store) == {engine}
+        assert len(stack.job.change_listeners) == 2
+        stack.shutdown()
+        assert _watchers(store) == set()
+        assert stack.job.change_listeners == []
+
+    def test_spot_churn_watches_only_live_engines(self):
+        from repro.core.platform import HandleState
+        from repro.experiments.registry import get_scenario
+
+        scenario = get_scenario("fleet-spot-churn").build(
+            seed=3, duration_s=2 * 86400.0)
+        scenario.run()
+        platform = scenario.platform
+        states = {m.state for m in platform.jobs.values()}
+        assert HandleState.DONE in states, "no job finished: vacuous"
+        assert sum(m.preemptions for m in platform.jobs.values()) > 0
+        live = {m.stack.inspections for m in platform.jobs.values()
+                if m.stack.inspections._tasks}
+        assert live and _watchers(platform.cluster.store) == live
+        assert all(m.state in (HandleState.RUNNING, HandleState.RESIZING)
+                   for m in platform.jobs.values()
+                   if m.stack.inspections in live)
+
+
+def _watchers(store):
+    """The engines named anywhere in a component store's watch
+    registry."""
+    return {fn.__self__
+            for table in (store.row_watchers, store.switch_watchers)
+            for fns in table.values() for fn in fns}

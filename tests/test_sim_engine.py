@@ -104,6 +104,27 @@ def test_run_max_events():
     assert fired == [0, 1]
 
 
+def test_run_stopped_by_max_events_keeps_the_clock():
+    """A run cut short by ``max_events`` with events still due by
+    ``until`` leaves the clock at its last event, so the next run never
+    moves it backwards; once nothing live is due, ``until`` applies."""
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule_at(t, lambda: fired.append(sim.now))
+    assert sim.run(until=10.0, max_events=1) == 1
+    assert sim.now == 1.0
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0] and sim.now == 3.0
+
+    sim = Simulator()
+    sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(2.0, lambda: None).cancel()
+    sim.schedule_at(20.0, lambda: None)
+    sim.run(until=10.0, max_events=1)
+    assert sim.now == 10.0          # a cancelled entry is not due
+
+
 def test_nested_scheduling_from_callback():
     sim = Simulator()
     trace = []
@@ -250,6 +271,114 @@ def test_every_tick_member_exception_kills_only_that_member():
     sim.run(until=20.0)
     assert order == [("bad", 5.0), ("good", 10.0), ("good", 15.0),
                      ("good", 20.0)]
+
+
+def test_every_tick_sleeping_member_is_skipped():
+    sim = Simulator()
+    order = []
+    a = sim.every_tick(5.0, lambda: order.append(("a", sim.now)))
+    sim.every_tick(5.0, lambda: order.append(("b", sim.now)))
+    a.sleep()
+    assert a.asleep and not a.stopped
+    sim.run(until=11.0)
+    assert order == [("b", 5.0), ("b", 10.0)]
+    a.wake()
+    assert not a.asleep
+    sim.run(until=16.0)
+    # the woken member fires in its registration slot
+    assert order[2:] == [("a", 15.0), ("b", 15.0)]
+
+
+def test_every_tick_wake_mid_batch_depends_on_slot():
+    """A wake from inside a batch fires a member whose slot the batch
+    has not reached on this tick, and one it has passed on the next."""
+    sim = Simulator()
+    order = []
+    members = {}
+
+    def waker():
+        order.append(("waker", sim.now))
+        members["before"].wake()
+        members["after"].wake()
+
+    members["before"] = sim.every_tick(
+        5.0, lambda: order.append(("before", sim.now)))
+    sim.every_tick(5.0, waker)
+    members["after"] = sim.every_tick(
+        5.0, lambda: order.append(("after", sim.now)))
+    members["before"].sleep()
+    members["after"].sleep()
+    sim.run(until=5.0)
+    assert order == [("waker", 5.0), ("after", 5.0)]
+    members["after"].sleep()
+    sim.run(until=10.0)
+    assert order[2:] == [("before", 10.0), ("waker", 10.0),
+                         ("after", 10.0)]
+
+
+def test_every_tick_sleep_keeps_registration_order():
+    sim = Simulator()
+    order = []
+    members = [sim.every_tick(5.0, lambda i=i: order.append(i))
+               for i in range(4)]
+    for member in members[::2]:
+        member.sleep()
+    sim.run(until=5.0)
+    assert order == [1, 3]
+    for member in members:
+        member.wake()
+    sim.run(until=10.0)
+    assert order[2:] == [0, 1, 2, 3]
+
+
+def test_every_tick_stopping_sleeping_last_member_retires_group():
+    sim = Simulator()
+    ticks = []
+    keep = sim.every_tick(5.0, lambda: ticks.append(sim.now))
+    other = sim.every_tick(5.0, lambda: None)
+    other.stop()
+    keep.sleep()
+    assert sim.pending_count() == 1     # the group stays armed
+    keep.stop()
+    assert sim.pending_count() == 0
+    assert not sim._tick_groups
+    sim.run(until=50.0)
+    assert ticks == [] and sim.now == 50.0
+    keep.wake()                         # no-op on a stopped member
+    assert keep.stopped and not keep.asleep
+    sim.run(until=100.0)
+    assert ticks == [] and sim.pending_count() == 0
+
+
+def test_every_tick_wake_does_not_revive_a_stopped_member():
+    sim = Simulator()
+    order = []
+    stopped = sim.every_tick(5.0, lambda: order.append("stopped"))
+    sim.every_tick(5.0, lambda: order.append("live"))
+    stopped.stop()
+    stopped.wake()
+    sim.run(until=11.0)
+    assert order == ["live", "live"]
+
+
+def test_every_tick_all_asleep_group_keeps_cadence():
+    """A group whose members all sleep still fires every tick (one
+    event each, same heap sequence), so a later wake lands on the
+    anchored grid and event counts do not depend on sleeping."""
+    counts = []
+    for sleep in (False, True):
+        sim = Simulator()
+        ticks = []
+        member = sim.every_tick(5.0, lambda: ticks.append(sim.now),
+                                first_delay=2.0)
+        if sleep:
+            member.sleep()
+        executed = sim.run(until=30.0)
+        counts.append(executed)
+        member.wake()
+        sim.run(until=40.0)
+        assert ticks[-2:] == [32.0, 37.0]
+    assert counts == [6, 6]
 
 
 def test_every_tick_rejects_nonpositive_interval():

@@ -15,7 +15,7 @@ scalar references:
 * scripted sweep runs of three engines on one cluster assert each
   live emission stream (content, order, dedup, switch strikes) equals
   the seed per-component sweeps kept in :mod:`repro.perf.baseline`,
-  which never skip.
+  which never sleep.
 """
 
 import contextlib
@@ -200,7 +200,17 @@ def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
     held_gpu = cluster.machines[0].gpus[3]
     held_host = cluster.machines[0].host
     store = cluster.store
-    version = store.version
+    # one recording watcher per row and per switch, and a second one on
+    # every even row: each write reaches exactly the watchers of what
+    # it wrote, once, naming the table it wrote
+    calls = []
+    for mid in range(machines):
+        for tag in ("row", "even")[:2 - mid % 2]:
+            store.watch(lambda table, key=(tag, mid): calls.append(
+                (key, table)), [mid], [])
+    for sw in range(len(cluster.switches)):
+        store.watch(lambda table, key=("switch", sw): calls.append(
+            (key, table)), [], [sw])
     for op in ops:
         if op[0] == "write":
             _, midx, index, (kind, name, value) = op
@@ -208,18 +218,20 @@ def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
             view = {"gpu": machine.gpus, "nic": machine.nics}.get(kind)
             setattr(machine.host if view is None else view[index],
                     name, value)
+            row, table = midx % machines, kind
         elif op[0] == "reset":
             cluster.machines[op[1] % machines].reset_health()
+            row, table = op[1] % machines, None
         else:
             cluster.switches[op[1] % len(cluster.switches)].up = op[2]
-        assert store.version > version
-        version = store.version
-        # every write stamps the new counter value on what it wrote
         if op[0] == "switch":
-            stamped = store.switch_version[op[1] % len(cluster.switches)]
+            expected = [(("switch", op[1] % len(cluster.switches)),
+                         "switch")]
         else:
-            stamped = store.row_version[op[1] % machines]
-        assert stamped == version
+            expected = [(("row", row), table)] + (
+                [] if row % 2 else [(("even", row), table)])
+        assert calls == expected
+        calls.clear()
         _assert_store_matches_views(cluster)
 
     cluster.machines[0].reset_health()
@@ -235,9 +247,12 @@ def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
     shuffled = rng.permutation(machines).tolist()
     subset = sorted(rng.choice(machines, size=max(1, machines // 2),
                                replace=False).tolist())
+    watchers = (dict(store.row_watchers), dict(store.switch_watchers))
     for ids in (full, shuffled, subset):
         engine = InspectionEngine(Simulator(), cluster, lambda ids=ids: ids)
         engine._refresh_view()
+        assert all(store.row_watchers[mid][-1] == engine._store_wrote
+                   for mid in ids)
         for subsystem in ("host_ok", "gpus_ok", "nics_ok"):
             assert store.unhealthy(engine._arr, subsystem) == [
                 mid for mid in ids
@@ -250,6 +265,8 @@ def test_store_masks_match_scalar_rollups(machines, per_switch, ops,
         assert engine._switches.tolist() == list(seen)
         assert store.switch_up[engine._switches].tolist() == list(
             seen.values())
+        engine.stop()
+        assert (store.row_watchers, store.switch_watchers) == watchers
 
 
 def test_store_masks_track_every_field_write():
@@ -271,40 +288,71 @@ def test_store_masks_track_every_field_write():
 
 def test_inspection_view_follows_machine_set_changes():
     """The engine's view follows the callable's contents — a list
-    mutated in place included — and keeps its clean stamps while the
-    contents stay equal, even across a new list object."""
+    mutated in place included — and watches exactly the view's rows
+    and switches; equal contents, even in a new list object, keep the
+    view and let clean sweeps sleep, a watched write wakes the sweep
+    that reads it, a new view wakes all three, and ``stop()`` drops
+    every watch."""
     cluster = Cluster(ClusterSpec(num_machines=8, machines_per_switch=4))
     store = cluster.store
+
+    def watched(engine):
+        def mine(table):
+            return sorted(k for k, fns in table.items()
+                          if engine._store_wrote in fns)
+        return mine(store.row_watchers), mine(store.switch_watchers)
+
     cluster.machines[7].gpus[0].temperature_c = 95.0
     ids = list(range(8))
-    engine = InspectionEngine(Simulator(), cluster, lambda: ids)
+    sim = Simulator()
+    engine = InspectionEngine(sim, cluster, lambda: ids)
+    engine.start()
+    tasks = engine._tasks
     engine._refresh_view()
+    assert watched(engine) == (list(range(8)), [0, 1])
     assert store.unhealthy(engine._arr, "gpus_ok") == [7]
     ids.pop()                       # same list object, new contents
     engine._refresh_view()
+    assert watched(engine) == (list(range(7)), [0, 1])
     assert store.unhealthy(engine._arr, "gpus_ok") == []
     assert engine._switches.tolist() == [0, 1]
-    engine._sweep_gpu()
-    assert engine._skip_unchanged("gpu")
-    assert not engine._skip_unchanged("host")
+    sim.run(until=10.0)             # host and GPU sweeps ran clean
+    assert tasks["gpu"].asleep and tasks["host"].asleep
+    assert not tasks["network"].asleep
     arr = engine._arr
     ids = list(ids)                 # new object, equal contents
     engine._refresh_view()
-    assert engine._arr is arr and engine._skip_unchanged("gpu")
+    assert engine._arr is arr and tasks["gpu"].asleep
+    cluster.machines[7].gpus[0].temperature_c = 96.0    # not watched
+    assert tasks["gpu"].asleep
+    cluster.machines[3].host.cpu_load_frac = 0.5        # watched host row
+    assert not tasks["host"].asleep and tasks["gpu"].asleep
     ids.append(7)
     engine._refresh_view()
+    assert not any(task.asleep for task in tasks.values())
     assert store.unhealthy(engine._arr, "gpus_ok") == [7]
-    assert not engine._skip_unchanged("gpu")
+    engine.stop()
+    assert watched(engine) == ([], [])
 
-    job = TrainingJob(Simulator(), fleet_job_config(2))
+    # a job's binding change wakes the sweeps through its change hook
+    job = TrainingJob(sim, fleet_job_config(2))
     job.bind_machines([7, 0])
-    engine = InspectionEngine(Simulator(), cluster, lambda: job.machines)
-    engine._refresh_view()
+    engine = InspectionEngine(sim, cluster, lambda: job.machines,
+                              wake_on=job.change_listeners)
+    engine.start()
+    sim.run(until=40.0)
     assert engine._arr.tolist() == [7, 0]
     assert engine._switches.tolist() == [1, 0]
+    tasks = engine._tasks
+    assert tasks["host"].asleep and tasks["network"].asleep
+    assert not tasks["gpu"].asleep              # machine 7 runs hot
     job.replace_machines({7: 6})
-    engine._refresh_view()
+    assert not any(task.asleep for task in tasks.values())
+    sim.run(until=50.0)
     assert store.unhealthy(engine._arr, "gpus_ok") == []
+    assert tasks["gpu"].asleep
+    engine.stop()
+    assert job.change_listeners == [] and watched(engine) == ([], [])
 
 
 def test_job_machines_is_a_new_list_after_every_binding_change():
@@ -384,7 +432,7 @@ _ENGINE_SETS = (list(range(0, 36)), list(range(36, 64)),
 def _scripted_sweep_events(seed: int, seed_sweeps: bool) -> list:
     """Run scripted fault flips under three InspectionEngines on one
     cluster — the live mask-driven sweeps, or the seed per-component
-    scans of :mod:`repro.perf.baseline` (which never skip) when
+    scans of :mod:`repro.perf.baseline` (which never sleep) when
     ``seed_sweeps`` — and return each engine's emission stream."""
     patch = seed_baseline() if seed_sweeps else contextlib.nullcontext()
     with patch:
@@ -421,9 +469,14 @@ def _scripted_sweep_events(seed: int, seed_sweeps: bool) -> list:
     sim.schedule_at(at + 100.0,
                     lambda: setattr(cluster.switches[4], "up", True))
     # machine-set changes the way a job rebinds: a new list object,
-    # once with equal contents and once without four machines
-    sim.schedule_at(300.0, lambda: sets.__setitem__(1, list(sets[1])))
-    sim.schedule_at(600.0, lambda: sets.__setitem__(2, sets[2][:-4]))
+    # once with equal contents and once without four machines, and a
+    # wake as a job's change hook gives (a no-op on the seed sweeps,
+    # which never sleep)
+    def swap(i, ids):
+        sets[i] = ids
+        engines[i].wake()
+    sim.schedule_at(300.0, lambda: swap(1, list(sets[1])))
+    sim.schedule_at(600.0, lambda: swap(2, sets[2][:-4]))
     sim.run(until=1500.0)
     for engine in engines:
         engine.stop()
