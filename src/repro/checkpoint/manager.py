@@ -20,15 +20,24 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.planner import BackupPlan, plan_cross_group_backup
 from repro.checkpoint.storage import StorageTiers
 from repro.checkpoint.strategies import ByteRobustSave, CheckpointContext, SaveStrategy
 from repro.parallelism import ShardedStateSizes
 from repro.sim import Simulator
-from repro.training.job import TrainingJob
+from repro.training.job import (
+    SegmentListener,
+    StepRecord,
+    StepSegment,
+    TrainingJob,
+)
 from repro.training.metrics import StepMetrics
+
+#: durability mark kinds on the due heap
+_LOCAL, _BACKUP, _REMOTE = 0, 1, 2
 
 
 class RecoverySource(enum.Enum):
@@ -57,8 +66,16 @@ class _SlotCheckpointState:
     backup_step: int = -1      # on the cross-group peer machine
 
 
-class CheckpointManager:
-    """Every-step asynchronous checkpointing for one training job."""
+class CheckpointManager(SegmentListener):
+    """Every-step asynchronous checkpointing for one training job.
+
+    It never needs a step on time: each save's local, backup and remote
+    marks get the due times ``end + delay`` a per-save timer would have
+    fired at, and :attr:`slot_states` / :attr:`remote_step` land every
+    mark due by now before they are read or written — so the marks of
+    steps saved before a crash still land after :meth:`after_recovery`,
+    as such timers did.
+    """
 
     def __init__(self, sim: Simulator, job: TrainingJob,
                  shard_sizes: ShardedStateSizes, tiers: StorageTiers,
@@ -71,18 +88,42 @@ class CheckpointManager:
         self.strategy = strategy or ByteRobustSave()
         self.remote_every_steps = remote_every_steps
         self.plan: BackupPlan = plan_cross_group_backup(job.topology)
-        self.slot_states: Dict[int, _SlotCheckpointState] = {
+        self._slot_states: Dict[int, _SlotCheckpointState] = {
             slot: _SlotCheckpointState()
             for slot in range(job.num_machines)}
-        self.remote_step: int = -1
+        self._remote_step: int = -1
         self.saves_started = 0
         self.enabled = True
         #: (effective mfu, context) — everything else in the context
         #: is static, so it only needs rebuilding when the MFU moves
         #: (hot updates, degradations), not twice per training step.
         self._ctx_cache: Optional[tuple] = None
-        job.step_listeners.append(self._on_step)
+        #: heap of (due time, kind, step) durability marks not yet
+        #: applied; kind is ``_LOCAL``, ``_BACKUP`` or ``_REMOTE``
+        self._due: List[Tuple[float, int, int]] = []
+        job.add_step_listener(self)
         job.overhead_providers.append(self._blocking_overhead)
+
+    # ------------------------------------------------------------------
+    # durable state: every mark due by now lands before a read or write
+    # ------------------------------------------------------------------
+    @property
+    def slot_states(self) -> Dict[int, _SlotCheckpointState]:
+        self._land_due_marks()
+        return self._slot_states
+
+    @property
+    def remote_step(self) -> int:
+        self._land_due_marks()
+        return self._remote_step
+
+    def _land_due_marks(self) -> None:
+        self.job.materialize()
+        due = self._due
+        now = self.sim.now
+        while due and due[0][0] <= now:
+            _due, kind, step = heappop(due)
+            self._mark(kind, step)
 
     # ------------------------------------------------------------------
     def _context(self) -> CheckpointContext:
@@ -105,40 +146,75 @@ class CheckpointManager:
             return 0.0
         return self.strategy.blocking_seconds(self._context())
 
-    def _on_step(self, metrics: StepMetrics) -> None:
+    def _delays(self) -> Tuple[float, float, Optional[float]]:
+        """Seconds from a step's end until its local, backup and (on a
+        remote step) remote copies are durable."""
+        ctx = self._context()
+        nbytes = self.shard_sizes.checkpoint_bytes
+        # local durability: after D2H + serialization complete
+        local = self.tiers.serialize_seconds(nbytes)
+        # backup durability: after the P2P exchange also lands
+        backup = (self.strategy.async_tail_seconds(ctx)
+                  or self.tiers.serialize_seconds(nbytes))
+        remote = (backup + self.tiers.remote_seconds(nbytes)
+                  if self.remote_every_steps > 0
+                  and self.tiers.remote_available else None)
+        return local, backup, remote
+
+    def __call__(self, metrics: StepMetrics) -> None:
+        if self.enabled:
+            self.saves_started += 1
+            self._save(metrics.step, metrics.time, *self._delays())
+
+    def on_steps(self, segment: StepSegment,
+                 records: Sequence[StepRecord]) -> None:
+        """Every step kicks off a save: the marks already due land now
+        (no read or write of the durable state can have come between
+        them and now, or it would have committed these steps), the
+        others wait on the due heap."""
         if not self.enabled:
             return
-        self.saves_started += 1
-        ctx = self._context()
-        step = metrics.step
-        nbytes = self.shard_sizes.checkpoint_bytes
-        local_delay = (self.strategy.async_tail_seconds(ctx)
-                       or self.tiers.serialize_seconds(nbytes))
-        # local durability: after D2H + serialization complete
-        self.sim.schedule(self.tiers.serialize_seconds(nbytes),
-                          lambda: self._mark_local(step))
-        # backup durability: after the P2P exchange also lands
-        self.sim.schedule(local_delay, lambda: self._mark_backup(step))
-        if self.remote_every_steps > 0 and (
-                step % self.remote_every_steps == 0):
-            remote_delay = local_delay + self.tiers.remote_seconds(nbytes) \
-                if self.tiers.remote_available else None
-            if remote_delay is not None:
-                self.sim.schedule(remote_delay,
-                                  lambda: self._mark_remote(step))
+        self.saves_started += len(records)
+        local, backup, remote = self._delays()
+        now = self.sim.now
+        for kind, delay in enumerate((local, backup)):
+            i = len(records)
+            while i and records[i - 1].end + delay > now:
+                i -= 1
+                heappush(self._due, (records[i].end + delay, kind,
+                                     records[i].step))
+            if i:
+                self._mark(kind, records[i - 1].step)
+        if remote is not None:
+            every = self.remote_every_steps
+            first = records[0].step
+            for i in range(-first % every, len(records), every):
+                record = records[i]
+                if record.end + remote > now:
+                    heappush(self._due, (record.end + remote, _REMOTE,
+                                         record.step))
+                else:
+                    self._mark(_REMOTE, record.step)
 
-    def _mark_local(self, step: int) -> None:
-        for state in self.slot_states.values():
-            if step > state.local_step:
-                state.local_step = step
+    def _save(self, step: int, end: float, local: float, backup: float,
+              remote: Optional[float]) -> None:
+        due = self._due
+        heappush(due, (end + local, _LOCAL, step))
+        heappush(due, (end + backup, _BACKUP, step))
+        if remote is not None and step % self.remote_every_steps == 0:
+            heappush(due, (end + remote, _REMOTE, step))
 
-    def _mark_backup(self, step: int) -> None:
-        for state in self.slot_states.values():
-            if step > state.backup_step:
-                state.backup_step = step
-
-    def _mark_remote(self, step: int) -> None:
-        self.remote_step = max(self.remote_step, step)
+    def _mark(self, kind: int, step: int) -> None:
+        if kind == _REMOTE:
+            self._remote_step = max(self._remote_step, step)
+        elif kind == _LOCAL:
+            for state in self._slot_states.values():
+                if step > state.local_step:
+                    state.local_step = step
+        else:
+            for state in self._slot_states.values():
+                if step > state.backup_step:
+                    state.backup_step = step
 
     # ------------------------------------------------------------------
     # recovery
@@ -155,17 +231,19 @@ class CheckpointManager:
         evicted_slots = {
             slot for mid in evicted_machines
             for slot in [self.job.slot_of_machine(mid)] if slot is not None}
+        self._land_due_marks()
+        remote_step = self._remote_step
         best_step = None
         worst_source = RecoverySource.LOCAL_MEMORY
         nbytes = self.shard_sizes.checkpoint_bytes
-        for slot, state in self.slot_states.items():
+        for slot, state in self._slot_states.items():
             backup_slot = self._backup_holder_slot(slot)
             if slot not in evicted_slots:
                 step, source = state.local_step, RecoverySource.LOCAL_MEMORY
             elif backup_slot not in evicted_slots:
                 step, source = state.backup_step, RecoverySource.PEER_BACKUP
-            elif self.tiers.remote_available and self.remote_step >= 0:
-                step, source = self.remote_step, RecoverySource.REMOTE_STORAGE
+            elif self.tiers.remote_available and remote_step >= 0:
+                step, source = remote_step, RecoverySource.REMOTE_STORAGE
             else:
                 step, source = -1, RecoverySource.NONE
             if best_step is None or step < best_step:
@@ -218,7 +296,8 @@ class CheckpointManager:
         if shard_sizes is not None:
             self.shard_sizes = shard_sizes
         self.plan = plan_cross_group_backup(self.job.topology)
-        self.slot_states = {
+        self._land_due_marks()
+        self._slot_states = {
             slot: _SlotCheckpointState(local_step=restart_step,
                                        backup_step=restart_step)
             for slot in range(self.job.num_machines)}
@@ -230,6 +309,6 @@ class CheckpointManager:
             state.local_step = min(state.local_step, restart_step)
             state.backup_step = min(state.backup_step, restart_step)
         # A fresh copy now exists everywhere (the loaded checkpoint).
-        for state in self.slot_states.values():
+        for state in self._slot_states.values():
             state.local_step = max(state.local_step, restart_step)
             state.backup_step = max(state.backup_step, restart_step)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
 import numpy as np
 
@@ -268,6 +268,13 @@ class FaultInjector:
         self._cluster = cluster
         self._ids = itertools.count()
         self.active_faults: Dict[int, Fault] = {}
+        #: machines with a non-empty ``active_fault_ids``, ids of the
+        #: active faults naming each switch, and of the active
+        #: service-level faults (no machine, no switch): what a job's
+        #: blast-radius query gathers instead of testing every fault
+        self.faulty_machine_ids: Set[int] = set()
+        self.switch_fault_ids: Dict[int, List[int]] = {}
+        self.service_fault_ids: List[int] = []
         self._listeners: Dict[object, Callable[[str, Fault], None]] = {}
 
     def add_listener(self, fn: Callable[[str, Fault], None]
@@ -285,6 +292,12 @@ class FaultInjector:
         _apply_detail(self._cluster, fault)
         for mid in fault.machine_ids:
             self._cluster.machine(mid).active_fault_ids.append(fault.fault_id)
+            self.faulty_machine_ids.add(mid)
+        if fault.switch_id is not None:
+            self.switch_fault_ids.setdefault(fault.switch_id, []).append(
+                fault.fault_id)
+        elif not fault.machine_ids:
+            self.service_fault_ids.append(fault.fault_id)
         self.active_faults[fault.fault_id] = fault
         self._notify("inject", fault)
         if fault.transient:
@@ -301,7 +314,16 @@ class FaultInjector:
             ids = self._cluster.machine(mid).active_fault_ids
             if fault.fault_id in ids:
                 ids.remove(fault.fault_id)
-        self.active_faults.pop(fault.fault_id, None)
+            if not ids:
+                self.faulty_machine_ids.discard(mid)
+        if self.active_faults.pop(fault.fault_id, None) is not None:
+            if fault.switch_id is not None:
+                ids = self.switch_fault_ids[fault.switch_id]
+                ids.remove(fault.fault_id)
+                if not ids:
+                    del self.switch_fault_ids[fault.switch_id]
+            elif not fault.machine_ids:
+                self.service_fault_ids.remove(fault.fault_id)
         self._notify("clear", fault)
 
     def clear_machine(self, machine_id: int) -> None:

@@ -18,7 +18,7 @@ name, and reads it back:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.components import MachineSpec
 from repro.controller.controller import ControllerConfig
@@ -30,7 +30,13 @@ from repro.core.platform import JobSpec, PlatformConfig, TrainingPlatform
 from repro.monitor.collectors import CollectorConfig
 from repro.monitor.detectors import DetectorConfig
 from repro.monitor.inspections import InspectionConfig
-from repro.training.job import TrainingJobConfig
+from repro.training.job import (
+    SegmentListener,
+    StepRecord,
+    StepSegment,
+    TrainingJobConfig,
+)
+from repro.training.metrics import StepMetrics
 
 
 @dataclass
@@ -152,6 +158,21 @@ class RunReport:
         return "\n".join(lines)
 
 
+class _MfuSampler(SegmentListener):
+    """(step, MFU) of every completed step; never needs one on time."""
+
+    def __init__(self) -> None:
+        self.samples: List[tuple] = []
+
+    def __call__(self, metrics: StepMetrics) -> None:
+        self.samples.append((metrics.step, metrics.mfu))
+
+    def on_steps(self, segment: StepSegment,
+                 records: Sequence[StepRecord]) -> None:
+        mfu = segment.mfu
+        self.samples.extend((r.step, mfu) for r in records)
+
+
 class ByteRobustSystem:
     """A fully wired robust-training deployment: one job on a
     one-job :class:`~repro.core.platform.TrainingPlatform`."""
@@ -188,9 +209,8 @@ class ByteRobustSystem:
         self.hotupdate = self.stack.hotupdate
         self.incident_log = self.stack.incident_log
         self.controller = self.stack.controller
-        self._mfu_samples: List[tuple] = []
-        self.stack.collector.on_step(
-            lambda m: self._mfu_samples.append((m.step, m.mfu)))
+        self._mfu_samples = _MfuSampler()
+        self.stack.collector.add_step_listener(self._mfu_samples)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -219,7 +239,7 @@ class ByteRobustSystem:
             mechanism_distribution=(
                 self.incident_log.mechanism_distribution()),
             loss_series=self.job.loss_series(),
-            mfu_series=list(self._mfu_samples),
+            mfu_series=list(self._mfu_samples.samples),
             wasted_step_seconds=self.job.wasted_step_seconds(),
             standby_idle_machine_seconds=(
                 self.pool.standby_idle_machine_seconds),

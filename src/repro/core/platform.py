@@ -530,17 +530,15 @@ class TrainingPlatform:
         self._record(managed, "preempt_requested")
         if self.config.preemption == "checkpoint":
             job = managed.job
-            handlers: List[Any] = []
 
             def on_boundary(metrics) -> None:
-                job.step_listeners.remove(handlers[0])
+                job.remove_step_listener(on_boundary)
                 if managed.completed or not managed.preempting:
                     return
                 self._finish_preemption(managed,
                                         resume_step=metrics.step)
 
-            handlers.append(on_boundary)
-            job.step_listeners.append(on_boundary)
+            job.add_step_listener(on_boundary)
         else:
             # kill: immediate, but after the current dispatch event so
             # the scheduler's plan executes atomically
@@ -620,16 +618,14 @@ class TrainingPlatform:
         managed.is_resizing = True
         self._record(managed, "resize_requested")
         job = managed.job
-        handlers: List[Any] = []
 
         def on_boundary(metrics) -> None:
-            job.step_listeners.remove(handlers[0])
+            job.remove_step_listener(on_boundary)
             if managed.completed or not managed.is_resizing:
                 return
             self._finish_resize(managed, new_size, metrics.step)
 
-        handlers.append(on_boundary)
-        job.step_listeners.append(on_boundary)
+        job.add_step_listener(on_boundary)
 
     def _finish_resize(self, managed: ManagedJob, new_size: int,
                        step: int) -> None:

@@ -17,10 +17,20 @@ gauges only move with its MFU model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.sim import Simulator, TickMember
-from repro.training.job import JobState, LogEvent, TrainingJob
+from repro.training.job import (
+    JobState,
+    LogEvent,
+    SegmentListener,
+    StepListener,
+    StepRecord,
+    StepSegment,
+    TrainingJob,
+    deliver_steps,
+    first_acting_step,
+)
 from repro.training.metrics import StepMetrics
 
 
@@ -40,8 +50,13 @@ class CollectorConfig:
     log_interval_s: float = 30.0
 
 
-class MetricsCollector:
-    """Gathers step metrics, gauges, and logs from one training job."""
+class MetricsCollector(SegmentListener):
+    """Gathers step metrics, gauges, and logs from one training job.
+
+    On the job it is one segment listener fanning steps out to its own
+    subscribers: it acts where the earliest of them acts, so a plain
+    :meth:`on_step` callable makes every step an acting step.
+    """
 
     def __init__(self, sim: Simulator, job: TrainingJob,
                  config: Optional[CollectorConfig] = None):
@@ -49,17 +64,24 @@ class MetricsCollector:
         self.job = job
         self.config = config or CollectorConfig()
         self._log_cursor = 0
-        self._step_listeners: List[Callable[[StepMetrics], None]] = []
+        self._step_listeners: List[StepListener] = []
         self._gauge_listeners: List[Callable[[GaugeSample], Any]] = []
         self._log_listeners: List[Callable[[LogEvent], None]] = []
         #: [gauge poll, log poll] tick members, while started
         self._tasks: List[TickMember] = []
-        job.step_listeners.append(self._on_step)
+        job.add_step_listener(self)
         job.change_listeners.append(self._wake)
 
     # ------------------------------------------------------------------
     def on_step(self, fn: Callable[[StepMetrics], None]) -> None:
-        self._step_listeners.append(fn)
+        """Subscribe ``fn`` to every step, at its completion time."""
+        self.add_step_listener(fn)
+
+    def add_step_listener(self, listener: StepListener) -> None:
+        """Subscribe a plain callable or a :class:`SegmentListener`."""
+        self.job.materialize()
+        self._step_listeners.append(listener)
+        self.job.replan()
 
     def on_gauge(self, fn: Callable[[GaugeSample], Any]) -> None:
         """Subscribe to gauge samples.  A listener returns a truthy
@@ -78,8 +100,8 @@ class MetricsCollector:
         # in __init__ so listener ordering (pinned by the equivalence
         # suite) is unchanged for the common build-then-start flow.
         job = self.job
-        if self._on_step not in job.step_listeners:
-            job.step_listeners.append(self._on_step)
+        if self not in job.step_listeners:
+            job.add_step_listener(self)
         if self._wake not in job.change_listeners:
             job.change_listeners.append(self._wake)
         # Coalesced ticks: the gauge poll shares a TickGroup (one heap
@@ -106,10 +128,11 @@ class MetricsCollector:
         for task in self._tasks:
             task.stop()
         self._tasks = []
-        for listeners, fn in ((self.job.step_listeners, self._on_step),
-                              (self.job.change_listeners, self._wake)):
-            if fn in listeners:
-                listeners.remove(fn)
+        job = self.job
+        if self in job.step_listeners:
+            job.remove_step_listener(self)
+        if self._wake in job.change_listeners:
+            job.change_listeners.remove(self._wake)
 
     def _wake(self) -> None:
         for task in self._tasks:
@@ -120,7 +143,21 @@ class MetricsCollector:
     # or detach another mid-dispatch) but only when there is someone to
     # call: at fleet scale most collectors poll with no listeners at
     # all, and the per-poll allocation is pure overhead.
-    def _on_step(self, metrics: StepMetrics) -> None:
+    def first_acting_step(self, segment: StepSegment) -> Optional[int]:
+        acting = None
+        for listener in self._step_listeners:
+            step = first_acting_step(listener, segment)
+            if step is not None and (acting is None or step < acting):
+                acting = step
+        return acting
+
+    def on_steps(self, segment: StepSegment,
+                 records: Sequence[StepRecord]) -> None:
+        if self._step_listeners:
+            for listener in tuple(self._step_listeners):
+                deliver_steps(listener, segment, records)
+
+    def __call__(self, metrics: StepMetrics) -> None:
         if self._step_listeners:
             for fn in tuple(self._step_listeners):
                 fn(metrics)

@@ -18,14 +18,22 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from statistics import median
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.monitor.collectors import GaugeSample, MetricsCollector
 from repro.sim import Simulator
-from repro.training.job import LogEvent
-from repro.training.metrics import StepMetrics
+from repro.training.job import (
+    LogEvent,
+    SegmentListener,
+    StepRecord,
+    StepSegment,
+)
+from repro.training.metrics import BLOCK_STEPS, StepMetrics
+
+#: relative slack on the no-spike bound, far above float rounding
+_BOUND_SLACK = 1e-9
 
 #: Log substrings that identify user-space (rollback-able) errors.
 USER_SPACE_SIGNATURES = (
@@ -70,8 +78,22 @@ class DetectorConfig:
     mfu_decline_window_s: float = 120.0
 
 
-class AnomalyDetector:
-    """Subscribes to a collector and emits :class:`AnomalyEvent`s."""
+def _median(window: List[float]) -> float:
+    """``statistics.median`` of an already sorted list."""
+    n = len(window)
+    i = n // 2
+    if n % 2:
+        return window[i]
+    return (window[i - 1] + window[i]) / 2
+
+
+class AnomalyDetector(SegmentListener):
+    """Subscribes to a collector and emits :class:`AnomalyEvent`s.
+
+    Steps reach it as a segment listener: it acts on time only at a NaN
+    step or at a step whose loss reaches ``spike_factor`` times the
+    trailing median, and takes every other step in bulk.
+    """
 
     def __init__(self, sim: Simulator, collector: MetricsCollector,
                  config: Optional[DetectorConfig] = None):
@@ -79,12 +101,16 @@ class AnomalyDetector:
         self.collector = collector
         self.config = config or DetectorConfig()
         self._listeners: List[Callable[[AnomalyEvent], None]] = []
+        #: trailing losses, trimmed by ``spike_history`` once longer
+        #: than four times it; ``_window`` is its last ``spike_history``
+        #: values, sorted
         self._loss_history: List[float] = []
+        self._window: List[float] = []
         self._zero_rdma_since: Optional[float] = None
         self._low_mfu_since: Optional[float] = None
         self._hang_reported = False
         self._decline_reported = False
-        collector.on_step(self._on_step)
+        collector.add_step_listener(self)
         collector.on_gauge(self._on_gauge)
         collector.on_log(self._on_log)
 
@@ -108,20 +134,87 @@ class AnomalyDetector:
             fn(event)
 
     # ------------------------------------------------------------------
-    def _on_step(self, metrics: StepMetrics) -> None:
+    def __call__(self, metrics: StepMetrics) -> None:
         if math.isnan(metrics.loss) or math.isnan(metrics.grad_norm):
             self._emit(AnomalyKind.NAN_METRIC,
                        detail=f"NaN at step {metrics.step}")
             return
         if len(self._loss_history) >= 8:
-            baseline = median(self._loss_history[-self.config.spike_history:])
+            baseline = _median(self._window)
             if metrics.loss >= self.config.spike_factor * baseline:
                 self._emit(AnomalyKind.LOSS_SPIKE,
                            detail=(f"loss {metrics.loss:.3f} vs median "
                                    f"{baseline:.3f} at step {metrics.step}"))
-        self._loss_history.append(metrics.loss)
-        if len(self._loss_history) > 4 * self.config.spike_history:
-            del self._loss_history[:self.config.spike_history]
+        self._push(metrics.loss)
+
+    def _push(self, loss: float) -> None:
+        history = self._loss_history
+        window = self._window
+        keep = self.config.spike_history
+        history.append(loss)
+        if len(history) > keep:
+            del window[bisect_left(window, history[-keep - 1])]
+        insort(window, loss)
+        if len(history) > 4 * keep:
+            del history[:keep]
+
+    def _trimmed_length(self, appended: int) -> int:
+        """History length after ``appended`` more losses."""
+        keep = self.config.spike_history
+        total = len(self._loss_history) + appended
+        if total <= 4 * keep:
+            return total
+        return 3 * keep + 1 + (total - 4 * keep - 1) % keep
+
+    def first_acting_step(self, segment: StepSegment) -> Optional[int]:
+        if segment.nan:
+            return segment.first
+        factor = self.config.spike_factor
+        scale = segment.spike_factor
+        curve = segment.loss_curve
+        if factor > 0 and scale > 0 and curve.alpha >= 0 and curve.s0 > 0:
+            low, high = curve.noise_bounds(segment.first // BLOCK_STEPS)
+            # the base loss never rises with the step, so no loss of the
+            # segment exceeds the first step's base plus the block's top
+            # noise, and the trailing median never drops below the
+            # smallest loss it may hold
+            peak = (curve.base(segment.first) + high) * scale
+            floor = (curve.base(segment.last) + low) * scale
+            if self._window:
+                floor = min(floor, self._window[0])
+            if floor > 0 and (peak * (1 + _BOUND_SLACK)
+                              < factor * floor * (1 - _BOUND_SLACK)):
+                return None
+        # the bound fails (a rollback to step 0, a spike factor): replay
+        # the segment's losses against a copy of the trailing window
+        history = list(self._loss_history[-self.config.spike_history:])
+        window = list(self._window)
+        length = len(self._loss_history)
+        keep = self.config.spike_history
+        for step in range(segment.first, segment.last + 1):
+            loss = segment.loss(step)
+            if length >= 8 and loss >= factor * _median(window):
+                return step
+            history.append(loss)
+            if len(history) > keep:
+                del window[bisect_left(window, history.pop(0))]
+            insort(window, loss)
+            length += 1
+            if length > 4 * keep:
+                length -= keep
+        return None
+
+    def on_steps(self, segment: StepSegment,
+                 records: Sequence[StepRecord]) -> None:
+        """No step here is NaN or a spike: only the losses the trimmed
+        history ends up holding are computed."""
+        final = self._trimmed_length(len(records))
+        fresh = min(final, len(records))
+        kept = self._loss_history[len(self._loss_history)
+                                  - (final - fresh):] if final > fresh else []
+        history = kept + [segment.loss(r.step) for r in records[-fresh:]]
+        self._loss_history = history
+        self._window = sorted(history[-self.config.spike_history:])
 
     def _on_gauge(self, sample: GaugeSample) -> bool:
         """Advance the hang and fail-slow latches; True ("settled") when

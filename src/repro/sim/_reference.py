@@ -14,15 +14,17 @@ event, and one heap push per periodic tick.  It is a test oracle:
 
 Apart from the ``every_tick`` shim (which maps onto per-task
 ``ReferencePeriodicTask`` loops, i.e. the seed semantics for the same
-call) and the no-op ``sleep``/``wake`` stubs that make those loops
-never-sleeping members, nothing here should ever change.
+call), the no-op ``sleep``/``wake`` stubs that make those loops
+never-sleeping members, and ``current_key``/``reschedule`` (which a
+training job's step chain needs on every engine it runs on), nothing
+here should ever change.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.engine import SimulationError
 
@@ -69,10 +71,16 @@ class ReferenceSimulator:
         self._seq = itertools.count()
         self._running = False
         self._pending = 0
+        self._current: Optional[ReferenceEventHandle] = None
 
     @property
     def now(self) -> float:
         return self._now
+
+    @property
+    def current_key(self) -> Optional[Tuple[int, int]]:
+        current = self._current
+        return None if current is None else (current.priority, current.seq)
 
     def schedule(self, delay: float, callback: Callable[[], Any],
                  priority: int = 0) -> ReferenceEventHandle:
@@ -90,6 +98,17 @@ class ReferenceSimulator:
         heapq.heappush(self._queue, handle)
         self._pending += 1
         return handle
+
+    def reschedule(self, handle: ReferenceEventHandle,
+                   time: float) -> ReferenceEventHandle:
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} before now ({self._now})")
+        again = ReferenceEventHandle(time, handle.priority, handle.seq,
+                                     handle.callback, sim=self)
+        heapq.heappush(self._queue, again)
+        self._pending += 1
+        return again
 
     def peek(self) -> Optional[float]:
         self._drop_cancelled()
@@ -109,7 +128,11 @@ class ReferenceSimulator:
         if handle.time < self._now:  # pragma: no cover - invariant guard
             raise SimulationError("event queue went backwards in time")
         self._now = handle.time
-        handle.callback()
+        self._current = handle
+        try:
+            handle.callback()
+        finally:
+            self._current = None
         return True
 
     def run(self, until: Optional[float] = None,

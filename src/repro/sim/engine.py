@@ -61,11 +61,14 @@ class EventHandle:
     touching the heap or any side table.
     """
 
-    __slots__ = ("_entry", "_sim", "cancelled")
+    __slots__ = ("_entry", "_sim", "_callback", "cancelled")
 
     def __init__(self, entry: list, sim: "Simulator"):
         self._entry = entry
         self._sim = sim
+        #: kept past execution (which clears the entry's slot) so
+        #: :meth:`Simulator.reschedule` can queue it again
+        self._callback = entry[3]
         self.cancelled = False
 
     @property
@@ -114,6 +117,8 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._pending = 0
+        #: the entry whose callback is running, while ``run`` runs one
+        self._current: Optional[list] = None
         #: (interval, priority) -> joinable TickGroup.
         self._tick_groups: Dict[Tuple[float, int], "TickGroup"] = {}
 
@@ -121,6 +126,15 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def current_key(self) -> Optional[Tuple[int, int]]:
+        """``(priority, seq)`` of the entry whose callback is running,
+        or None outside :meth:`run`.  At one instant, entries with a
+        smaller key ran before it and those with a larger key run
+        after it."""
+        current = self._current
+        return None if current is None else (current[1], current[2])
 
     def schedule(self, delay: float, callback: Callable[[], Any],
                  priority: int = 0) -> EventHandle:
@@ -136,6 +150,20 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before now ({self._now})")
         entry = [time, priority, next(self._seq), callback]
+        heappush(self._queue, entry)
+        self._pending += 1
+        return EventHandle(entry, self)
+
+    def reschedule(self, handle: EventHandle, time: float) -> EventHandle:
+        """Queue ``handle``'s callback again at ``time`` under the same
+        ``(priority, seq)`` key, so it keeps its tie order against every
+        other entry.  The caller must hold no other live entry of that
+        key at ``time``: two entries may share a key only at distinct
+        times."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} before now ({self._now})")
+        entry = [time, handle._entry[1], handle._entry[2], handle._callback]
         heappush(self._queue, entry)
         self._pending += 1
         return EventHandle(entry, self)
@@ -206,10 +234,12 @@ class Simulator:
                 head[3] = None
                 self._pending -= 1
                 self._now = head[0]
+                self._current = head
                 callback()
                 executed += 1
         finally:
             self._running = False
+            self._current = None
         if until is not None and until > self._now:
             # a stop on max_events leaves the window open: the clock
             # reaches ``until`` only once nothing live is due by then

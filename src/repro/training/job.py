@@ -1,6 +1,6 @@
 """The simulated training job: steps, faults, logs, and gauges.
 
-A :class:`TrainingJob` advances one optimizer step at a time on the
+A :class:`TrainingJob` runs one optimizer step after another on the
 simulator.  Its step duration follows from the model's FLOPs and the
 current MFU; the loss at step *s* is a pure function of *s* (see
 :mod:`repro.training.metrics`).  Faults injected into the cluster reach
@@ -17,16 +17,42 @@ and take effect according to the fault's
   until somebody stops the job.
 
 The controller talks to the job through ``suspend`` / ``restart``; the
-checkpoint engine and monitor subscribe to step completions, and the
-monitor's sleeping polls and sweeps to ``change_listeners`` (state,
-MFU model, machine binding and log appends).
+checkpoint engine and monitor subscribe to step completions
+(:meth:`TrainingJob.add_step_listener`), and the monitor's sleeping
+polls and sweeps to ``change_listeners`` (state, MFU model, machine
+binding and log appends).
+
+Lazy segments
+-------------
+
+Between two disturbances a job's step durations, losses and grad norms
+are pure functions of ``(seed, step)``, so the job does not pay a heap
+event per step.  A :class:`SegmentListener` says at which step of a
+:class:`StepSegment` it must first be called on time (the detector: a
+NaN or a loss spike); the job schedules one entry at the earliest such
+*acting* step, or else at the end of the current loss-noise block, and
+commits every other step in bulk (:meth:`TrainingJob.materialize`)
+when something reads ``current_step``/``step_records`` or perturbs the
+job.  A plain callable listener acts at every step: the per-step path
+is the segment of length one.  End times are the same sequential
+``t + d`` float additions a per-step chain makes.
+
+Every heap entry of one :meth:`~TrainingJob.start` carries the seq that
+start allocated (:meth:`~repro.sim.Simulator.reschedule`); a read that
+lands exactly on a step's end counts the step complete only when that
+chain's key sorts before the running entry's
+(:attr:`~repro.sim.Simulator.current_key`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import reduce
+from heapq import heapify, heapreplace
+from itertools import repeat
+from operator import add
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.faults import (
     Fault,
@@ -34,8 +60,13 @@ from repro.cluster.faults import (
     JobEffect,
 )
 from repro.parallelism import ParallelismConfig, RankTopology
-from repro.sim import Simulator
-from repro.training.metrics import LossCurve, MfuModel, StepMetrics
+from repro.sim import EventHandle, Simulator
+from repro.training.metrics import (
+    BLOCK_STEPS,
+    LossCurve,
+    MfuModel,
+    StepMetrics,
+)
 from repro.training.model import ModelSpec
 from repro.training.stacks import HangScenario
 
@@ -82,6 +113,103 @@ class TrainingJobConfig:
     hang_drain_s: float = 20.0
 
 
+class StepSegment:
+    """Steps ``first..last`` of a job under one set of parameters.
+
+    ``first`` is the step in flight when the segment was planned and
+    ``last`` ends its loss-noise block.  Whatever changes a parameter
+    commits the steps done so far and plans a new segment, so every
+    step a listener receives in bulk ran under these values.
+    """
+
+    __slots__ = ("first", "last", "nan", "spike_factor", "mfu", "tokens",
+                 "loss_curve")
+
+    def __init__(self, first: int, last: int, nan: bool,
+                 spike_factor: float, mfu: float, tokens: int,
+                 loss_curve: LossCurve):
+        self.first = first
+        self.last = last
+        self.nan = nan
+        self.spike_factor = spike_factor
+        self.mfu = mfu
+        self.tokens = tokens
+        self.loss_curve = loss_curve
+
+    def loss(self, step: int) -> float:
+        return self.loss_curve.loss(step, nan=self.nan,
+                                    spike_factor=self.spike_factor)
+
+    def metrics(self, record: StepRecord) -> StepMetrics:
+        step = record.step
+        return StepMetrics(
+            step=step, time=record.end,
+            duration_s=record.end - record.start,
+            loss=self.loss(step),
+            grad_norm=self.loss_curve.grad_norm(
+                step, nan=self.nan, spike_factor=self.spike_factor),
+            mfu=self.mfu, tokens=self.tokens)
+
+
+class SegmentListener:
+    """A step listener that takes the steps it need not see on time in
+    bulk.  Calling it delivers one acting step at its completion time;
+    :meth:`on_steps` delivers the others when the job commits them."""
+
+    def first_acting_step(self, segment: StepSegment) -> Optional[int]:
+        """The first step of ``segment.first..segment.last`` this
+        listener must be called for on time, or None."""
+        return None
+
+    def on_steps(self, segment: StepSegment,
+                 records: Sequence[StepRecord]) -> None:
+        """Consecutive non-acting steps of ``segment``, in order."""
+
+    def __call__(self, metrics: StepMetrics) -> None:
+        raise NotImplementedError
+
+
+StepListener = Callable[[StepMetrics], None]
+
+
+def first_acting_step(listener: StepListener,
+                      segment: StepSegment) -> Optional[int]:
+    """When ``listener`` must first act in ``segment``: a plain
+    callable acts at every step."""
+    if isinstance(listener, SegmentListener):
+        return listener.first_acting_step(segment)
+    return segment.first
+
+
+def deliver_steps(listener: StepListener, segment: StepSegment,
+                  records: Sequence[StepRecord]) -> None:
+    """Hand ``records`` of ``segment`` to ``listener`` in bulk."""
+    if isinstance(listener, SegmentListener):
+        listener.on_steps(segment, records)
+    else:
+        for record in records:
+            listener(segment.metrics(record))
+
+
+class _Chain:
+    """The step entries of one :meth:`TrainingJob.start`.
+
+    ``end`` is the completion time of the chain's step in flight (None
+    while that step's listeners run).  ``target`` is the time of the
+    chain's planned entry, if it has one; ``handles`` holds that entry
+    and any entries a re-plan superseded, which fire as no-ops.
+    """
+
+    __slots__ = ("key", "end", "target", "handles", "first")
+
+    def __init__(self, end: float):
+        self.key = -1
+        self.end: Optional[float] = end
+        self.target: Optional[float] = None
+        self.handles: Dict[float, EventHandle] = {}
+        self.first: Optional[EventHandle] = None
+
+
 class TrainingJob:
     """One LLM training job bound to a set of physical machines."""
 
@@ -97,30 +225,46 @@ class TrainingJob:
         #: poll or sweep of this job must wake for
         self.change_listeners: List[Callable[[], None]] = []
         self.mfu_model = mfu_model or MfuModel()
-        self.mfu_model.listeners.append(self._changed)
+        self.mfu_model.before_change.append(self.materialize)
+        self.mfu_model.listeners.append(self._mfu_changed)
         self._state = JobState.INIT
         #: logical machine slot -> physical machine id
         self.slot_to_machine: Dict[int, int] = {}
         self._machines_cache: Optional[List[int]] = None
         self._machine_to_slot: Optional[Dict[int, int]] = None
-        self.current_step = 0
-        self.nan_active = False
-        self.loss_spike_factor = 1.0
-        self.step_records: List[StepRecord] = []
+        self._switch_ids: Optional[List[int]] = None
+        self._committed = 0
+        self._nan_active = False
+        self._loss_spike_factor = 1.0
+        self._records: List[StepRecord] = []
         self.log_events: List[LogEvent] = []
-        self.last_progress_time: float = sim.now
         self.hung_since: Optional[float] = None
         self.hang_scenario: HangScenario = HangScenario.BACKWARD_COMM
         self.stalled_ranks: List[int] = []
         #: Physical machines currently degraded by a SLOW fault.
         self.slow_machines: set = set()
         self.last_crash: Optional[LogEvent] = None
-        #: subscribers called with each completed StepMetrics
-        self.step_listeners: List[Callable[[StepMetrics], None]] = []
-        #: per-step extra blocking seconds (checkpoint stalls etc.)
+        self._step_listeners: List[StepListener] = []
+        #: per-step extra blocking seconds (checkpoint stalls etc.); a
+        #: segment fixes its step time when planned, so an answer may
+        #: change only with an MFU write or while the job is stopped
         self.overhead_providers: List[Callable[[int], float]] = []
-        self._completion_handle = None
-        self._step_started_at: Optional[float] = None
+        #: live step chains in key order: one, unless a restart ran
+        #: inside a step's listeners (see ``_complete_step``)
+        self._chains: List[_Chain] = []
+        #: the chain whose in-flight step a stop cancels
+        self._cancel_chain: Optional[_Chain] = None
+        #: frozen parameters of a running job's lazy segment, the step
+        #: time of every step after the in-flight ones, and the step
+        #: the planned entry completes (an acting step or the last)
+        self._segment: Optional[StepSegment] = None
+        self._duration = 0.0
+        self._target_step = 0
+        self._target_acts = False
+        self._step_started_at = sim.now
+        self._starts = 0
+        #: >0 while listeners run; planning waits until they return
+        self._dispatching = 0
         self._injector = injector
         #: unsubscribes the job from the fault feed (teardown)
         self.leave_fault_feed: Callable[[], None] = lambda: None
@@ -145,6 +289,68 @@ class TrainingJob:
         for fn in self.change_listeners:
             fn()
 
+    def _mfu_changed(self) -> None:
+        self._plan()
+        self._changed()
+
+    # ------------------------------------------------------------------
+    # materializing reads and step-parameter writes
+    # ------------------------------------------------------------------
+    @property
+    def current_step(self) -> int:
+        self.materialize()
+        return self._committed
+
+    @property
+    def step_records(self) -> List[StepRecord]:
+        self.materialize()
+        return self._records
+
+    @property
+    def nan_active(self) -> bool:
+        return self._nan_active
+
+    @nan_active.setter
+    def nan_active(self, value: bool) -> None:
+        self.materialize()
+        self._nan_active = value
+        self._plan()
+
+    @property
+    def loss_spike_factor(self) -> float:
+        return self._loss_spike_factor
+
+    @loss_spike_factor.setter
+    def loss_spike_factor(self, value: float) -> None:
+        self.materialize()
+        self._loss_spike_factor = value
+        self._plan()
+
+    @property
+    def step_listeners(self) -> tuple:
+        """Subscribers to step completions, in call order."""
+        return tuple(self._step_listeners)
+
+    def add_step_listener(self, listener: StepListener) -> None:
+        """Subscribe to completed steps: a plain callable is called
+        with each step's :class:`StepMetrics` at its completion time; a
+        :class:`SegmentListener` is called on time only from the step
+        it names and gets the others in bulk."""
+        self.materialize()
+        self._step_listeners.append(listener)
+        self._plan()
+
+    def remove_step_listener(self, listener: StepListener) -> None:
+        self.materialize()
+        self._step_listeners.remove(listener)
+        self._plan()
+
+    def replan(self) -> None:
+        """Re-plan after a segment listener's answer changed; commit
+        first what the old answer let complete."""
+        self.materialize()
+        self._plan()
+
     # ------------------------------------------------------------------
     # machine binding
     # ------------------------------------------------------------------
@@ -168,26 +374,32 @@ class TrainingJob:
             self._machines_cache = cached
         return cached
 
+    def _rebound(self) -> None:
+        self._machines_cache = None
+        self._machine_to_slot = None
+        self._switch_ids = None
+        self._plan()
+        self._changed()
+
     def bind_machines(self, machine_ids: Sequence[int]) -> None:
         if len(machine_ids) != self.num_machines:
             raise ValueError(
                 f"job needs {self.num_machines} machines, "
                 f"got {len(machine_ids)}")
+        self.materialize()
         self.slot_to_machine = dict(enumerate(machine_ids))
-        self._machines_cache = None
-        self._machine_to_slot = None
-        self._changed()
+        self._rebound()
 
     def replace_machines(self, replacements: Dict[int, int]) -> None:
         """Swap physical machines into slots (phys_old -> phys_new)."""
         inverse = {phys: slot for slot, phys in self.slot_to_machine.items()}
-        for old, new in replacements.items():
+        for old in replacements:
             if old not in inverse:
                 raise ValueError(f"machine {old} is not part of this job")
+        self.materialize()
+        for old, new in replacements.items():
             self.slot_to_machine[inverse[old]] = new
-        self._machines_cache = None
-        self._machine_to_slot = None
-        self._changed()
+        self._rebound()
 
     def rebind_parallelism(self, parallelism: ParallelismConfig,
                            machine_ids: Sequence[int]) -> None:
@@ -204,25 +416,27 @@ class TrainingJob:
             raise ValueError(
                 f"layout needs {parallelism.num_machines} machines, "
                 f"got {len(machine_ids)}")
+        self.materialize()
         self.config.parallelism = parallelism
         self.topology = RankTopology(parallelism)
         self.slot_to_machine = dict(enumerate(machine_ids))
-        self._machines_cache = None
-        self._machine_to_slot = None
-        self._changed()
+        self._rebound()
 
-    def slot_of_machine(self, machine_id: int) -> Optional[int]:
-        # Fault blast-radius checks probe every fleet-wide active fault
-        # against this job on each (re)start, so the lookup must be
-        # O(1); the inverse map is rebuilt only after a binding change
-        # (first-wins, matching the scan it replaced).
+    def _slot_map(self) -> Dict[int, int]:
+        # Fault blast-radius checks probe faults against this job, so
+        # the lookup must be O(1); the inverse map is rebuilt only
+        # after a binding change (first-wins, matching the scan it
+        # replaced).
         inverse = self._machine_to_slot
         if inverse is None:
             inverse = {}
             for slot, phys in self.slot_to_machine.items():
                 inverse.setdefault(phys, slot)
             self._machine_to_slot = inverse
-        return inverse.get(machine_id)
+        return inverse
+
+    def slot_of_machine(self, machine_id: int) -> Optional[int]:
+        return self._slot_map().get(machine_id)
 
     def ranks_of_machine(self, machine_id: int) -> List[int]:
         slot = self.slot_of_machine(machine_id)
@@ -239,12 +453,30 @@ class TrainingJob:
     def start(self, at_step: int = 0) -> None:
         if not self.slot_to_machine:
             raise RuntimeError("bind_machines() before start()")
-        self.current_step = at_step
+        self.materialize()
+        self._committed = at_step
         self.state = JobState.RUNNING
-        self.nan_active = any(
+        self._nan_active = any(
             f.effect is JobEffect.NAN for f in self._active_job_faults())
-        self.last_progress_time = self.sim.now
-        self._schedule_step()
+        now = self.sim.now
+        self._step_started_at = now
+        self._starts += 1
+        chain = _Chain(now + self.step_time())
+        alone = not self._chains
+        self._chains.append(chain)
+        self._cancel_chain = chain
+        target = chain.end
+        if alone and not self._dispatching:
+            target = self._lazy_target()[1]
+        # the one seq this start allocates: every entry of the chain
+        # carries it
+        handle = self.sim.schedule_at(target, self._complete_step)
+        chain.key = handle.seq
+        chain.first = handle
+        chain.target = target
+        chain.handles[target] = handle
+        if not alone:
+            self._plan()
         # A persistent fault that crashed or hung the job strikes again
         # shortly after any restart that failed to remove it — this is
         # what drives the reattempt → rollback → replay escalation.
@@ -259,6 +491,7 @@ class TrainingJob:
         self._cancel_step()
         self.state = JobState.STOPPED
         self.hung_since = None
+        self._plan()
 
     def restart(self, from_step: int,
                 replacements: Optional[Dict[int, int]] = None) -> None:
@@ -272,8 +505,8 @@ class TrainingJob:
         for rec in self.step_records:
             if rec.step > from_step:
                 rec.committed = False
-        self.nan_active = False
-        self.loss_spike_factor = 1.0
+        self._nan_active = False
+        self._loss_spike_factor = 1.0
         self.stalled_ranks = []
         self.hung_since = None
         self._recompute_degradations()
@@ -290,51 +523,232 @@ class TrainingJob:
                        for p in self.overhead_providers)
         return base + overhead
 
-    def _schedule_step(self) -> None:
-        self._step_started_at = self.sim.now
-        self._completion_handle = self.sim.schedule(
-            self.step_time(), self._complete_step)
+    def _segment_now(self, first: int) -> StepSegment:
+        last = (first // BLOCK_STEPS + 1) * BLOCK_STEPS - 1
+        return StepSegment(
+            first, last, self._nan_active, self._loss_spike_factor,
+            self.mfu_model.current_mfu(),
+            self.config.global_batch_size * self.config.model.seq_len,
+            self.loss_curve)
+
+    def _slots(self, limit: int, bound: tuple) -> Iterator[_Chain]:
+        """The running chains' next steps in completion order: yields
+        each chain whose in-flight step ends before ``(now, bound)`` —
+        at ``now``, only a chain keyed below ``bound`` — up to step
+        ``limit``, advancing it one step after each yield."""
+        now = self.sim.now
+        duration = self._duration
+        steps = limit - self._committed
+        chains = [c for c in self._chains if c.end is not None]
+        if len(chains) == 1:
+            chain = chains[0]
+            done = (0, chain.key) < bound
+            while steps > 0 and (chain.end < now or (
+                    chain.end == now and done)):
+                steps -= 1
+                yield chain
+                chain.end += duration
+            return
+        # (end, key) is unique per chain, so no chain is ever compared
+        heap = [(c.end, c.key, c) for c in chains]
+        heapify(heap)
+        while steps > 0 and heap:
+            end, key, chain = heap[0]
+            if end > now or (end == now and (0, key) >= bound):
+                return
+            steps -= 1
+            yield chain
+            chain.end = end + duration
+            heapreplace(heap, (chain.end, key, chain))
+
+    def _lazy_target(self) -> Tuple[_Chain, float]:
+        """Plan a running job's segment: fix its step time, ask every
+        listener where it must first act, and return the chain and
+        completion time of that step (or of the segment's last)."""
+        self._duration = self.step_time()
+        first = self._committed + 1
+        segment = self._segment_now(first)
+        self._segment = segment
+        acting = None
+        for listener in self._step_listeners:
+            step = first_acting_step(listener, segment)
+            if step is not None and (acting is None or step < acting):
+                acting = step
+                if step == first:
+                    break
+        self._target_acts = acting is not None
+        self._target_step = segment.last if acting is None else acting
+        chains = self._chains
+        if len(chains) == 1:
+            return chains[0], reduce(add, repeat(
+                self._duration, self._target_step - first), chains[0].end)
+        heap = [(c.end, c.key, c) for c in chains]
+        heapify(heap)
+        for _ in range(self._target_step - first):
+            end, key, chain = heap[0]
+            heapreplace(heap, (end + self._duration, key, chain))
+        end, _key, chain = heap[0]
+        return chain, end
+
+    def _plan(self) -> None:
+        """Point the chains' entries at their next targets: a running
+        job's one entry at its segment's first acting step (or last
+        step), a stopped job's leftover chains at their next step."""
+        if self._dispatching:
+            return
+        if self._state is JobState.RUNNING and self._chains:
+            target, time = self._lazy_target()
+            for chain in self._chains:
+                if chain is target:
+                    self._retarget(chain, time)
+                else:
+                    chain.target = None
+            return
+        self._segment = None
+        for chain in self._chains:
+            self._retarget(chain, chain.end)
+
+    def _retarget(self, chain: _Chain, target: float) -> None:
+        if target == chain.target:
+            return
+        chain.target = target
+        if target not in chain.handles:
+            # the superseded entry stays queued and fires as a no-op:
+            # cancelling it could leave a cleared entry with this key at
+            # a time a later re-plan targets again
+            chain.handles[target] = self.sim.reschedule(chain.first, target)
+
+    def materialize(self) -> None:
+        """Commit, in bulk, every step of the lazy segment completed by
+        now, and hand them to the step listeners.  A step ending exactly
+        now counts when its chain's key sorts before the running entry's
+        (outside the event loop, always)."""
+        if self._segment is not None:
+            current = self.sim.current_key
+            self._commit(self._target_step - self._target_acts,
+                         (1,) if current is None else current)
+
+    def _commit(self, limit: int, bound: tuple) -> None:
+        """Commit the steps :meth:`_slots` yields."""
+        segment = self._segment
+        start = self._step_started_at
+        step = self._committed
+        records = []
+        chain = None
+        for chain in self._slots(limit, bound):
+            step += 1
+            records.append(StepRecord(step, start, chain.end))
+            start = chain.end
+        if not records:
+            return
+        self._records.extend(records)
+        self._committed = step
+        self._step_started_at = start
+        self._cancel_chain = chain
+        self._dispatching += 1
+        try:
+            for listener in list(self._step_listeners):
+                deliver_steps(listener, segment, records)
+        finally:
+            self._dispatching -= 1
 
     def _cancel_step(self) -> None:
-        if self._completion_handle is not None:
-            self._completion_handle.cancel()
-            self._completion_handle = None
+        self.materialize()
+        chain = self._cancel_chain
+        self._cancel_chain = None
+        if chain is not None:
+            self._drop(chain)
+
+    def _drop(self, chain: _Chain) -> None:
+        for handle in chain.handles.values():
+            handle.cancel()
+        chain.handles.clear()
+        self._chains.remove(chain)
 
     def _complete_step(self) -> None:
-        self._completion_handle = None
-        assert self._step_started_at is not None
-        self.current_step += 1
-        record = StepRecord(step=self.current_step,
-                            start=self._step_started_at, end=self.sim.now)
-        self.step_records.append(record)
-        self.last_progress_time = self.sim.now
-        metrics = StepMetrics(
-            step=self.current_step,
-            time=self.sim.now,
-            duration_s=record.end - record.start,
-            loss=self.loss_curve.loss(self.current_step,
-                                      nan=self.nan_active,
-                                      spike_factor=self.loss_spike_factor),
-            grad_norm=self.loss_curve.grad_norm(
-                self.current_step, nan=self.nan_active,
-                spike_factor=self.loss_spike_factor),
-            mfu=self.mfu_model.current_mfu(),
-            tokens=(self.config.global_batch_size
-                    * self.config.model.seq_len),
-        )
-        for listener in list(self.step_listeners):
-            listener(metrics)
-        if self.state is JobState.RUNNING:
-            self._schedule_step()
+        """A chain's entry fired: commit up to its target and, at an
+        acting step, call every step listener."""
+        now = self.sim.now
+        key = self.sim.current_key[1]
+        chain = next(c for c in self._chains if c.key == key)
+        del chain.handles[now]
+        if now != chain.target:
+            return              # superseded by a re-plan
+        chain.target = None
+        if self._segment is not None:
+            if not self._target_acts:
+                # a segment's last step: through this chain's own
+                self._commit(self._target_step, (0, key + 1))
+                self._plan()
+                return
+            # through the steps before this chain's at this instant
+            self._commit(self._target_step - 1, (0, key))
+        self._cancel_chain = None
+        chain.end = None
+        step = self._committed + 1
+        self._committed = step
+        record = StepRecord(step, self._step_started_at, now)
+        self._records.append(record)
+        metrics = self._segment_now(step).metrics(record)
+        starts = self._starts
+        self._dispatching += 1
+        try:
+            for listener in list(self._step_listeners):
+                listener(metrics)
+        finally:
+            self._dispatching -= 1
+        if self._state is not JobState.RUNNING:
+            self._drop(chain)
+        else:
+            self._step_started_at = now
+            chain.end = now + self.step_time()
+            self._cancel_chain = chain
+            if self._starts != starts:
+                # As a per-step chain always did, a chain whose
+                # listeners restarted the job (a resize, or a resume in
+                # the dispatch its own preemption triggered) keeps
+                # stepping beside the restart's chain.  Its next entry
+                # took a seq after that restart's, so it takes a fresh
+                # key, and sorts after it at every tied instant.
+                for handle in chain.handles.values():
+                    handle.cancel()
+                handle = self.sim.schedule_at(chain.end, self._complete_step)
+                chain.key = handle.seq
+                chain.first = handle
+                chain.handles = {chain.end: handle}
+                chain.target = chain.end
+                self._chains.sort(key=lambda c: c.key)
+        self._plan()
 
     # ------------------------------------------------------------------
     # fault reactions
     # ------------------------------------------------------------------
     def _active_job_faults(self) -> List[Fault]:
-        if self._injector is None:
+        """Active faults touching this job, in injection order: those
+        on its machines, on its leaf switches, and service-level ones."""
+        injector = self._injector
+        if injector is None:
             return []
-        return [f for f in self._injector.active_faults.values()
-                if self._fault_touches_job(f)]
+        machines = injector._cluster.machines
+        ids = set(injector.service_fault_ids)
+        for mid in self._slot_map().keys() & injector.faulty_machine_ids:
+            ids.update(machines[mid].active_fault_ids)
+        switch_faults = injector.switch_fault_ids
+        if switch_faults:
+            for sw in self._job_switches():
+                ids.update(switch_faults.get(sw, ()))
+        active = injector.active_faults
+        return [active[i] for i in sorted(ids)]
+
+    def _job_switches(self) -> List[int]:
+        switches = self._switch_ids
+        if switches is None:
+            machines = self._injector._cluster.machines
+            switches = sorted({machines[mid].switch_id
+                               for mid in self.machines
+                               if 0 <= mid < len(machines)})
+            self._switch_ids = switches
+        return switches
 
     def _switch_machines(self, switch_id: int) -> List[int]:
         if self._injector is None:
@@ -400,11 +814,13 @@ class TrainingJob:
             fault_id=fault.fault_id)
         self.log_events.append(event)
         self.last_crash = event
+        self._plan()
         self._changed()
 
     def _hang(self, fault: Fault) -> None:
         self._cancel_step()
         self.state = JobState.HUNG
+        self._plan()
         self.hung_since = self.sim.now
         self.stalled_ranks = [
             r for m in fault.machine_ids for r in self.ranks_of_machine(m)]
@@ -452,9 +868,6 @@ class TrainingJob:
             return self.mfu_model.current_mfu() / max(
                 1e-9, self.mfu_model.profile.base_mfu)
         return 0.0
-
-    def seconds_since_progress(self) -> float:
-        return self.sim.now - self.last_progress_time
 
     def committed_steps(self) -> List[StepRecord]:
         return [r for r in self.step_records if r.committed]

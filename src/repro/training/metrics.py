@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +88,7 @@ class LossCurve:
         # per-step cache did, flushing to empty) every ~100k steps.
         self._noise_blocks: Dict[int, List[float]] = {}
         self._gnorm_blocks: Dict[int, List[float]] = {}
+        self._noise_bounds: Dict[int, Tuple[float, float]] = {}
 
     #: Blocks retained per map before the oldest-inserted is evicted
     #: (FIFO: sequential stepping stays in one block, rollback/replay
@@ -134,6 +135,18 @@ class LossCurve:
                           step // BLOCK_STEPS, 0.05)[step % BLOCK_STEPS]
         return 0.4 * self.base(step) * (1.0 + eps) * spike_factor
 
+    def noise_bounds(self, index: int) -> Tuple[float, float]:
+        """(min, max) of the loss noise over block ``index``."""
+        bounds = self._noise_bounds.get(index)
+        if bounds is None:
+            block = self._block(self._noise_blocks, "loss-block", index,
+                                self.noise_scale)
+            bounds = (min(block), max(block))
+            if len(self._noise_bounds) >= self._MAX_CACHED_BLOCKS:
+                del self._noise_bounds[next(iter(self._noise_bounds))]
+            self._noise_bounds[index] = bounds
+        return bounds
+
     def cached_blocks(self) -> int:
         """Blocks currently held across both maps (tests/diagnostics)."""
         return len(self._noise_blocks) + len(self._gnorm_blocks)
@@ -162,25 +175,34 @@ class MfuModel:
         self.profile = initial_profile or CodeVersionProfile("v0", 0.30)
         #: Named multiplicative degradations (e.g. "thermal" → 0.6).
         self._degradations: Dict[str, float] = {}
-        #: called with no argument after every write below
+        #: called with no argument before / after every write below
+        self.before_change: List[Callable[[], None]] = []
         self.listeners: List[Callable[[], None]] = []
+
+    def _changing(self) -> None:
+        for fn in self.before_change:
+            fn()
 
     def _changed(self) -> None:
         for fn in self.listeners:
             fn()
 
     def set_profile(self, profile: CodeVersionProfile) -> None:
+        self._changing()
         self.profile = profile
         self._changed()
 
     def set_degradation(self, name: str, factor: float) -> None:
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"degradation factor must be in (0,1]: {factor}")
+        self._changing()
         self._degradations[name] = factor
         self._changed()
 
     def clear_degradation(self, name: str) -> None:
-        if self._degradations.pop(name, None) is not None:
+        if name in self._degradations:
+            self._changing()
+            del self._degradations[name]
             self._changed()
 
     @property

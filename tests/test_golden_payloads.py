@@ -8,7 +8,8 @@ the old code.  ``GOLDEN`` holds the big cells at hand-picked windows:
 single-job runs (``dense``, ``degraded-network``), the ~10k-GPU
 ``dense-xl``, a day of the 100k-GPU ``fleet-quarter`` (vectorized
 substrate) and the multi-tenant ``fleet-preemption``; ``FULL_WIDTH``
-adds two days of ``fleet-quarter`` at three seeds.  ``CATALOG``
+adds two days of ``fleet-quarter`` at three seeds, and
+``SPOT_TEN_DAYS`` ten days of ``fleet-spot-churn``.  ``CATALOG``
 covers every other registered scenario at its defaults, with
 ``duration_s`` (where the scenario has one) capped at six hours.
 
@@ -43,6 +44,12 @@ FULL_WIDTH = [
     (1, "34611f7e36b3bc8be1f845e1fb39a926480cd579b56b4ab4866cd2288108fe12"),
     (2, "cc3b45dee28b4b2a82fa8dbc2d1c38e8d2b9ff380a3031e112cb9551272d7a6d"),
 ]
+
+#: ``fleet-spot-churn`` over ten days, the spot-tenancy benchmark cell
+#: (~166 checkpoint-boundary preemptions; the six-hour ``CATALOG`` window
+#: sees a handful)
+SPOT_TEN_DAYS = (
+    "1c94484002573d22d7e25bbfe3504a06463412a5c559bef1ec421c60a1af5eaf")
 
 #: Every other registered scenario: defaults, with ``duration_s`` capped at
 #: ``min(default, 21600.0)`` where the scenario declares it.
@@ -133,6 +140,11 @@ def test_fleet_quarter_full_width_digest(seed, digest):
     params = {"duration_s": 172800.0, "checkpoint_interval_s": 0.0,
               "seed": seed}
     assert _digest("fleet-quarter", params) == digest
+
+
+def test_spot_churn_ten_days_digest():
+    assert _digest("fleet-spot-churn",
+                   {"duration_s": 864000.0}) == SPOT_TEN_DAYS
 
 
 def test_every_registered_scenario_is_pinned():

@@ -1,6 +1,8 @@
 """Unit tests for inspections, collectors, and anomaly detectors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, Fault, FaultInjector
 from repro.cluster.faults import (
@@ -197,12 +199,12 @@ class TestMetricsCollector:
         sim, cluster, inj, job = setup_env()
         collector = MetricsCollector(sim, job)
         collector.start()
-        assert collector._on_step in job.step_listeners
+        assert collector in job.step_listeners
         collector.stop()
-        assert collector._on_step not in job.step_listeners
+        assert collector not in job.step_listeners
         collector.stop()                       # idempotent
         collector.start()                      # restart re-subscribes
-        assert job.step_listeners.count(collector._on_step) == 1
+        assert job.step_listeners.count(collector) == 1
 
     def test_shutdown_releases_collector_subscription(self):
         """ManagementStack.shutdown() must leave no collector callback
@@ -217,17 +219,43 @@ class TestMetricsCollector:
         stack.collector.on_step(seen.append)
         system.start()
         system.sim.run(until=120.0)
-        assert stack.collector._on_step in stack.job.step_listeners
+        assert stack.collector in stack.job.step_listeners
         collected = len(seen)
         assert collected > 0
         stack.shutdown()
-        assert stack.collector._on_step not in stack.job.step_listeners
+        assert stack.collector not in stack.job.step_listeners
         # even if something force-restarts the job later, the retired
         # collector dispatches none of its steps
         stack.job.restart(from_step=stack.job.current_step)
         system.sim.run(until=600.0)
         assert stack.job.current_step > collected
         assert len(seen) == collected
+
+
+class TestTrailingMedian:
+    @settings(max_examples=80, deadline=None)
+    @given(losses=st.lists(st.floats(0.5, 20.0), max_size=300),
+           keep=st.sampled_from([1, 2, 5, 32]))
+    def test_sorted_window_matches_statistics_median(self, losses, keep):
+        """The detector's bisect-kept window gives ``statistics.median``
+        over the last ``spike_history`` losses of the 4x/1x-trimmed
+        history."""
+        import statistics
+
+        from repro.monitor.detectors import _median
+
+        sim, cluster, inj, job = setup_env()
+        detector = AnomalyDetector(sim, MetricsCollector(sim, job),
+                                   DetectorConfig(spike_history=keep))
+        history = []
+        for loss in losses:
+            detector._push(loss)
+            history.append(loss)
+            if len(history) > 4 * keep:
+                del history[:keep]
+            assert detector._loss_history == history
+            assert _median(detector._window) == statistics.median(
+                history[-keep:])
 
 
 class TestAnomalyDetector:

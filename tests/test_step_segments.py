@@ -1,0 +1,276 @@
+"""Training steps advance in lazy segments: tie order and the
+every-step oracle.
+
+A running job schedules heap entries only for steps some listener must
+see on time; every other step is committed in bulk when something reads
+or perturbs the job.  These tests pin what that must not change:
+
+* *tie order* — steps of lockstep jobs that complete at one instant run
+  in the order the jobs started, and an event landing exactly on a
+  step's completion time sees that step done or not as the per-step
+  heap order had it;
+* *the every-step oracle* — a run with one extra plain per-step
+  listener (which makes every step an acting step) produces the same
+  step records, anomalies, recovery decisions and report payloads as
+  the same run without it.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.platform import JobSpec, PlatformConfig, TrainingPlatform
+from repro.parallelism import ParallelismConfig
+from repro.sim import Simulator
+from repro.training import TrainingJob, TrainingJobConfig
+from repro.training.model import ModelSpec
+from repro.workloads.fleet import fleet_job_config
+
+
+def small_job(sim):
+    config = TrainingJobConfig(
+        model=ModelSpec("tiny", num_params=10**9, activated_params=10**9,
+                        num_layers=4, seq_len=2048),
+        parallelism=ParallelismConfig(tp=2, pp=2, dp=2, gpus_per_machine=2),
+        global_batch_size=64, gpu_peak_tflops=100.0)
+    job = TrainingJob(sim, config)
+    job.bind_machines(list(range(4)))
+    return job
+
+
+class TestTieOrder:
+    def test_tied_boundary_preemptions_run_in_start_order(self):
+        platform = TrainingPlatform(total_machines=8, config=PlatformConfig(
+            preemption="checkpoint", checkpoint=True))
+        for name in ("a", "b"):
+            platform.submit(JobSpec(name, fleet_job_config(4),
+                                    duration_s=6 * 3600.0))
+        order = []
+        record = platform._record
+
+        def spy(managed, event):
+            order.append((managed.name, event, platform.sim.now))
+            record(managed, event)
+
+        platform._record = spy
+        platform.start()
+        platform.run_until(600.0)
+        a, b = platform.jobs["a"].job, platform.jobs["b"].job
+        # dispatched together with equal step times: lockstep
+        assert a.step_time() == b.step_time()
+        assert a.step_records[-1].end == b.step_records[-1].end
+        # newest first, as the scheduler orders preemption victims
+        victims = [r.name for r in platform.scheduler._victims()]
+        assert victims == ["b", "a"]
+        for name in victims:
+            assert platform.preempt_job(name)
+        platform.run_until(1200.0)
+        preempted = [(name, t) for name, event, t in order
+                     if event == "preempted"]
+        assert [name for name, _t in preempted] == ["a", "b"]
+        assert preempted[0][1] == preempted[1][1]      # one instant
+        assert platform.jobs["a"].resume_step == \
+            platform.jobs["b"].resume_step
+
+    @pytest.mark.parametrize("scheduled_before_start", [True, False])
+    def test_suspend_at_a_completion_instant(self, scheduled_before_start):
+        """An event scheduled before the job started sorts before every
+        step entry of that start and loses the step; one scheduled
+        after the previous step completed sorts after it and keeps it."""
+        sim = Simulator()
+        job = small_job(sim)
+        step = job.step_time()
+        ends = [0.0]
+        for _ in range(4):
+            ends.append(ends[-1] + step)
+        at = ends[3]
+        if scheduled_before_start:
+            sim.schedule_at(at, job.suspend)
+            job.start()
+        else:
+            job.start()
+            sim.run(until=(ends[2] + ends[3]) / 2)
+            assert job.current_step == 2
+            sim.schedule_at(at, job.suspend)
+        sim.run(until=ends[4] + 1.0)
+        assert job.current_step == (2 if scheduled_before_start else 3)
+        assert [r.end for r in job.step_records] == \
+            ends[1:job.current_step + 1]
+
+
+# ----------------------------------------------------------------------
+# the every-step oracle
+# ----------------------------------------------------------------------
+
+ACTIONS = ("crash", "hang", "slow", "nan", "tolerated", "service", "mfu",
+           "hot_update", "spike", "rollback0", "plan", "preempt",
+           "pressure")
+HORIZON = 12_000.0
+
+
+def _fault(rng, effect, machine, **kw):
+    from repro.cluster.faults import (
+        Fault, FaultSymptom, JobEffect, RootCause, RootCauseDetail)
+
+    detail, symptom = {
+        JobEffect.CRASH: (RootCauseDetail.GPU_LOST,
+                          FaultSymptom.GPU_UNAVAILABLE),
+        JobEffect.HANG: (RootCauseDetail.DEFECTIVE_CUDA_CORES,
+                         FaultSymptom.JOB_HANG),
+        JobEffect.SLOW: (RootCauseDetail.PCIE_DEGRADED,
+                         FaultSymptom.MFU_DECLINE),
+        JobEffect.NAN: (RootCauseDetail.GPU_SDC, FaultSymptom.NAN_VALUE),
+        JobEffect.NONE: (RootCauseDetail.GPU_HIGH_TEMPERATURE,
+                         FaultSymptom.MFU_DECLINE),
+    }[effect]
+    return Fault(symptom=symptom, root_cause=RootCause.INFRASTRUCTURE,
+                 detail=detail, machine_ids=[machine], effect=effect,
+                 log_signature="CUDA error: device unavailable",
+                 exit_code=134, **kw)
+
+
+def _scripted(seed, actions, facade, every_step):
+    """A one-job facade or a two-job platform under ``actions`` at
+    seeded random times; returns everything a run reports."""
+    import json
+
+    import numpy as np
+
+    from repro import ByteRobustSystem, SystemConfig
+    from repro.cluster.faults import (
+        Fault, FaultSymptom, JobEffect, RootCause, RootCauseDetail)
+    from repro.controller import CodeUpdate
+    from repro.monitor.detectors import DetectorConfig
+    from repro.training.metrics import CodeVersionProfile
+
+    rng = np.random.default_rng(seed)
+    detector = DetectorConfig(hang_zero_rdma_s=120.0,
+                              mfu_decline_window_s=60.0)
+    # ~2 s steps: a run crosses a 4096-step loss-noise block
+    config = fleet_job_config(4, step_time_factor=0.05)
+    if facade:
+        system = ByteRobustSystem(SystemConfig(
+            job=config, seed=seed, use_real_minigpt=False,
+            detector=detector))
+        platform = system.platform
+        handles = list(platform.jobs.values())
+    else:
+        platform = TrainingPlatform(total_machines=16, config=PlatformConfig(
+            seed=seed, machines_per_switch=4, checkpoint=True,
+            preemption="checkpoint", detector=detector))
+        handles = [
+            platform.submit(JobSpec("a", config, min_machines=2,
+                                    max_machines=4)),
+            platform.submit(JobSpec("b", fleet_job_config(
+                2, step_time_factor=0.05))),
+        ]
+    anomalies, decisions = [], []
+    for handle in handles:
+        handle.detector.add_listener(
+            lambda e, n=handle.name: anomalies.append(
+                (n, e.time, e.kind.value, e.detail, tuple(e.machine_ids))))
+        if every_step:
+            handle.job.add_step_listener(lambda metrics: None)
+    platform.start()
+    sim = platform.sim
+
+    def act(action, handle):
+        job, ckpt = handle.job, handle.stack.ckpt_manager
+        machine = job.machines[int(rng.integers(len(job.machines)))]
+        effects = {"crash": JobEffect.CRASH, "hang": JobEffect.HANG,
+                   "nan": JobEffect.NAN, "tolerated": JobEffect.NONE}
+        if action in effects:
+            platform.injector.inject(_fault(rng, effects[action], machine))
+        elif action == "slow":
+            platform.injector.inject(_fault(
+                rng, JobEffect.SLOW, machine, transient=True,
+                auto_recover_after=float(rng.uniform(15, 300))))
+        elif action == "service":
+            platform.injector.inject(Fault(
+                symptom=FaultSymptom.HDFS_ERROR,
+                root_cause=RootCause.INFRASTRUCTURE,
+                detail=RootCauseDetail.STORAGE_SERVICE_FAULT,
+                log_signature="HDFS write failed", transient=True,
+                auto_recover_after=60.0))
+        elif action == "mfu":
+            job.mfu_model.set_degradation("thermal",
+                                          float(rng.uniform(0.5, 0.95)))
+            sim.schedule(float(rng.uniform(5, 400)),
+                         lambda: job.mfu_model.clear_degradation("thermal"))
+        elif action == "hot_update":
+            handle.controller.request_manual_update(CodeUpdate(
+                version=f"v{int(rng.integers(1, 99))}", critical=True,
+                profile=CodeVersionProfile("v1", float(
+                    rng.uniform(0.31, 0.45)))))
+        elif action == "spike":
+            job.loss_spike_factor = float(rng.uniform(1.5, 9.0))
+        elif action == "rollback0":
+            job.suspend()
+            job.restart(from_step=0)
+            if ckpt is not None:
+                ckpt.after_recovery(0)
+        elif action == "plan" and ckpt is not None:
+            d = ckpt.plan_recovery([machine])
+            decisions.append((handle.name, sim.now, d.restart_step,
+                              d.source.value, d.load_seconds, d.lost_steps))
+        elif action == "preempt":
+            platform.preempt_job(handle.name)
+        elif action == "pressure" and not facade:
+            platform.submit(JobSpec(f"hi{sim.now:.0f}", fleet_job_config(
+                12, step_time_factor=0.05), priority=5,
+                duration_s=float(rng.uniform(100, 2000))))
+
+    for action in actions:
+        handle = handles[int(rng.integers(len(handles)))]
+        sim.schedule_at(float(rng.uniform(50, HORIZON)),
+                        lambda a=action, h=handle: (
+                            h.job.machines and act(a, h)))
+    events = sim.run(until=HORIZON)
+    report = (system.report().to_dict() if facade
+              else platform.fleet_report())
+    steps = {h.name: [(r.step, r.start, r.end, r.committed)
+                      for r in h.job.step_records]
+             for h in platform.jobs.values()}
+    # what the next step would be judged and restored against
+    state = {h.name: (h.detector._loss_history, None
+                      if h.stack.ckpt_manager is None else (
+                          [(s.local_step, s.backup_step) for s in
+                           h.stack.ckpt_manager.slot_states.values()],
+                          h.stack.ckpt_manager.remote_step))
+             for h in platform.jobs.values()}
+    return (steps, anomalies, decisions, json.dumps(report, sort_keys=True),
+            state), events
+
+
+class TestEveryStepOracle:
+    """An extra plain per-step listener turns every step into an acting
+    step; nothing any run reports may change."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**16),
+           actions=st.lists(st.sampled_from(ACTIONS), max_size=8),
+           facade=st.booleans())
+    def test_lazy_run_matches_every_step_run(self, seed, actions, facade):
+        lazy, lazy_events = _scripted(seed, actions, facade, False)
+        eager, eager_events = _scripted(seed, actions, facade, True)
+        assert lazy == eager
+        # the oracle is not vacuous: the lazy run skipped most steps
+        assert lazy_events < eager_events
+
+    @pytest.mark.parametrize("facade", [True, False])
+    def test_every_action_at_once(self, facade):
+        import json
+
+        lazy, lazy_events = _scripted(12, ACTIONS * 2, facade, False)
+        eager, eager_events = _scripted(12, ACTIONS * 2, facade, True)
+        assert lazy == eager
+        assert lazy_events < eager_events
+        kinds = {kind for _n, _t, kind, _d, _m in lazy[1]}
+        assert {"nan_metric", "loss_spike", "hang_suspect",
+                "crash_with_machines", "mfu_decline"} <= kinds
+        assert lazy[2], "no recovery decision was planned"
+        if not facade:
+            jobs = json.loads(lazy[3])["jobs"]
+            assert sum(j["preemptions"] for j in jobs.values()) > 0
+            assert sum(len(j["resize_events"]) for j in jobs.values()) > 0

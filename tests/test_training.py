@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, Fault, FaultInjector
 from repro.cluster.faults import (
@@ -244,7 +246,7 @@ class TestTrainingJob:
         sim = Simulator()
         job = small_job(sim)
         seen = []
-        job.step_listeners.append(seen.append)
+        job.add_step_listener(seen.append)
         job.start()
         sim.run(until=job.step_time() * 3 + 1)
         assert job.current_step == 3
@@ -358,7 +360,7 @@ class TestTrainingJob:
         inj = FaultInjector(sim, cluster)
         job = small_job(sim, injector=inj)
         seen = []
-        job.step_listeners.append(seen.append)
+        job.add_step_listener(seen.append)
         job.start()
         inj.inject(Fault(symptom=FaultSymptom.NAN_VALUE,
                          root_cause=RootCause.INFRASTRUCTURE,
@@ -424,17 +426,6 @@ class TestTrainingJob:
         for rec in job.committed_steps():
             assert job.loss_curve.loss(rec.step) == losses_first[rec.step]
 
-    def test_seconds_since_progress(self):
-        sim = Simulator()
-        job = small_job(sim)
-        job.start()
-        step = job.step_time()
-        sim.run(until=step + 0.1)
-        job.suspend()
-        sim.run(until=step + 100)
-        assert job.seconds_since_progress() == pytest.approx(
-            100 - 0.1 + step - step, abs=1.0)
-
 
 class TestRecipe:
     def test_standard_recipe_fractions_sum(self):
@@ -467,3 +458,46 @@ class TestRecipe:
                 RecipeStage("a", 0.5, 8192), RecipeStage("b", 0.3, 8192)])
         with pytest.raises(ValueError):
             standard_five_stage_recipe().stage_at(1.5)
+
+
+class TestActiveJobFaults:
+    """The indexed blast-radius query equals testing every active
+    fault, in injection order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["machine", "switch", "service", "both", "clear",
+                         "rebind", "replace"]),
+        st.integers(0, 2**16)), max_size=40))
+    def test_index_matches_the_full_filter(self, ops):
+        sim = Simulator()
+        cluster = Cluster(ClusterSpec(num_machines=16,
+                                      machines_per_switch=4))
+        inj = FaultInjector(sim, cluster)
+        job = small_job(sim, injector=inj)
+        faults = []
+        for op, draw in ops:
+            if op == "clear":
+                if faults:
+                    inj.clear(faults.pop(draw % len(faults)))
+            elif op == "rebind":
+                job.bind_machines([(draw + 3 * i) % 16 for i in range(4)])
+            elif op == "replace":
+                old = job.machines[draw % 4]
+                new = draw % 16
+                if new not in job.machines:
+                    job.replace_machines({old: new})
+            else:
+                fault = Fault(
+                    symptom=FaultSymptom.CUDA_ERROR,
+                    root_cause=RootCause.INFRASTRUCTURE,
+                    detail=RootCauseDetail.GPU_HBM_FAULT,
+                    effect=JobEffect.NONE,
+                    machine_ids=([draw % 16] if op in ("machine", "both")
+                                 else []),
+                    switch_id=(draw % 4 if op in ("switch", "both")
+                               else None))
+                faults.append(inj.inject(fault))
+            full = [f for f in inj.active_faults.values()
+                    if job._fault_touches_job(f)]
+            assert job._active_job_faults() == full
