@@ -37,11 +37,15 @@ job.  A plain callable listener acts at every step: the per-step path
 is the segment of length one.  End times are the same sequential
 ``t + d`` float additions a per-step chain makes.
 
-Every heap entry of one :meth:`~TrainingJob.start` carries the seq that
-start allocated (:meth:`~repro.sim.Simulator.reschedule`); a read that
-lands exactly on a step's end counts the step complete only when that
-chain's key sorts before the running entry's
-(:attr:`~repro.sim.Simulator.current_key`).
+A job holds at most one step chain: the entries of its latest
+:meth:`~TrainingJob.start`.  A start supersedes the step in flight, so
+a restart that runs inside a step's own listeners (an elastic resize,
+or a preemption whose dispatch resumes the job) drops the firing chain
+rather than leaving it stepping beside the new one.  Every heap entry
+of one start carries the seq that start allocated
+(:meth:`~repro.sim.Simulator.reschedule`); a read that lands exactly on
+a step's end counts the step complete only when the chain's key sorts
+before the running entry's (:attr:`~repro.sim.Simulator.current_key`).
 """
 
 from __future__ import annotations
@@ -49,10 +53,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
-from heapq import heapify, heapreplace
 from itertools import repeat
 from operator import add
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.faults import (
     Fault,
@@ -192,22 +195,23 @@ def deliver_steps(listener: StepListener, segment: StepSegment,
 
 
 class _Chain:
-    """The step entries of one :meth:`TrainingJob.start`.
+    """The step entries of a job's latest :meth:`TrainingJob.start`.
 
-    ``end`` is the completion time of the chain's step in flight (None
-    while that step's listeners run).  ``target`` is the time of the
-    chain's planned entry, if it has one; ``handles`` holds that entry
-    and any entries a re-plan superseded, which fire as no-ops.
+    ``key`` is the seq that start allocated.  ``end`` is the completion
+    time of the step in flight (None while a completed step's listeners
+    run).  ``target`` is the time of the planned entry, if there is
+    one; ``handles`` holds that entry and any entries a re-plan
+    superseded, which fire as no-ops.
     """
 
     __slots__ = ("key", "end", "target", "handles", "first")
 
-    def __init__(self, end: float):
-        self.key = -1
+    def __init__(self, end: float, first: EventHandle):
+        self.key = first.seq
         self.end: Optional[float] = end
-        self.target: Optional[float] = None
-        self.handles: Dict[float, EventHandle] = {}
-        self.first: Optional[EventHandle] = None
+        self.target = first.time
+        self.handles: Dict[float, EventHandle] = {first.time: first}
+        self.first = first
 
 
 class TrainingJob:
@@ -249,11 +253,8 @@ class TrainingJob:
         #: segment fixes its step time when planned, so an answer may
         #: change only with an MFU write or while the job is stopped
         self.overhead_providers: List[Callable[[int], float]] = []
-        #: live step chains in key order: one, unless a restart ran
-        #: inside a step's listeners (see ``_complete_step``)
-        self._chains: List[_Chain] = []
-        #: the chain whose in-flight step a stop cancels
-        self._cancel_chain: Optional[_Chain] = None
+        #: the step chain of the latest start (None once the job stops)
+        self._chain: Optional[_Chain] = None
         #: frozen parameters of a running job's lazy segment, the step
         #: time of every step after the in-flight ones, and the step
         #: the planned entry completes (an acting step or the last)
@@ -262,7 +263,6 @@ class TrainingJob:
         self._target_step = 0
         self._target_acts = False
         self._step_started_at = sim.now
-        self._starts = 0
         #: >0 while listeners run; planning waits until they return
         self._dispatching = 0
         self._injector = injector
@@ -454,29 +454,23 @@ class TrainingJob:
         if not self.slot_to_machine:
             raise RuntimeError("bind_machines() before start()")
         self.materialize()
+        if self._chain is not None:
+            # a restart supersedes the step in flight
+            self._drop()
         self._committed = at_step
         self.state = JobState.RUNNING
         self._nan_active = any(
             f.effect is JobEffect.NAN for f in self._active_job_faults())
         now = self.sim.now
         self._step_started_at = now
-        self._starts += 1
-        chain = _Chain(now + self.step_time())
-        alone = not self._chains
-        self._chains.append(chain)
-        self._cancel_chain = chain
-        target = chain.end
-        if alone and not self._dispatching:
-            target = self._lazy_target()[1]
+        end = now + self.step_time()
+        target = end
+        if not self._dispatching:
+            target = self._lazy_target(end)
         # the one seq this start allocates: every entry of the chain
         # carries it
-        handle = self.sim.schedule_at(target, self._complete_step)
-        chain.key = handle.seq
-        chain.first = handle
-        chain.target = target
-        chain.handles[target] = handle
-        if not alone:
-            self._plan()
+        self._chain = _Chain(
+            end, self.sim.schedule_at(target, self._complete_step))
         # A persistent fault that crashed or hung the job strikes again
         # shortly after any restart that failed to remove it — this is
         # what drives the reattempt → rollback → replay escalation.
@@ -531,40 +525,11 @@ class TrainingJob:
             self.config.global_batch_size * self.config.model.seq_len,
             self.loss_curve)
 
-    def _slots(self, limit: int, bound: tuple) -> Iterator[_Chain]:
-        """The running chains' next steps in completion order: yields
-        each chain whose in-flight step ends before ``(now, bound)`` —
-        at ``now``, only a chain keyed below ``bound`` — up to step
-        ``limit``, advancing it one step after each yield."""
-        now = self.sim.now
-        duration = self._duration
-        steps = limit - self._committed
-        chains = [c for c in self._chains if c.end is not None]
-        if len(chains) == 1:
-            chain = chains[0]
-            done = (0, chain.key) < bound
-            while steps > 0 and (chain.end < now or (
-                    chain.end == now and done)):
-                steps -= 1
-                yield chain
-                chain.end += duration
-            return
-        # (end, key) is unique per chain, so no chain is ever compared
-        heap = [(c.end, c.key, c) for c in chains]
-        heapify(heap)
-        while steps > 0 and heap:
-            end, key, chain = heap[0]
-            if end > now or (end == now and (0, key) >= bound):
-                return
-            steps -= 1
-            yield chain
-            chain.end = end + duration
-            heapreplace(heap, (chain.end, key, chain))
-
-    def _lazy_target(self) -> Tuple[_Chain, float]:
+    def _lazy_target(self, end: float) -> float:
         """Plan a running job's segment: fix its step time, ask every
-        listener where it must first act, and return the chain and
-        completion time of that step (or of the segment's last)."""
+        listener where it must first act, and return the completion
+        time of that step (or of the segment's last), given ``end``,
+        that of the step in flight."""
         self._duration = self.step_time()
         first = self._committed + 1
         segment = self._segment_now(first)
@@ -578,37 +543,19 @@ class TrainingJob:
                     break
         self._target_acts = acting is not None
         self._target_step = segment.last if acting is None else acting
-        chains = self._chains
-        if len(chains) == 1:
-            return chains[0], reduce(add, repeat(
-                self._duration, self._target_step - first), chains[0].end)
-        heap = [(c.end, c.key, c) for c in chains]
-        heapify(heap)
-        for _ in range(self._target_step - first):
-            end, key, chain = heap[0]
-            heapreplace(heap, (end + self._duration, key, chain))
-        end, _key, chain = heap[0]
-        return chain, end
+        return reduce(add, repeat(self._duration, self._target_step - first),
+                      end)
 
     def _plan(self) -> None:
-        """Point the chains' entries at their next targets: a running
-        job's one entry at its segment's first acting step (or last
-        step), a stopped job's leftover chains at their next step."""
+        """Point a running job's one entry at its segment's first acting
+        step (or last step)."""
         if self._dispatching:
             return
-        if self._state is JobState.RUNNING and self._chains:
-            target, time = self._lazy_target()
-            for chain in self._chains:
-                if chain is target:
-                    self._retarget(chain, time)
-                else:
-                    chain.target = None
+        chain = self._chain
+        if self._state is not JobState.RUNNING or chain is None:
+            self._segment = None
             return
-        self._segment = None
-        for chain in self._chains:
-            self._retarget(chain, chain.end)
-
-    def _retarget(self, chain: _Chain, target: float) -> None:
+        target = self._lazy_target(chain.end)
         if target == chain.target:
             return
         chain.target = target
@@ -621,7 +568,7 @@ class TrainingJob:
     def materialize(self) -> None:
         """Commit, in bulk, every step of the lazy segment completed by
         now, and hand them to the step listeners.  A step ending exactly
-        now counts when its chain's key sorts before the running entry's
+        now counts when the chain's key sorts before the running entry's
         (outside the event loop, always)."""
         if self._segment is not None:
             current = self.sim.current_key
@@ -629,22 +576,31 @@ class TrainingJob:
                          (1,) if current is None else current)
 
     def _commit(self, limit: int, bound: tuple) -> None:
-        """Commit the steps :meth:`_slots` yields."""
-        segment = self._segment
+        """Commit the chain's steps, up to step ``limit``, that end
+        before ``(now, bound)``: at ``now``, only when the chain's key
+        sorts below ``bound``."""
+        chain = self._chain
+        if chain is None or chain.end is None:
+            return
+        now = self.sim.now
+        done = (0, chain.key) < bound
+        duration = self._duration
         start = self._step_started_at
+        end = chain.end
         step = self._committed
         records = []
-        chain = None
-        for chain in self._slots(limit, bound):
+        while step < limit and (end < now or (end == now and done)):
             step += 1
-            records.append(StepRecord(step, start, chain.end))
-            start = chain.end
+            records.append(StepRecord(step, start, end))
+            start = end
+            end += duration
         if not records:
             return
+        chain.end = end
         self._records.extend(records)
         self._committed = step
         self._step_started_at = start
-        self._cancel_chain = chain
+        segment = self._segment
         self._dispatching += 1
         try:
             for listener in list(self._step_listeners):
@@ -653,71 +609,55 @@ class TrainingJob:
             self._dispatching -= 1
 
     def _cancel_step(self) -> None:
+        """Stop the step in flight.  While a completed step's listeners
+        run there is none: :meth:`_complete_step` stops the chain once
+        they return."""
         self.materialize()
-        chain = self._cancel_chain
-        self._cancel_chain = None
-        if chain is not None:
-            self._drop(chain)
+        chain = self._chain
+        if chain is not None and chain.end is not None:
+            self._drop()
 
-    def _drop(self, chain: _Chain) -> None:
-        for handle in chain.handles.values():
+    def _drop(self) -> None:
+        for handle in self._chain.handles.values():
             handle.cancel()
-        chain.handles.clear()
-        self._chains.remove(chain)
+        self._chain = None
 
     def _complete_step(self) -> None:
-        """A chain's entry fired: commit up to its target and, at an
-        acting step, call every step listener."""
+        """The chain's entry fired: commit up to its target and, at an
+        acting step, call every step listener.  The chain steps on
+        unless they stopped the job or restarted it, which replaced
+        the chain."""
         now = self.sim.now
-        key = self.sim.current_key[1]
-        chain = next(c for c in self._chains if c.key == key)
+        chain = self._chain
         del chain.handles[now]
         if now != chain.target:
             return              # superseded by a re-plan
         chain.target = None
-        if self._segment is not None:
-            if not self._target_acts:
-                # a segment's last step: through this chain's own
-                self._commit(self._target_step, (0, key + 1))
-                self._plan()
-                return
-            # through the steps before this chain's at this instant
-            self._commit(self._target_step - 1, (0, key))
-        self._cancel_chain = None
+        if not self._target_acts:
+            # a segment's last step: through the chain's own
+            self._commit(self._target_step, (0, chain.key + 1))
+            self._plan()
+            return
+        # through the steps before the chain's at this instant
+        self._commit(self._target_step - 1, (0, chain.key))
         chain.end = None
         step = self._committed + 1
         self._committed = step
         record = StepRecord(step, self._step_started_at, now)
         self._records.append(record)
         metrics = self._segment_now(step).metrics(record)
-        starts = self._starts
         self._dispatching += 1
         try:
             for listener in list(self._step_listeners):
                 listener(metrics)
         finally:
             self._dispatching -= 1
-        if self._state is not JobState.RUNNING:
-            self._drop(chain)
-        else:
-            self._step_started_at = now
-            chain.end = now + self.step_time()
-            self._cancel_chain = chain
-            if self._starts != starts:
-                # As a per-step chain always did, a chain whose
-                # listeners restarted the job (a resize, or a resume in
-                # the dispatch its own preemption triggered) keeps
-                # stepping beside the restart's chain.  Its next entry
-                # took a seq after that restart's, so it takes a fresh
-                # key, and sorts after it at every tied instant.
-                for handle in chain.handles.values():
-                    handle.cancel()
-                handle = self.sim.schedule_at(chain.end, self._complete_step)
-                chain.key = handle.seq
-                chain.first = handle
-                chain.handles = {chain.end: handle}
-                chain.target = chain.end
-                self._chains.sort(key=lambda c: c.key)
+        if self._chain is chain:
+            if self._state is JobState.RUNNING:
+                self._step_started_at = now
+                chain.end = now + self.step_time()
+            else:
+                self._drop()
         self._plan()
 
     # ------------------------------------------------------------------

@@ -33,8 +33,10 @@ GOLDEN = [
      "6f1303bb52437bf51c0746480cf1429497d110784041d4c14252769b7e904206"),
     ("fleet-quarter", {"duration_s": 86400.0},
      "71b47b388e33b35bf44e06dc506c4d2f4371451a028d9c780d0e744e169cae53"),
+    # pinned with one step chain per job: a boundary preemption that its
+    # own dispatch resumes commits no zero-duration steps
     ("fleet-preemption", {},
-     "7824fc166b4447e0e1df6df40949cf54423e6a2f2dfbdaacc7487910087526f4"),
+     "3d20c157df6a046ec30e2ea9b6820ed63a35a8fe80dd00d928df0c28a41643b7"),
 ]
 
 #: ``fleet-quarter`` at full width over two days, the window in which
@@ -47,9 +49,9 @@ FULL_WIDTH = [
 
 #: ``fleet-spot-churn`` over ten days, the spot-tenancy benchmark cell
 #: (~166 checkpoint-boundary preemptions; the six-hour ``CATALOG`` window
-#: sees a handful)
+#: sees a handful), pinned with one step chain per job
 SPOT_TEN_DAYS = (
-    "1c94484002573d22d7e25bbfe3504a06463412a5c559bef1ec421c60a1af5eaf")
+    "77298f7f347d70fa7f01c35583b4145e1b5a9a749511fb40fe7f10559bae8094")
 
 #: Every other registered scenario: defaults, with ``duration_s`` capped at
 #: ``min(default, 21600.0)`` where the scenario declares it.
@@ -72,8 +74,10 @@ CATALOG = [
      "5c05078a08b1de190abe56bc2e11a9aacd6980bf0cfb54adb7c056a11e58bfd8"),
     ("fleet-elastic-standby", {"duration_s": 21600.0},
      "f8abee763e8f5144d8e71cc952ba5b7d09892208f2fc5aaac7410cada6492d87"),
+    # pinned with one step chain per job: a resize at a step boundary
+    # commits no zero-duration steps
     ("fleet-elastic-training", {"duration_s": 21600.0},
-     "0b223636b66bd3b4c734c25f37a2e017c04f417ca73552f548b309d706ce83e4"),
+     "284034243c3c40bb51a6ee554fefd11d0249ad74af564abfae4e5cb2a388880a"),
     ("fleet-placement-blast-radius", {"duration_s": 21600.0},
      "7ce17ff3624935624d685c64b4d3ce4632ffd85da62b9896bbca5641b56499e7"),
     ("fleet-priority-mix", {"duration_s": 21600.0},

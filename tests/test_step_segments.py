@@ -1,5 +1,5 @@
-"""Training steps advance in lazy segments: tie order and the
-every-step oracle.
+"""Training steps advance in lazy segments on one step chain per job:
+tie order, the one-chain rule and the every-step oracle.
 
 A running job schedules heap entries only for steps some listener must
 see on time; every other step is committed in bulk when something reads
@@ -9,6 +9,11 @@ or perturbs the job.  These tests pin what that must not change:
   in the order the jobs started, and an event landing exactly on a
   step's completion time sees that step done or not as the per-step
   heap order had it;
+* *one chain* — a restart supersedes the step in flight, also when it
+  runs inside a step's own listeners (an elastic resize at a step
+  boundary, a boundary preemption whose dispatch resumes the job): the
+  job keeps one chain of live entries, and its step records are
+  time-ordered, non-overlapping and of positive duration;
 * *the every-step oracle* — a run with one extra plain per-step
   listener (which makes every step an acting step) produces the same
   step records, anomalies, recovery decisions and report payloads as
@@ -22,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.platform import JobSpec, PlatformConfig, TrainingPlatform
 from repro.parallelism import ParallelismConfig
 from repro.sim import Simulator
-from repro.training import TrainingJob, TrainingJobConfig
+from repro.training import JobState, TrainingJob, TrainingJobConfig
 from repro.training.model import ModelSpec
 from repro.workloads.fleet import fleet_job_config
 
@@ -96,6 +101,84 @@ class TestTieOrder:
         assert job.current_step == (2 if scheduled_before_start else 3)
         assert [r.end for r in job.step_records] == \
             ends[1:job.current_step + 1]
+
+
+# ----------------------------------------------------------------------
+# one chain per job
+# ----------------------------------------------------------------------
+
+def _live_step_entries(job):
+    return [entry for entry in job.sim._queue
+            if entry[3] is not None and entry[3] == job._complete_step]
+
+
+def _chains_after(platform, event):
+    """How many chains the job's live step entries belong to, counted
+    once the dispatch that records ``event`` has returned (at the same
+    instant; a re-plan's superseded entry still waits there)."""
+    counts = []
+    record = platform._record
+
+    def spy(managed, name):
+        record(managed, name)
+        if name == event:
+            platform.sim.schedule(0.0, lambda: counts.append(len(
+                {seq for _t, _p, seq, _cb in
+                 _live_step_entries(managed.job)})))
+
+    platform._record = spy
+    return counts
+
+
+def _assert_one_chain(job):
+    """One live step entry, and step records that are contiguous and
+    of positive duration (every restart here lands on a step end)."""
+    assert len(_live_step_entries(job)) == 1
+    records = job.step_records
+    assert all(r.end > r.start for r in records)
+    assert all(b.start == a.end for a, b in zip(records, records[1:]))
+    assert [r.step for r in records] == list(range(1, len(records) + 1))
+
+
+class TestOneChain:
+    """A restart inside a step's own listeners supersedes the firing
+    chain instead of stepping beside it."""
+
+    def test_resize_at_a_step_boundary(self):
+        platform = TrainingPlatform(total_machines=8, config=PlatformConfig(
+            preemption="checkpoint", checkpoint=True))
+        a = platform.submit(JobSpec("a", fleet_job_config(4),
+                                    min_machines=2, max_machines=8))
+        platform.submit(JobSpec("b", fleet_job_config(4),
+                                duration_s=600.0))
+        counts = _chains_after(platform, "resized")
+        platform.start()
+        platform.run_until(1800.0)
+        # b's completion freed four machines; a grew into them at the
+        # next step boundary, restarting from that step
+        (resize,) = platform.jobs["a"].resize_events
+        assert (resize["from"], resize["to"]) == (4, 8)
+        assert counts == [1]
+        _assert_one_chain(a.job)
+        assert a.job.current_step > resize["step"]
+
+    def test_preemption_resumed_by_its_own_dispatch(self):
+        platform = TrainingPlatform(total_machines=4, config=PlatformConfig(
+            preemption="checkpoint", checkpoint=True))
+        a = platform.submit(JobSpec("a", fleet_job_config(4)))
+        counts = _chains_after(platform, "preempted")
+        platform.start()
+        platform.run_until(600.0)
+        assert platform.preempt_job("a")
+        platform.run_until(1800.0)
+        # nothing else is queued: the dispatch that re-queued the job
+        # at its boundary started it again at once
+        managed = platform.jobs["a"]
+        assert managed.preemptions == 1
+        assert managed.job.state is JobState.RUNNING
+        assert counts == [1]
+        _assert_one_chain(a.job)
+        assert a.job.current_step > managed.resume_step
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +314,11 @@ def _scripted(seed, actions, facade, every_step):
     steps = {h.name: [(r.step, r.start, r.end, r.committed)
                       for r in h.job.step_records]
              for h in platform.jobs.values()}
+    for records in steps.values():
+        # one chain per job: time-ordered, non-overlapping, and every
+        # step takes time
+        assert all(start < end for _s, start, end, _c in records)
+        assert all(b[1] >= a[2] for a, b in zip(records, records[1:]))
     # what the next step would be judged and restored against
     state = {h.name: (h.detector._loss_history, None
                       if h.stack.ckpt_manager is None else (
