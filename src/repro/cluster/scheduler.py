@@ -23,7 +23,9 @@ that churn:
 * **retry** — a dispatch that finds no capacity re-arms itself, so
   machines freed asynchronously (job completion, repair finishing) are
   picked up without the platform polling forever while the queue is
-  empty;
+  empty; a retry that finds nothing dispatch reads changed since a
+  dispatch that started and planned nothing skips the dispatch and
+  only re-arms;
 * **preemption** — when a higher-priority request stays blocked, the
   scheduler plans victim releases from strictly-lower-priority running
   jobs (lowest priority first, newest first within a class) and asks
@@ -152,6 +154,12 @@ class FleetScheduler:
         self._pending_release: Dict[str, int] = {}
         #: names with a resize (either direction) in flight
         self._resizing: set = set()
+        #: bumped by every change to the queue, the running set,
+        #: ``_pending_release`` or ``_resizing``
+        self._version = 0
+        #: ``(version, pool.available())`` after the last dispatch that
+        #: started and planned nothing; None once anything else ran
+        self._quiet: Optional[Tuple[int, int]] = None
         #: dispatch bookkeeping for fleet reports
         self.stats = {"submitted": 0, "started": 0, "completed": 0,
                       "backfilled": 0, "rejected": 0, "preempted": 0,
@@ -204,6 +212,7 @@ class FleetScheduler:
                              max_machines=max_machines,
                              preemptible=preemptible)
         self._seq += 1
+        self._version += 1
         self.stats["submitted"] += 1
         self.queue.append(request)
         return request
@@ -232,6 +241,7 @@ class FleetScheduler:
         # completion beats any in-flight preemption/resize of the job
         self._pending_release.pop(name, None)
         self._resizing.discard(name)
+        self._version += 1
         self.stats["completed"] += 1
         self.dispatch()
 
@@ -249,6 +259,7 @@ class FleetScheduler:
         if request is None:
             raise KeyError(f"no running job {name!r}")
         self._pending_release.pop(name, None)
+        self._version += 1
         self.stats["preempted"] += 1
         request.preemptions += 1
         request.was_preempted = True
@@ -268,6 +279,7 @@ class FleetScheduler:
         delta = new_size - request.num_machines
         self._pending_release.pop(name, None)
         self._resizing.discard(name)
+        self._version += 1
         request.num_machines = new_size
         if delta < 0:
             self.stats["shrunk"] += 1
@@ -280,6 +292,7 @@ class FleetScheduler:
         vanished before the boundary): clear the in-flight marks."""
         self._pending_release.pop(name, None)
         self._resizing.discard(name)
+        self._version += 1
 
     def note_preempting(self, name: str) -> None:
         """The owner started preempting ``name`` on its own initiative
@@ -288,6 +301,7 @@ class FleetScheduler:
         request = self.running.get(name)
         if request is not None:
             self._pending_release[name] = request.num_machines
+            self._version += 1
 
     # ------------------------------------------------------------------
     def _head_reservation(self, head_need: int
@@ -330,6 +344,7 @@ class FleetScheduler:
         ``backfill=False`` nothing passes a blocked head at all.
         Returns the number of jobs started.
         """
+        version = self._version
         started = 0
         reservation: Optional[Tuple[Optional[float], int]] = None
         for request in sorted(self.queue,
@@ -364,6 +379,7 @@ class FleetScheduler:
                         continue  # would delay the head: stay queued
                 self.stats["backfilled"] += 1
             self.queue.remove(request)
+            self._version += 1
             machines = self.pool.allocate_active(request.num_machines,
                                                  request.name)
             request.started_at = self.sim.now
@@ -383,12 +399,25 @@ class FleetScheduler:
                 self.sim.schedule(self.retry_interval_s, self._retry)
         elif self.resize is not None:
             self._grow_elastic()
+        self._quiet = ((version, self.pool.available())
+                       if self._version == version else None)
         return started
 
     def _retry(self) -> None:
         self._retry_armed = False
-        if self.queue:
-            self.dispatch()
+        if not self.queue:
+            return
+        if self._quiet == (self._version, self.pool.available()):
+            # Nothing dispatch reads changed since a dispatch that
+            # started and planned nothing, so this one would do the
+            # same: a later ``now`` cannot start a request that an
+            # identical state could not, because the reservation does
+            # not depend on ``now`` and ``ends_in_time`` only gets
+            # harder as time passes.  Re-arm as that dispatch would.
+            self._retry_armed = True
+            self.sim.schedule(self.retry_interval_s, self._retry)
+            return
+        self.dispatch()
 
     # ------------------------------------------------------------------
     # preemption planning / elastic growth
@@ -448,6 +477,7 @@ class FleetScheduler:
                     break
         if recoverable < shortfall:
             return      # even the full plan cannot start the head
+        self._version += 1
         for victim, floor in shrinks.values():
             self._pending_release[victim.name] = \
                 victim.num_machines - floor
@@ -475,6 +505,7 @@ class FleetScheduler:
             if target <= request.num_machines:
                 continue
             available -= target - request.num_machines
+            self._version += 1
             self._resizing.add(request.name)
             self.resize(request, target)
 

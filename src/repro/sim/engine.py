@@ -10,7 +10,9 @@ Hot-path design
 
 The heap holds plain ``[time, priority, seq, callback]`` entries, which
 compare in C: ``(time, priority, seq)`` is unique per event, so the
-callback slot is never reached by a comparison.  That slot doubles as
+callback slot is never reached by a comparison (the one exception, a
+dormant tick group's re-entry, orders by a ticket it also keeps in a
+fifth slot; see :class:`TickGroup`).  The callback slot doubles as
 the cancellation table — :meth:`EventHandle.cancel` clears it in place
 (``entry[3] = None``) and the run loop drops cleared entries as they
 surface, so no side table can leak and cancellation is O(1) with zero
@@ -22,10 +24,10 @@ into one :class:`TickGroup` that occupies a single heap entry and fires
 its members as a batch, in registration order — O(1) heap traffic per
 cadence instead of O(tasks).  A member with nothing to do can
 :meth:`TickMember.sleep` until a writer calls :meth:`TickMember.wake`:
-the batch skips it with one flag test, and the group keeps its slot,
-its cadence and its heap entry, so sleeping changes no event order
-and no event count.  :meth:`Simulator.every` remains the general path
-for jittered or irregular repetition.
+the batch skips it with one flag test, and a group whose members all
+sleep leaves the heap until a wake re-enters it on its anchored grid,
+so idle simulated time costs no events.  :meth:`Simulator.every`
+remains the general path for jittered or irregular repetition.
 
 The run loop pops and runs events inline: there is no per-event step
 method and no redundant cancelled-entry scan.  Semantics track the seed implementation kept in
@@ -45,8 +47,10 @@ stays true.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -121,6 +125,12 @@ class Simulator:
         self._current: Optional[list] = None
         #: (interval, priority) -> joinable TickGroup.
         self._tick_groups: Dict[Tuple[float, int], "TickGroup"] = {}
+        #: instant marks: each recent instant the clock reached, and the
+        #: seq drawn when it got there (see :class:`TickGroup`)
+        self._instants: Deque[float] = deque([float("-inf")])
+        self._marks: Deque[int] = deque([-1])
+        #: marks are kept this far back: the longest tick interval
+        self._mark_window = 0.0
 
     @property
     def now(self) -> float:
@@ -184,6 +194,46 @@ class Simulator:
         self._pending += 1
         return entry
 
+    def _push_reentry(self, time: float, priority: int, mark: int,
+                      ticket: "_Reentry") -> list:
+        """Queue a dormant group's re-entry under an instant mark.  The
+        ticket rides in slot 4 too, so the key survives slot 3 being
+        cleared (see :class:`_Reentry`)."""
+        entry = [time, priority, mark, ticket, ticket]
+        heappush(self._queue, entry)
+        self._pending += 1
+        return entry
+
+    def _mark_instant(self, time: float) -> None:
+        """Record a new instant's mark and prune marks older than the
+        longest tick interval."""
+        instants = self._instants
+        instants.append(time)
+        self._marks.append(next(self._seq))
+        window = self._mark_window
+        while instants[0] + window < time:
+            instants.popleft()
+            self._marks.popleft()
+
+    def _mark_since(self, time: float) -> int:
+        """The mark of the first recorded instant at or after ``time``."""
+        return self._marks[bisect_left(self._instants, time)]
+
+    def _runs_after_current(self, priority: int, mark: int,
+                            ticket: "_Reentry") -> bool:
+        """Whether a re-entry keyed ``(priority, mark, ticket)`` at
+        ``now`` sorts after the running entry; outside :meth:`run`,
+        everything at ``now`` has run."""
+        current = self._current
+        if current is None:
+            return False
+        if priority != current[1]:
+            return priority > current[1]
+        if mark != current[2]:
+            return mark > current[2]
+        # one mark: both are re-entries (no drawn seq equals a mark)
+        return current[4] < ticket
+
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         self._drop_cancelled()
@@ -217,8 +267,10 @@ class Simulator:
         self._running = True
         executed = 0
         # Inlined loop: one heap pop per event, no per-event call
-        # frame, one liveness check folded into the callback load.
+        # frame, one liveness check folded into the callback load; a
+        # new instant also draws its mark (see TickGroup).
         queue = self._queue
+        last = self._instants[-1]
         try:
             while queue:
                 if max_events is not None and executed >= max_events:
@@ -228,12 +280,16 @@ class Simulator:
                 if callback is None:
                     heappop(queue)
                     continue
-                if until is not None and head[0] > until:
+                now = head[0]
+                if until is not None and now > until:
                     break
                 heappop(queue)
                 head[3] = None
                 self._pending -= 1
-                self._now = head[0]
+                if now > last:
+                    last = now
+                    self._mark_instant(now)
+                self._now = now
                 self._current = head
                 callback()
                 executed += 1
@@ -246,6 +302,7 @@ class Simulator:
             self._drop_cancelled()
             if not queue or queue[0][0] > until:
                 self._now = until
+                self._mark_instant(until)
         return executed
 
     def pending_count(self) -> int:
@@ -274,7 +331,9 @@ class Simulator:
         first firing coincides share a single :class:`TickGroup`: one
         heap entry per cadence fires the whole batch in registration
         order.  Scheduling cost per tick is O(1) in the number of
-        member tasks, vs O(tasks) for individual :meth:`every` loops.
+        member tasks, vs O(tasks) for individual :meth:`every` loops,
+        and a group whose members all sleep costs nothing until a wake.
+        A task may join a dormant group whose grid reaches ``first``.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive: {interval}")
@@ -353,20 +412,29 @@ class TickMember:
         """Stop future invocations.  Idempotent."""
         if not self._stopped:
             self._stopped = True
-            self._live = False
+            if self._live:
+                self._live = False
+                self._group._awake -= 1
             self._group._member_stopped()
 
     def sleep(self) -> None:
-        """Skip this task's ticks until :meth:`wake`.  The group keeps
-        its cadence (and its heap entry) even when every member
-        sleeps."""
-        self._live = False
+        """Skip this task's ticks until :meth:`wake`.  A group whose
+        members all sleep after a tick leaves the heap until a wake."""
+        if self._live:
+            self._live = False
+            self._group._awake -= 1
 
     def wake(self) -> None:
         """Fire at the next tick that reaches this member's slot: this
-        tick if its batch has not got there yet.  A no-op on a stopped
+        tick if its batch has not got there yet.  A dormant group
+        re-enters the heap at its next grid tick.  A no-op on a stopped
         member."""
-        self._live = not self._stopped
+        if not (self._live or self._stopped):
+            self._live = True
+            group = self._group
+            group._awake += 1
+            if group._entry is None:
+                group._reenter()
 
     @property
     def stopped(self) -> bool:
@@ -377,15 +445,60 @@ class TickMember:
         return not (self._live or self._stopped)
 
 
+class _Reentry:
+    """The heap callback of a dormant group's re-entry, and the last
+    part of its key: re-entries on one instant mark run in order of
+    their previous grid tick, then newer group first."""
+
+    __slots__ = ("group", "prev")
+
+    def __init__(self, group: "TickGroup", prev: float):
+        self.group = group
+        self.prev = prev
+
+    def __call__(self) -> None:
+        self.group._fire()
+
+    def __lt__(self, other: "_Reentry") -> bool:
+        return ((self.prev, other.group._born)
+                < (other.prev, self.group._born))
+
+    def __eq__(self, other: object) -> bool:
+        # a cancelled entry's cleared slot 3 (None) compares equal, so
+        # heap comparisons fall through to the ticket in slot 4 and
+        # cancelling never moves an entry
+        return other is self or other is None
+
+    __hash__ = object.__hash__
+
+
 class TickGroup:
     """A batch of same-cadence periodic tasks behind one heap entry.
 
     Members fire in registration order at every tick, except those
-    asleep; ticks are anchored (``first + k * interval``) so the cadence
-    never drifts.  The group re-arms every tick while any member is
-    not stopped — asleep included — so sleeping changes neither the
-    heap's sequence numbers nor the event count.  When the last member
-    stops, the group cancels its heap entry.
+    asleep; ticks are anchored (``first`` plus repeated additions of
+    ``interval``) so the cadence never drifts.  When the last member
+    stops, the group cancels its heap entry and retires.
+
+    A tick that leaves no member awake does not re-arm: the group goes
+    *dormant*, keeps its grid and holds no heap entry, so idle time
+    costs no events.  A :meth:`TickMember.wake`, an :meth:`add` or an
+    :meth:`Simulator.every_tick` join re-enters it at its next grid tick
+    ``T`` under the key an always-armed group would have held there.
+    That group would have re-armed at the previous tick ``P`` with a
+    seq drawn during instant ``P``; the run loop draws a *mark* each
+    time the clock reaches a new instant, and the re-entry takes the
+    mark of the first recorded instant at or after ``P``, which sorts
+    after every entry pushed before ``P`` and before every entry pushed
+    later.  Re-entries sharing a mark order by ``P``, then newer group
+    first (:class:`_Reentry`).  A wake at a grid instant fires the
+    group now only if that key sorts after the running entry's;
+    outside :meth:`Simulator.run` the tick at ``now`` has passed.
+
+    One class of coincidence orders differently from an always-armed
+    group: an entry pushed *during* instant ``P`` for exactly ``T`` at
+    the group's priority, including a same-cadence sibling group on
+    the same grid, now runs after the re-entered group.
     """
 
     def __init__(self, sim: Simulator, interval: float, priority: int,
@@ -394,19 +507,36 @@ class TickGroup:
         self._interval = interval
         self._priority = priority
         self._members: List[TickMember] = []
+        #: members not stopped, and members awake
         self._active = 0
+        self._awake = 0
         self._next_time = first
+        #: while dormant: the grid tick before ``_next_time``
+        self._last_time = first
         self._dead = False
-        self._entry = sim._push_entry(first, priority, self._fire)
+        #: the queued (or firing) entry; None while dormant
+        self._entry: Optional[list] = sim._push_entry(first, priority,
+                                                      self._fire)
+        #: creation order, for ties between re-entries
+        self._born = self._entry[2]
+        if interval > sim._mark_window:
+            sim._mark_window = interval
 
     def joinable(self, first: float) -> bool:
         """Whether a task whose first firing is at ``first`` can join."""
-        return not self._dead and self._next_time == first
+        if self._dead:
+            return False
+        if self._entry is None:
+            self._catch_up()
+        return self._next_time == first
 
     def add(self, callback: Callable[[], Any]) -> TickMember:
         member = TickMember(callback, self)
         self._members.append(member)
         self._active += 1
+        self._awake += 1
+        if self._entry is None:
+            self._reenter()
         return member
 
     def _fire(self) -> None:
@@ -435,13 +565,45 @@ class TickGroup:
                     except BaseException:
                         self._member_failed(member)
                         raise
-        if self._active == 0:
-            self._retire()
-            return
+        if self._dead:
+            return      # the last member stopped during the batch
         if len(self._members) > 2 * self._active:
             self._members = [m for m in self._members if not m._stopped]
-        self._entry = self._sim._push_entry(self._next_time, self._priority,
-                                            self._fire)
+        self._rearm()
+
+    def _rearm(self) -> None:
+        """After a tick: queue the next one, or go dormant when no
+        member is awake."""
+        if self._awake:
+            self._entry = self._sim._push_entry(
+                self._next_time, self._priority, self._fire)
+        else:
+            self._entry = None
+            self._last_time = self._sim._now
+
+    def _catch_up(self) -> Tuple[int, _Reentry]:
+        """Move a dormant group's grid to its first tick not yet passed
+        and return that tick's re-entry key: its mark and ticket."""
+        sim = self._sim
+        now = sim._now
+        interval = self._interval
+        prev, tick = self._last_time, self._next_time
+        while tick < now:
+            prev, tick = tick, tick + interval
+        mark = sim._mark_since(prev)
+        ticket = _Reentry(self, prev)
+        if tick == now and not sim._runs_after_current(self._priority, mark,
+                                                       ticket):
+            prev, tick = tick, tick + interval
+            mark = sim._mark_since(prev)
+            ticket = _Reentry(self, prev)
+        self._last_time, self._next_time = prev, tick
+        return mark, ticket
+
+    def _reenter(self) -> None:
+        mark, ticket = self._catch_up()
+        self._entry = self._sim._push_reentry(self._next_time,
+                                              self._priority, mark, ticket)
 
     def _member_failed(self, member: TickMember) -> None:
         # A raising task never reschedules itself (as in the seed
@@ -452,15 +614,14 @@ class TickGroup:
         # catches the error and resumes sees them next tick, where the
         # seed engine would still fire them at this instant.
         member.stop()
-        if self._active > 0 and not self._dead:
-            self._entry = self._sim._push_entry(
-                self._next_time, self._priority, self._fire)
+        if not self._dead:
+            self._rearm()
 
     def _member_stopped(self) -> None:
         self._active -= 1
         if self._active == 0 and not self._dead:
             entry = self._entry
-            if entry[3] is not None:
+            if entry is not None and entry[3] is not None:
                 entry[3] = None
                 self._sim._pending -= 1
             self._retire()

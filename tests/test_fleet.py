@@ -426,6 +426,84 @@ def make_preempting_scheduler(machines=8, preemption="checkpoint",
     return sim, pool, sched, started, preempts, resizes, allocated
 
 
+def quiet_scheduler():
+    """A blocked head with no victim: ``b`` waits for 4 of 8 machines
+    while high-priority ``a`` holds 6.  ``calls`` records every real
+    dispatch from the submit of ``b`` on."""
+    sim, pool, sched, started, preempts, resizes, alloc = \
+        make_preempting_scheduler(elastic=True)
+    sched.submit("a", 6, priority=5)
+    calls = []
+    real = sched.dispatch
+
+    def counting():
+        calls.append(sim.now)
+        return real()
+
+    sched.dispatch = counting
+    sched.submit("b", 4)
+    return sim, pool, sched, alloc, calls
+
+
+class TestQuietRetry:
+    def test_unchanged_retries_skip_dispatch_but_keep_cadence(self):
+        sim, pool, sched, alloc, calls = quiet_scheduler()
+        sim.run(until=10 * sched.retry_interval_s + 1.0)
+        assert calls == [0.0]           # the submit's own dispatch
+        # still armed, on the same 60 s cadence
+        assert sim.pending_count() == 1
+        assert sim.peek() == 11 * sched.retry_interval_s
+
+    @pytest.mark.parametrize("wake", [
+        lambda sched, pool, alloc: pool.release(alloc["a"][:2]),
+        lambda sched, pool, alloc: sched.enqueue("c", 8),
+        lambda sched, pool, alloc: sched.complete("a"),
+        lambda sched, pool, alloc: sched.preempted("a", remaining_s=60.0),
+        lambda sched, pool, alloc: sched.resized("a", 6),
+        lambda sched, pool, alloc: sched.resize_aborted("a"),
+        lambda sched, pool, alloc: sched.note_preempting("a"),
+    ], ids=["release", "enqueue", "complete", "preempted", "resized",
+            "resize_aborted", "note_preempting"])
+    def test_each_wake_source_makes_the_next_retry_dispatch(self, wake):
+        sim, pool, sched, alloc, calls = quiet_scheduler()
+        sim.run(until=90.0)
+        assert calls == [0.0]
+        counting = sched.dispatch
+        # a mutator's own dispatch would refresh the quiet state; stub
+        # it so the retry alone has to notice the change
+        sched.dispatch = lambda: 0
+        wake(sched, pool, alloc)
+        sched.dispatch = counting
+        sim.run(until=121.0)
+        assert calls == [0.0, 120.0]
+
+    def test_a_dispatch_that_starts_a_job_is_not_quiet(self):
+        # a second pass may start more: the started jobs' planned ends
+        # move the head's reservation
+        sim, pool, sched, alloc, calls = quiet_scheduler()
+        sched.enqueue("c", 8)
+        pool.release(alloc["a"][:2])
+        sim.run(until=121.0)
+        assert sched.queued_names() == ["c"]
+        assert calls == [0.0, 60.0, 120.0]
+        sim.run(until=600.0)
+        assert calls == [0.0, 60.0, 120.0]
+
+    def test_a_finished_repair_makes_the_next_retry_dispatch(self):
+        sim, pool, sched, alloc, calls = quiet_scheduler()
+        spare = sorted(pool.free)[0]
+        pool.evict([spare])             # available 2 -> 1
+        sim.run(until=61.0)
+        assert calls == [0.0, 60.0]
+        repaired = pool.times.repair_s
+        sim.run(until=repaired - 1.0)
+        assert calls == [0.0, 60.0]     # 1 free all along: quiet
+        sim.run(until=repaired + sched.retry_interval_s)
+        assert pool.available() == 2
+        assert len(calls) == 3
+        assert repaired <= calls[2] < repaired + sched.retry_interval_s
+
+
 class TestSchedulerPreemption:
     def test_blocked_head_preempts_newest_lowest_priority(self):
         sim, pool, sched, started, preempts, resizes, alloc = \
