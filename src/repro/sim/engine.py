@@ -10,9 +10,7 @@ Hot-path design
 
 The heap holds plain ``[time, priority, seq, callback]`` entries, which
 compare in C: ``(time, priority, seq)`` is unique per event, so the
-callback slot is never reached by a comparison (the one exception, a
-dormant tick group's re-entry, orders by a ticket it also keeps in a
-fifth slot; see :class:`TickGroup`).  The callback slot doubles as
+callback slot is never reached by a comparison.  That slot doubles as
 the cancellation table — :meth:`EventHandle.cancel` clears it in place
 (``entry[3] = None``) and the run loop drops cleared entries as they
 surface, so no side table can leak and cancellation is O(1) with zero
@@ -47,10 +45,8 @@ stays true.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -125,12 +121,6 @@ class Simulator:
         self._current: Optional[list] = None
         #: (interval, priority) -> joinable TickGroup.
         self._tick_groups: Dict[Tuple[float, int], "TickGroup"] = {}
-        #: instant marks: each recent instant the clock reached, and the
-        #: seq drawn when it got there (see :class:`TickGroup`)
-        self._instants: Deque[float] = deque([float("-inf")])
-        self._marks: Deque[int] = deque([-1])
-        #: marks are kept this far back: the longest tick interval
-        self._mark_window = 0.0
 
     @property
     def now(self) -> float:
@@ -194,46 +184,6 @@ class Simulator:
         self._pending += 1
         return entry
 
-    def _push_reentry(self, time: float, priority: int, mark: int,
-                      ticket: "_Reentry") -> list:
-        """Queue a dormant group's re-entry under an instant mark.  The
-        ticket rides in slot 4 too, so the key survives slot 3 being
-        cleared (see :class:`_Reentry`)."""
-        entry = [time, priority, mark, ticket, ticket]
-        heappush(self._queue, entry)
-        self._pending += 1
-        return entry
-
-    def _mark_instant(self, time: float) -> None:
-        """Record a new instant's mark and prune marks older than the
-        longest tick interval."""
-        instants = self._instants
-        instants.append(time)
-        self._marks.append(next(self._seq))
-        window = self._mark_window
-        while instants[0] + window < time:
-            instants.popleft()
-            self._marks.popleft()
-
-    def _mark_since(self, time: float) -> int:
-        """The mark of the first recorded instant at or after ``time``."""
-        return self._marks[bisect_left(self._instants, time)]
-
-    def _runs_after_current(self, priority: int, mark: int,
-                            ticket: "_Reentry") -> bool:
-        """Whether a re-entry keyed ``(priority, mark, ticket)`` at
-        ``now`` sorts after the running entry; outside :meth:`run`,
-        everything at ``now`` has run."""
-        current = self._current
-        if current is None:
-            return False
-        if priority != current[1]:
-            return priority > current[1]
-        if mark != current[2]:
-            return mark > current[2]
-        # one mark: both are re-entries (no drawn seq equals a mark)
-        return current[4] < ticket
-
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         self._drop_cancelled()
@@ -267,10 +217,8 @@ class Simulator:
         self._running = True
         executed = 0
         # Inlined loop: one heap pop per event, no per-event call
-        # frame, one liveness check folded into the callback load; a
-        # new instant also draws its mark (see TickGroup).
+        # frame, one liveness check folded into the callback load.
         queue = self._queue
-        last = self._instants[-1]
         try:
             while queue:
                 if max_events is not None and executed >= max_events:
@@ -280,16 +228,12 @@ class Simulator:
                 if callback is None:
                     heappop(queue)
                     continue
-                now = head[0]
-                if until is not None and now > until:
+                if until is not None and head[0] > until:
                     break
                 heappop(queue)
                 head[3] = None
                 self._pending -= 1
-                if now > last:
-                    last = now
-                    self._mark_instant(now)
-                self._now = now
+                self._now = head[0]
                 self._current = head
                 callback()
                 executed += 1
@@ -302,7 +246,6 @@ class Simulator:
             self._drop_cancelled()
             if not queue or queue[0][0] > until:
                 self._now = until
-                self._mark_instant(until)
         return executed
 
     def pending_count(self) -> int:
@@ -427,8 +370,8 @@ class TickMember:
     def wake(self) -> None:
         """Fire at the next tick that reaches this member's slot: this
         tick if its batch has not got there yet.  A dormant group
-        re-enters the heap at its next grid tick.  A no-op on a stopped
-        member."""
+        re-enters the heap at its first grid tick still to run.  A no-op
+        on a stopped member."""
         if not (self._live or self._stopped):
             self._live = True
             group = self._group
@@ -445,33 +388,6 @@ class TickMember:
         return not (self._live or self._stopped)
 
 
-class _Reentry:
-    """The heap callback of a dormant group's re-entry, and the last
-    part of its key: re-entries on one instant mark run in order of
-    their previous grid tick, then newer group first."""
-
-    __slots__ = ("group", "prev")
-
-    def __init__(self, group: "TickGroup", prev: float):
-        self.group = group
-        self.prev = prev
-
-    def __call__(self) -> None:
-        self.group._fire()
-
-    def __lt__(self, other: "_Reentry") -> bool:
-        return ((self.prev, other.group._born)
-                < (other.prev, self.group._born))
-
-    def __eq__(self, other: object) -> bool:
-        # a cancelled entry's cleared slot 3 (None) compares equal, so
-        # heap comparisons fall through to the ticket in slot 4 and
-        # cancelling never moves an entry
-        return other is self or other is None
-
-    __hash__ = object.__hash__
-
-
 class TickGroup:
     """A batch of same-cadence periodic tasks behind one heap entry.
 
@@ -483,22 +399,10 @@ class TickGroup:
     A tick that leaves no member awake does not re-arm: the group goes
     *dormant*, keeps its grid and holds no heap entry, so idle time
     costs no events.  A :meth:`TickMember.wake`, an :meth:`add` or an
-    :meth:`Simulator.every_tick` join re-enters it at its next grid tick
-    ``T`` under the key an always-armed group would have held there.
-    That group would have re-armed at the previous tick ``P`` with a
-    seq drawn during instant ``P``; the run loop draws a *mark* each
-    time the clock reaches a new instant, and the re-entry takes the
-    mark of the first recorded instant at or after ``P``, which sorts
-    after every entry pushed before ``P`` and before every entry pushed
-    later.  Re-entries sharing a mark order by ``P``, then newer group
-    first (:class:`_Reentry`).  A wake at a grid instant fires the
-    group now only if that key sorts after the running entry's;
-    outside :meth:`Simulator.run` the tick at ``now`` has passed.
-
-    One class of coincidence orders differently from an always-armed
-    group: an entry pushed *during* instant ``P`` for exactly ``T`` at
-    the group's priority, including a same-cadence sibling group on
-    the same grid, now runs after the re-entered group.
+    :meth:`Simulator.every_tick` join re-enters it with a fresh seq at
+    its first grid tick still to run.  Inside :meth:`Simulator.run` a
+    grid tick at ``now`` still runs, after the running entry; outside
+    a run the tick at ``now`` has passed.
     """
 
     def __init__(self, sim: Simulator, interval: float, priority: int,
@@ -511,16 +415,10 @@ class TickGroup:
         self._active = 0
         self._awake = 0
         self._next_time = first
-        #: while dormant: the grid tick before ``_next_time``
-        self._last_time = first
         self._dead = False
         #: the queued (or firing) entry; None while dormant
         self._entry: Optional[list] = sim._push_entry(first, priority,
                                                       self._fire)
-        #: creation order, for ties between re-entries
-        self._born = self._entry[2]
-        if interval > sim._mark_window:
-            sim._mark_window = interval
 
     def joinable(self, first: float) -> bool:
         """Whether a task whose first firing is at ``first`` can join."""
@@ -579,31 +477,21 @@ class TickGroup:
                 self._next_time, self._priority, self._fire)
         else:
             self._entry = None
-            self._last_time = self._sim._now
 
-    def _catch_up(self) -> Tuple[int, _Reentry]:
-        """Move a dormant group's grid to its first tick not yet passed
-        and return that tick's re-entry key: its mark and ticket."""
+    def _catch_up(self) -> None:
+        """Move a dormant group's grid to its first tick still to run."""
         sim = self._sim
         now = sim._now
-        interval = self._interval
-        prev, tick = self._last_time, self._next_time
+        tick = self._next_time
         while tick < now:
-            prev, tick = tick, tick + interval
-        mark = sim._mark_since(prev)
-        ticket = _Reentry(self, prev)
-        if tick == now and not sim._runs_after_current(self._priority, mark,
-                                                       ticket):
-            prev, tick = tick, tick + interval
-            mark = sim._mark_since(prev)
-            ticket = _Reentry(self, prev)
-        self._last_time, self._next_time = prev, tick
-        return mark, ticket
+            tick += self._interval
+        if tick == now and sim._current is None:
+            tick += self._interval      # outside a run, ``now`` has run
+        self._next_time = tick
 
     def _reenter(self) -> None:
-        mark, ticket = self._catch_up()
-        self._entry = self._sim._push_reentry(self._next_time,
-                                              self._priority, mark, ticket)
+        self._catch_up()
+        self._rearm()
 
     def _member_failed(self, member: TickMember) -> None:
         # A raising task never reschedules itself (as in the seed

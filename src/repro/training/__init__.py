@@ -20,7 +20,6 @@ from repro.training.model import (
     dense_70b,
     dense_llama_like,
     moe_200b,
-    moe_256b,
 )
 from repro.training.metrics import (
     BLOCK_STEPS,
@@ -47,6 +46,5 @@ __all__ = [
     "dense_70b",
     "dense_llama_like",
     "moe_200b",
-    "moe_256b",
     "render_stack",
 ]

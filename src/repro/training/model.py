@@ -42,16 +42,6 @@ class ModelSpec:
             raise ValueError("global_batch_size must be positive")
         return self.flops_per_token() * global_batch_size * self.seq_len
 
-    def with_seq_len(self, seq_len: int) -> "ModelSpec":
-        """Same model at a different context length (LongCT stages)."""
-        if seq_len <= 0:
-            raise ValueError("seq_len must be positive")
-        return ModelSpec(
-            name=self.name, num_params=self.num_params,
-            activated_params=self.activated_params,
-            num_layers=self.num_layers, seq_len=seq_len,
-            is_moe=self.is_moe, num_experts=self.num_experts)
-
 
 def dense_llama_like(num_params: int = 70_000_000_000,
                      seq_len: int = 8192) -> ModelSpec:
@@ -77,19 +67,6 @@ def moe_200b(seq_len: int = 8192) -> ModelSpec:
         num_params=200_000_000_000,
         activated_params=30_000_000_000,
         num_layers=60,
-        seq_len=seq_len,
-        is_moe=True,
-        num_experts=64,
-    )
-
-
-def moe_256b(seq_len: int = 8192) -> ModelSpec:
-    """The 256B sparse model used in the checkpointing evaluation."""
-    return ModelSpec(
-        name="moe-256b",
-        num_params=256_000_000_000,
-        activated_params=36_000_000_000,
-        num_layers=64,
         seq_len=seq_len,
         is_moe=True,
         num_experts=64,

@@ -1,7 +1,7 @@
 """Workload and fault-trace generators.
 
 * :mod:`repro.workloads.failure_model` — fleet failure-rate math
-  (MTBF scaling with GPU count, per-machine daily failure probability);
+  (MTBF scaling with GPU count);
 * :mod:`repro.workloads.traces` — incident trace generation matching
   the Table 1 symptom mix and Table 2 root-cause mix, plus fault
   construction for every symptom;
@@ -18,10 +18,7 @@ parameter is declared once, as a ``ParamSpec`` in the registration,
 so the builder functions are not exported here.
 """
 
-from repro.workloads.failure_model import (
-    daily_machine_failure_prob,
-    mtbf_seconds,
-)
+from repro.workloads.failure_model import mtbf_seconds
 from repro.workloads.traces import (
     TABLE1_COUNTS,
     TABLE2_ROOT_CAUSES,
@@ -50,7 +47,6 @@ __all__ = [
     "TABLE1_COUNTS",
     "TABLE2_ROOT_CAUSES",
     "TraceEvent",
-    "daily_machine_failure_prob",
     "fleet_job_config",
     "mtbf_seconds",
 ]

@@ -92,8 +92,11 @@ CATALOG = [
      "66c3ec5baf1e868de529b765515587b819ee8b5c4c68bc8dfb309eb727c48f37"),
     ("hotupdate-ladder", {},
      "b790ec517feff9cb79fa714a51e19ac33b2e2aa929ad4d44da6ae9fd821f744c"),
+    # pinned with fresh-seq re-entry of dormant tick groups: the GPU
+    # losses at 7200/14400/21600 s now surface first through the
+    # inspection sweep, not the CUDA crash (same time, machine, ETTR)
     ("hotupdate-policy", {"duration_s": 21600.0},
-     "32ac8a5843bd26b4866e4e8293a8b3606c5c712e4c3b13ad96afe8aecf677ece"),
+     "d63fa673fc4b4a465dd969ebf7a56326d789ebb918bf2cf27fe9c1f34f8e1925"),
     ("incident-census", {},
      "8cb565885080dc6c2aa2df6e92510a0fba49f3e2890321441ae605e29d9195a6"),
     ("moe", {"duration_s": 21600.0},

@@ -1,12 +1,14 @@
 """Unit tests for the discrete-event simulator kernel and its RNG
 streams."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import RngStreams, Simulator
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimulationError, TickGroup
 
 
 def test_clock_starts_at_zero():
@@ -413,25 +415,22 @@ def test_every_tick_wake_after_many_skipped_ticks_lands_on_the_grid():
 
 
 def test_every_tick_wake_at_a_grid_instant_inside_a_run():
-    """At a tick's instant, the woken group fires now only when its key
-    (the previous tick's instant) sorts after the running entry's."""
-    sim = Simulator()
-    ticks = []
-    member = sim.every_tick(5.0, lambda: ticks.append(sim.now))
-    member.sleep()
-    # pushed before the tick at 5: sorts before the group's entry at 10
-    sim.schedule_at(10.0, member.wake)
-    sim.run(until=12.0)
-    assert ticks == [10.0]
+    """Inside a run, a dormant group's tick at ``now`` still runs, after
+    the running entry, however early the wake was queued."""
+    def script(wake_at_10):
+        sim = Simulator()
+        ticks = []
+        member = sim.every_tick(5.0, lambda: ticks.append(sim.now))
+        member.sleep()
+        wake_at_10(sim, member)
+        sim.run(until=16.0)
+        return ticks
 
-    sim = Simulator()
-    ticks = []
-    member = sim.every_tick(5.0, lambda: ticks.append(sim.now))
-    member.sleep()
-    # pushed after the tick at 5: the group's entry at 10 ran first
-    sim.schedule_at(7.0, lambda: sim.schedule_at(10.0, member.wake))
-    sim.run(until=16.0)
-    assert ticks == [15.0]
+    # queued before the group's tick at 5, and after it
+    assert script(lambda sim, m: sim.schedule_at(10.0, m.wake)) == [
+        10.0, 15.0]
+    assert script(lambda sim, m: sim.schedule_at(
+        7.0, lambda: sim.schedule_at(10.0, m.wake))) == [10.0, 15.0]
 
 
 def test_every_tick_wake_outside_a_run_at_a_grid_instant():
@@ -446,17 +445,18 @@ def test_every_tick_wake_outside_a_run_at_a_grid_instant():
 
 
 def test_every_tick_wake_between_runs_keeps_the_run_order():
-    """A run that ends between ticks marks its end instant, so entries
-    pushed after it sort after a re-entry keyed to an earlier tick."""
+    """A re-entry is an ordinary entry: at its instant it runs after
+    entries queued before the wake and before those queued after it."""
     sim = Simulator()
     order = []
     member = sim.every_tick(5.0, lambda: order.append(("tick", sim.now)))
     member.sleep()
     sim.run(until=7.0)
-    sim.schedule_at(10.0, lambda: order.append(("shot", sim.now)))
+    sim.schedule_at(10.0, lambda: order.append(("before", sim.now)))
     member.wake()
+    sim.schedule_at(10.0, lambda: order.append(("after", sim.now)))
     sim.run(until=10.0)
-    assert order == [("tick", 10.0), ("shot", 10.0)]
+    assert order == [("before", 10.0), ("tick", 10.0), ("after", 10.0)]
 
 
 def test_every_tick_stopping_last_member_of_a_dormant_group_retires_it():
@@ -469,36 +469,6 @@ def test_every_tick_stopping_last_member_of_a_dormant_group_retires_it():
     assert not sim._tick_groups
     member.wake()
     assert sim.run(until=50.0) == 0 and sim.pending_count() == 0
-
-
-def test_every_tick_reentries_on_one_mark_order_by_previous_tick():
-    """Re-entries sharing an instant mark run earlier previous tick
-    first, as the always-armed groups' re-arms would have; cancelling
-    one clears its slot without moving the other."""
-    def script(stop_b):
-        sim = Simulator()
-        order = []
-        a = sim.every_tick(3.0, lambda: order.append(("a", sim.now)))
-        b = sim.every_tick(4.0, lambda: order.append(("b", sim.now)))
-        c = sim.every_tick(6.0, lambda: order.append(("c", sim.now)))
-        for member in (a, b, c):
-            member.sleep()
-
-        def wake_all():
-            for member in (a, b, c):
-                member.wake()
-
-        sim.schedule_at(11.0, wake_all)
-        if stop_b:
-            sim.schedule_at(11.5, b.stop)
-        sim.run(until=12.0)
-        return order, sim.pending_count()
-
-    # instants 3, 4, 6 and 11: c keys to 6's mark; a (previous tick 9)
-    # and b (8) share 11's, and b's earlier tick goes first
-    assert script(stop_b=False) == ([("c", 12.0), ("b", 12.0),
-                                     ("a", 12.0)], 3)
-    assert script(stop_b=True) == ([("c", 12.0), ("a", 12.0)], 2)
 
 
 def test_every_tick_joins_a_dormant_group_whose_grid_reaches_first():
@@ -524,35 +494,6 @@ def test_run_without_until_returns_when_only_dormant_groups_remain():
     member.sleep()
     assert sim.run() == 1
     assert sim.now == 5.0
-
-
-def test_every_tick_same_tick_coincidences_order_after_a_reentry():
-    """Pinned: an entry pushed *during* the previous tick's instant for
-    exactly the re-entered tick, at the group's priority, now runs after
-    the group (an always-armed group would have run after it).  A
-    same-cadence sibling group on the same grid is one such entry."""
-    def script(keep_armed):
-        sim = Simulator()
-        order = []
-        a = sim.every_tick(5.0, lambda: order.append(("a", sim.now)))
-        if keep_armed:
-            sim.every_tick(5.0, lambda: None)
-        a.sleep()
-        # b: a second group on a's grid from 10 on, created earlier
-        # than a's re-arm at 5, so it sorts first at 10
-        sim.every_tick(5.0, lambda: order.append(("b", sim.now)),
-                       first_delay=10.0)
-        # pushed at 10, before a's tick there, for a's next tick
-        sim.schedule_at(10.0, lambda: sim.schedule_at(
-            15.0, lambda: order.append(("shot", sim.now))))
-        sim.schedule_at(12.0, a.wake)
-        sim.run(until=15.0)
-        return [entry for entry in order if entry[1] == 15.0]
-
-    assert script(keep_armed=True) == [("b", 15.0), ("shot", 15.0),
-                                       ("a", 15.0)]
-    assert script(keep_armed=False) == [("a", 15.0), ("b", 15.0),
-                                        ("shot", 15.0)]
 
 
 _CADENCES = (0.5, 1.0, 1.5, 2.0, 3.0, 0.7)
@@ -590,56 +531,171 @@ def dormancy_scripts(draw):
     return groups, shots, split, between
 
 
+_END = 30.0
+
+
+def _grid(first, cadence):
+    """A group's anchored ticks up to the first one past the end, by
+    the repeated addition the engine uses."""
+    ticks = [first]
+    while ticks[-1] <= _END:
+        ticks.append(ticks[-1] + cadence)
+    return ticks
+
+
 def _run_dormancy_script(script, keep_armed):
     """Run ``script``; with ``keep_armed`` every group also holds a
-    never-sleeping no-op member, so no group ever goes dormant."""
+    never-sleeping no-op member, so no group ever goes dormant.
+
+    Returns the log, the executed event count, each member's group, each
+    group's grid and the ticks each group held no heap entry for.  The
+    log has ``("fire", t, member)``, each group's batch bounds
+    ``("start"/"end", t, group)`` and every wake, sleep or stop that
+    changed a member's state, ``(verb, t, member, inside_a_run)``."""
     groups, shots, split, between = script
     sim = Simulator()
     log = []
     members = []
+    in_run = [True]
 
     def act(action):
         verb, index = action
-        if verb != "noop":
-            getattr(members[index % len(members)], verb)()
+        if verb == "noop":
+            return
+        index %= len(members)
+        member = members[index]
+        changes = {"sleep": not (member.asleep or member.stopped),
+                   "wake": member.asleep,
+                   "stop": not member.stopped}[verb]
+        getattr(member, verb)()
+        if changes:
+            log.append((verb, sim.now, index, in_run[0]))
 
     def fire(ident, program):
         count = [0]
 
         def callback():
-            log.append((sim.now, ident))
+            log.append(("fire", sim.now, ident))
             act(program[count[0] % len(program)])
             count[0] += 1
         return callback
 
-    for cadence, phase, priority, programs in groups:
-        for program in programs:
-            members.append(sim.every_tick(
-                cadence, fire(len(members), program), first_delay=phase,
-                priority=priority))
-        if keep_armed:
-            sim.every_tick(cadence, lambda: None, first_delay=phase,
-                           priority=priority)
-    for i, (at, priority, action) in enumerate(shots):
-        sim.schedule_at(at, lambda i=i, action=action: (
-            log.append((sim.now, f"shot{i}")), act(action)),
-            priority=priority)
-    executed = sim.run(until=split)
-    for action in between:
-        act(action)
-    executed += sim.run(until=30.0)
-    return log, executed
+    tick_groups = []
+    #: per group: [start, end) windows of ticks without a heap entry
+    dormant = []
+    fire_tick = TickGroup._fire
+    reenter = TickGroup._reenter
+
+    def logged_fire(group):
+        gid = tick_groups.index(group)
+        log.append(("start", sim.now, gid))
+        fire_tick(group)
+        log.append(("end", sim.now, gid))
+        if not group._dead:
+            # a batch that leaves no member live takes the group out
+            assert (group._entry is None) == all(
+                m.asleep or m.stopped for m in group._members)
+            if group._entry is None:
+                dormant[gid].append([group._next_time, float("inf")])
+
+    def logged_reenter(group):
+        reenter(group)
+        dormant[tick_groups.index(group)][-1][1] = group._next_time
+
+    owner = []
+    grids = []
+    with mock.patch.object(TickGroup, "_fire", logged_fire), \
+            mock.patch.object(TickGroup, "_reenter", logged_reenter):
+        for cadence, phase, priority, programs in groups:
+            for program in programs:
+                members.append(sim.every_tick(
+                    cadence, fire(len(members), program), first_delay=phase,
+                    priority=priority))
+                owner.append(len(tick_groups))
+            if keep_armed:
+                sim.every_tick(cadence, lambda: None, first_delay=phase,
+                               priority=priority)
+            tick_groups.append(members[-1]._group)
+            dormant.append([])
+            grids.append(_grid(cadence if phase is None else phase,
+                               cadence))
+        for i, (at, priority, action) in enumerate(shots):
+            sim.schedule_at(at, lambda i=i, action=action: (
+                log.append(("shot", sim.now, i)), act(action)),
+                priority=priority)
+        executed = sim.run(until=split)
+        in_run[0] = False
+        for action in between:
+            act(action)
+        in_run[0] = True
+        executed += sim.run(until=_END)
+    for group, windows in zip(tick_groups, dormant):
+        if group._dead and not (windows and windows[-1][1] == float("inf")):
+            windows.append([group._next_time, float("inf")])
+    return log, executed, owner, grids, dormant
+
+
+def _check_grid_property(log, owner, grids):
+    """Replay ``log`` against the grid rule: a member fires only inside
+    its group's batch, on the group's anchored grid, at most once per
+    tick and only while live; once live, it fires at the first grid tick
+    still to run (a wake between runs finds the tick at ``now`` passed;
+    a wake from inside its group's batch may find its slot passed)."""
+    def after(gid, t, strict):
+        return next(g for g in grids[gid]
+                    if (g > t if strict else g >= t))
+
+    started = [float("-inf")] * len(grids)
+    firing = [False] * len(grids)
+    live = [True] * len(owner)
+    due = [(grids[gid][0],) for gid in owner]
+    for kind, t, ident, *rest in log:
+        if kind == "start":
+            assert t in grids[ident] and t > started[ident]
+            started[ident], firing[ident] = t, True
+        elif kind == "end":
+            firing[ident] = False
+        elif kind == "fire":
+            gid = owner[ident]
+            assert live[ident] and t in due[ident]
+            assert firing[gid] and started[gid] == t
+            due[ident] = (after(gid, t, strict=True),)
+        elif kind in ("sleep", "stop"):
+            # a live member missed no tick before it
+            assert not live[ident] or max(due[ident]) >= t
+            live[ident], due[ident] = False, ()
+        elif kind == "wake":
+            gid = owner[ident]
+            inside_a_run, = rest
+            live[ident] = True
+            if not inside_a_run:
+                due[ident] = (after(gid, t, strict=True),)
+            elif firing[gid]:
+                due[ident] = (t, after(gid, t, strict=True))
+            else:
+                due[ident] = (after(gid, max(t, started[gid]),
+                                    strict=started[gid] >= t),)
+    for ident, candidates in enumerate(due):
+        assert not live[ident] or max(candidates) > _END
 
 
 @settings(max_examples=300, deadline=None)
 @given(dormancy_scripts())
-def test_dormant_groups_fire_as_always_armed_groups_would(script):
-    """The oracle for dormancy: the firing log of every script equals
-    the same script's with each group kept armed by a no-op member."""
-    dormant, dormant_events = _run_dormancy_script(script, False)
-    armed, armed_events = _run_dormancy_script(script, True)
-    assert dormant == armed
-    assert dormant_events <= armed_events
+def test_dormant_groups_fire_on_their_grid(script):
+    """Dormancy keeps each member on its anchored grid (see
+    :func:`_check_grid_property`), and it saves exactly the ticks each
+    group spent out of the heap: the executed count is the armed run's
+    minus those dormant ticks."""
+    log, executed, owner, grids, dormant = _run_dormancy_script(
+        script, False)
+    _check_grid_property(log, owner, grids)
+    _, armed_executed, _, _, armed_dormant = _run_dormancy_script(
+        script, True)
+    assert not any(armed_dormant)
+    dormant_ticks = sum(
+        sum(1 for t in grid if t <= _END and start <= t < end)
+        for grid, windows in zip(grids, dormant) for start, end in windows)
+    assert executed == armed_executed - dormant_ticks
 
 
 def test_every_tick_rejects_nonpositive_interval():

@@ -50,11 +50,6 @@ class TestModelSpec:
         m = dense_70b(seq_len=4096)
         assert m.flops_per_step(8) == pytest.approx(6 * 70e9 * 8 * 4096)
 
-    def test_with_seq_len(self):
-        m = dense_70b().with_seq_len(262144)
-        assert m.seq_len == 262144
-        assert m.num_params == 70_000_000_000
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelSpec("x", num_params=0, activated_params=1, num_layers=2)

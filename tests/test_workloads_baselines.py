@@ -25,7 +25,6 @@ from repro.sim import RngStreams
 from repro.workloads import (
     TABLE1_COUNTS,
     IncidentTraceGenerator,
-    daily_machine_failure_prob,
     mtbf_seconds,
 )
 
@@ -36,10 +35,6 @@ class TestFailureModel:
 
     def test_mtbf_inverse_in_gpus(self):
         assert mtbf_seconds(8_192) == pytest.approx(2 * mtbf_seconds(16_384))
-
-    def test_daily_prob_in_unit_interval(self):
-        p = daily_machine_failure_prob(gpus_per_machine=8)
-        assert 0.0 < p < 0.05
 
     def test_validation(self):
         with pytest.raises(ValueError):
