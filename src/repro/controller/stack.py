@@ -88,13 +88,15 @@ class ManagementStack:
     def shutdown(self) -> None:
         """Stop the job for good: retire the controller (in-flight
         recovery callbacks become no-ops), kill the training
-        processes, leave the fault feed, and silence the periodic
-        monitor tasks."""
+        processes, leave the fault feed, silence the periodic monitor
+        tasks, and drop the loss curve's noise blocks (after suspend,
+        which commits steps and so reads them)."""
         self.controller.retire()
         self.job.suspend()
         self.job.leave_fault_feed()
         self.collector.stop()
         self.inspections.stop()
+        self.job.loss_curve.drop_caches()
 
     def pause(self) -> None:
         """Reversibly stop the job (preemption or resize): suspend the

@@ -8,11 +8,12 @@ exactly (Fig. 2).
 
 Noise is generated in *blocks*: one generator seeded per
 ``(seed, block index)`` draws :data:`BLOCK_STEPS` consecutive values in
-a single vectorized call, so the per-step cost is a list index instead
-of a PCG64 construction.  The value at a step is still a pure function
-of ``(seed, step)`` — independent of query order, rollbacks, and cache
-evictions — which is exactly the invariant the restart-verification
-story rests on.
+a single vectorized call, so the per-step cost is an array index instead
+of a PCG64 construction.  A block stays the 32 KiB float64 array the
+draw returns; every reader hands back a Python ``float``.  The value at
+a step is still a pure function of ``(seed, step)`` — independent of
+query order, rollbacks, and cache evictions — which is exactly the
+invariant the restart-verification story rests on.
 
 MFU is the product of a code-version base (engineering optimizations
 raise it across hot updates, Fig. 11) and transient degradation factors
@@ -84,10 +85,11 @@ class LossCurve:
         # bit, which makes eviction purely a memory/speed trade.  The
         # maps are bounded per block — steady-state training touches
         # one block at a time, rollbacks a handful — so a quarter-long
-        # job holds a few hundred KB instead of growing (or, as the old
-        # per-step cache did, flushing to empty) every ~100k steps.
-        self._noise_blocks: Dict[int, List[float]] = {}
-        self._gnorm_blocks: Dict[int, List[float]] = {}
+        # job holds at most 2 * 4 arrays of 32 KiB instead of growing
+        # (or, as the old per-step cache did, flushing to empty) every
+        # ~100k steps.
+        self._noise_blocks: Dict[int, np.ndarray] = {}
+        self._gnorm_blocks: Dict[int, np.ndarray] = {}
         self._noise_bounds: Dict[int, Tuple[float, float]] = {}
 
     #: Blocks retained per map before the oldest-inserted is evicted
@@ -100,24 +102,25 @@ class LossCurve:
         return ((self.l0 - self.l_inf)
                 * (1.0 + step / self.s0) ** (-self.alpha) + self.l_inf)
 
-    def _block(self, cache: Dict[int, List[float]], stream: str,
-               index: int, scale: float) -> List[float]:
+    def _block(self, cache: Dict[int, np.ndarray], stream: str,
+               index: int, scale: float) -> np.ndarray:
         block = cache.get(index)
         if block is None:
             rng = np.random.default_rng(
                 derive_seed(self.seed, f"{stream}:{index}"))
-            # one draw per 4096 steps; .tolist() so the per-step read
-            # is a plain list index returning a ready Python float
-            block = rng.normal(0.0, scale, BLOCK_STEPS).tolist()
+            # one draw per 4096 steps, kept as the float64 array (a
+            # list of Python floats would cost four times the memory);
+            # readers convert the element they index with float()
+            block = rng.normal(0.0, scale, BLOCK_STEPS)
             if len(cache) >= self._MAX_CACHED_BLOCKS:
                 del cache[next(iter(cache))]
             cache[index] = block
         return block
 
     def noise(self, step: int) -> float:
-        return self._block(self._noise_blocks, "loss-block",
-                           step // BLOCK_STEPS,
-                           self.noise_scale)[step % BLOCK_STEPS]
+        return float(self._block(self._noise_blocks, "loss-block",
+                                 step // BLOCK_STEPS,
+                                 self.noise_scale)[step % BLOCK_STEPS])
 
     def loss(self, step: int, nan: bool = False,
              spike_factor: float = 1.0) -> float:
@@ -131,8 +134,9 @@ class LossCurve:
         """Gradient norm tracks loss decay (scaled), same determinism."""
         if nan:
             return float("nan")
-        eps = self._block(self._gnorm_blocks, "gnorm-block",
-                          step // BLOCK_STEPS, 0.05)[step % BLOCK_STEPS]
+        block = self._block(self._gnorm_blocks, "gnorm-block",
+                            step // BLOCK_STEPS, 0.05)
+        eps = float(block[step % BLOCK_STEPS])
         return 0.4 * self.base(step) * (1.0 + eps) * spike_factor
 
     def noise_bounds(self, index: int) -> Tuple[float, float]:
@@ -141,11 +145,18 @@ class LossCurve:
         if bounds is None:
             block = self._block(self._noise_blocks, "loss-block", index,
                                 self.noise_scale)
-            bounds = (min(block), max(block))
+            bounds = (float(block.min()), float(block.max()))
             if len(self._noise_bounds) >= self._MAX_CACHED_BLOCKS:
                 del self._noise_bounds[next(iter(self._noise_bounds))]
             self._noise_bounds[index] = bounds
         return bounds
+
+    def drop_caches(self) -> None:
+        """Forget every cached block and bound (a job stopped for
+        good); a later read re-derives them bit for bit."""
+        self._noise_blocks.clear()
+        self._gnorm_blocks.clear()
+        self._noise_bounds.clear()
 
     def cached_blocks(self) -> int:
         """Blocks currently held across both maps (tests/diagnostics)."""

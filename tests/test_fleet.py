@@ -34,6 +34,7 @@ from repro.core.platform import (
 from repro.experiments import SweepRunner, SweepSpec, get_scenario
 from repro.sim import Simulator
 from repro.training import JobState
+from repro.training.metrics import LossCurve
 from repro.workloads.fleet import (
     FleetTraceGenerator,
     fleet_job_config,
@@ -309,6 +310,30 @@ class TestDynamicPlatform:
         live = [m for m in platform.jobs.values() if not m.completed]
         assert [m.name for m in live] == ["long", "queued"]
         assert len(platform.injector._listeners) == len(live)
+
+    def test_completed_jobs_drop_their_noise_blocks(self):
+        """Shutdown clears a finished job's loss-curve caches; live
+        jobs keep theirs bounded, and a cleared curve re-derives the
+        same losses as a fresh one."""
+        scenario = get_scenario("fleet-preemption").build()
+        scenario.run()
+        jobs = scenario.platform.jobs.values()
+        done = [m for m in jobs if m.completed]
+        live = [m for m in jobs if not m.completed]
+        assert done and live
+        for managed in done:
+            assert managed.job.loss_curve.cached_blocks() == 0
+            assert managed.job.loss_curve._noise_bounds == {}
+        for managed in live:
+            assert (managed.job.loss_curve.cached_blocks()
+                    <= 2 * LossCurve._MAX_CACHED_BLOCKS)
+        job = max((m.job for m in done),
+                  key=lambda j: len(j.committed_steps()))
+        steps = [r.step for r in job.committed_steps()][::50]
+        fresh = LossCurve(seed=job.config.loss_seed)
+        assert steps
+        assert [job.loss_curve.loss(s) for s in steps] \
+            == [fresh.loss(s) for s in steps]
 
     def test_standby_shortfall_recorded_not_dropped(self):
         # job takes the whole fleet: zero machines left for standbys

@@ -11,6 +11,7 @@ after a rollback, Fig. 2) rests on exactly that.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,3 +125,30 @@ class TestBlockDeterminism:
         reports computed under different draws."""
         assert METRICS_SCHEMA_VERSION == 2
         assert CACHE_SCHEMA_VERSION == 4
+
+
+class TestPythonFloats:
+    """Blocks are cached as float64 arrays, but no ``np.float64`` may
+    leak out: payloads and ``repr``-built detail strings would change."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**31),
+           steps=st.lists(_steps, min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_readers_return_exact_python_floats(self, seed, steps):
+        curve = LossCurve(seed=seed)
+        for s in steps:
+            assert type(curve.noise(s)) is float
+            assert type(curve.grad_norm(s)) is float
+            assert type(curve.loss(s)) is float
+        index = steps[0] // BLOCK_STEPS
+        fresh = LossCurve(seed=seed)
+        vals = [fresh.noise(index * BLOCK_STEPS + k)
+                for k in range(BLOCK_STEPS)]
+        bounds = curve.noise_bounds(index)
+        assert bounds == (min(vals), max(vals))
+        assert all(type(b) is float for b in bounds)
+        for block in (*curve._noise_blocks.values(),
+                      *curve._gnorm_blocks.values()):
+            assert block.dtype == np.float64
+            assert block.shape == (BLOCK_STEPS,)
+            assert block.nbytes == 32768
