@@ -14,7 +14,7 @@ ByteRobust's detection and recovery logic actually observes:
 * :mod:`repro.cluster.pool` — the machine pool: active / warm-standby /
   free machines, provisioning delays, eviction and blacklisting;
 * :mod:`repro.cluster.placement` — topology-aware placement policies
-  (pack / spread / any-free) scoring allocations by leaf-switch span;
+  (pack / spread / any-free) picking from the pool's per-switch index;
 * :mod:`repro.cluster.scheduler` — fleet-level admission, priority
   dispatch and EASY backfill over the pool.
 """
@@ -46,7 +46,6 @@ from repro.cluster.placement import (
     SpreadPolicy,
     make_placement_policy,
     placement_policy_names,
-    switch_span,
 )
 from repro.cluster.pool import MachinePool, ProvisioningTimes
 from repro.cluster.scheduler import (
@@ -83,5 +82,4 @@ __all__ = [
     "default_check_battery",
     "make_placement_policy",
     "placement_policy_names",
-    "switch_span",
 ]

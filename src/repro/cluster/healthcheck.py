@@ -18,50 +18,51 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.cluster.components import Machine
+from repro.cluster.components import (ComponentStore, Gpu, HostState,
+                                      Machine, Nic)
 
 
 @dataclass(frozen=True)
 class CheckItem:
-    """One self-check: a predicate over machine state plus a cost."""
+    """One self-check: a predicate over a machine's store row (read
+    through its columns, as :meth:`Gpu.row_ok` does) plus a cost."""
 
     name: str
     duration_s: float
-    passes: Callable[[Machine], bool]
+    passes: Callable[[ComponentStore, int], bool]
 
 
 def default_check_battery() -> List[CheckItem]:
     """The standard pre-delivery battery, cheapest checks first."""
     return [
         CheckItem("container_runtime", 2.0,
-                  lambda m: m.host.container_healthy),
+                  lambda s, r: s.host["container_healthy"][r]),
         CheckItem("filesystem_mounts", 3.0,
-                  lambda m: m.host.fs_mounted
-                  and not m.host.disk_faulty
-                  and m.host.disk_free_gb > m.host.DISK_MIN_FREE_GB),
+                  lambda s, r: s.host["fs_mounted"][r]
+                  and not s.host["disk_faulty"][r]
+                  and s.host["disk_free_gb"][r] > HostState.DISK_MIN_FREE_GB),
         CheckItem("kernel_health", 2.0,
-                  lambda m: not m.host.kernel_panic),
+                  lambda s, r: not s.host["kernel_panic"][r]),
         CheckItem("gpu_presence", 5.0,
-                  lambda m: all(g.available for g in m.gpus)),
+                  lambda s, r: s.gpu["available"][r].all()),
         CheckItem("dcgm_status", 8.0,
-                  lambda m: all(g.dcgm_healthy and not g.driver_hung
-                                for g in m.gpus)),
+                  lambda s, r: (s.gpu["dcgm_healthy"][r]
+                                & ~s.gpu["driver_hung"][r]).all()),
         CheckItem("hbm_row_remaps", 10.0,
-                  lambda m: all(not g.hbm_faulty
-                                and g.pending_row_remaps < 8
-                                for g in m.gpus)),
+                  lambda s, r: (~s.gpu["hbm_faulty"][r]
+                                & (s.gpu["pending_row_remaps"][r] < 8)).all()),
         CheckItem("gpu_thermals", 5.0,
-                  lambda m: all(not g.overheating for g in m.gpus)),
+                  lambda s, r: not (s.gpu["temperature_c"][r]
+                                    >= Gpu.THROTTLE_TEMP_C).any()),
         CheckItem("pcie_bandwidth", 25.0,
-                  lambda m: all(g.pcie_bandwidth_frac >= 0.8
-                                for g in m.gpus)),
+                  lambda s, r: (s.gpu["pcie_bandwidth_frac"][r]
+                                >= 0.8).all()),
         CheckItem("nic_link_state", 10.0,
-                  lambda m: all(n.up and not n.flapping
-                                for n in m.nics)),
+                  lambda s, r: (s.nic["up"][r]
+                                & ~s.nic["flapping"][r]).all()),
         CheckItem("nic_loopback", 20.0,
-                  lambda m: all(n.packet_loss_rate
-                                < n.FLAP_LOSS_THRESHOLD
-                                for n in m.nics)),
+                  lambda s, r: (s.nic["packet_loss_rate"][r]
+                                < Nic.FLAP_LOSS_THRESHOLD).all()),
     ]
 
 
@@ -86,12 +87,13 @@ class SelfCheckRunner:
             raise ValueError("battery must not be empty")
 
     def run(self, machine: Machine) -> SelfCheckResult:
+        store, row = machine._store, machine._row
         duration = 0.0
         items_run: List[str] = []
         for item in self.battery:
             duration += item.duration_s
             items_run.append(item.name)
-            if not item.passes(machine):
+            if not item.passes(store, row):
                 return SelfCheckResult(
                     machine_id=machine.id, passed=False,
                     duration_s=duration, items_run=items_run,

@@ -20,20 +20,19 @@ two failure-domain shapes:
   to the pre-placement pool, which the sim-equivalence suite pins.
 
 Policies are mechanism-only: they pick ``count`` machines out of the
-currently usable candidates, deterministically (sorted ids, sorted
-switch ids), so sweeps stay reproducible at any worker count.  The
-scoring primitive is the *switch span* — how many distinct leaf
-switches a machine set touches — and :func:`intra_job_switch_spans`
-extends it to per-parallel-group spans by reusing
-:class:`~repro.parallelism.topology.RankTopology`'s cached
-machine-span queries.
+pool's :class:`UsableIndex` (the usable machines grouped by leaf
+switch), deterministically (ascending ids, switch ids breaking ties),
+so sweeps stay reproducible at any worker count.  Each reads only the
+switches it takes from, so a pick costs in proportion to the request,
+not to the free pool.  The scoring primitive is the *switch span* —
+how many distinct leaf switches a machine set touches
+(:meth:`~repro.cluster.topology.Cluster.switch_span`).
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, Sequence, Type
-
-import numpy as np
+import heapq
+from typing import AbstractSet, Dict, Iterable, List, Set, Type
 
 from repro.cluster.topology import Cluster
 
@@ -42,68 +41,75 @@ class PlacementError(ValueError):
     """Unknown policy name or an unsatisfiable selection."""
 
 
-def switch_span(cluster: Cluster, machine_ids: Iterable[int]) -> int:
-    """Number of distinct leaf switches a machine set touches
-    (re-exported convenience for :meth:`Cluster.switch_span`)."""
-    return cluster.switch_span(machine_ids)
+class UsableIndex:
+    """Usable machines (FREE and not blacklisted) by leaf switch.
 
-
-def machines_by_switch(cluster: Cluster, machine_ids: Iterable[int]
-                       ) -> Dict[int, List[int]]:
-    """switch_id -> sorted machine ids, for the given machines only."""
-    groups: Dict[int, List[int]] = {}
-    for mid in sorted(machine_ids):
-        groups.setdefault(cluster.machine(mid).switch_id, []).append(mid)
-    return groups
-
-
-def intra_job_switch_spans(cluster: Cluster, topology,
-                           machine_ids: Sequence[int]
-                           ) -> Dict[str, float]:
-    """Mean leaf-switch span of each parallel-group dimension.
-
-    ``topology`` is the job's
-    :class:`~repro.parallelism.topology.RankTopology`;
-    ``machine_ids`` is its slot -> cluster-machine binding (the order
-    machines were allocated in).  Group membership is static, so the
-    slot spans come from the topology's cached
-    :meth:`~repro.parallelism.topology.RankTopology.machines_of_group`
-    queries; only the slot -> switch mapping is recomputed here.
-
-    A tp span of 1.0 means every tensor-parallel group lives under a
-    single switch (all intra-group traffic stays leaf-local); a dp
-    span equal to the job's total switch span means gradient
-    all-reduces cross every switch the job touches.
+    A cluster's switches are contiguous id ranges (``id //
+    machines_per_switch``).  ``groups[sw]`` is the set of switch
+    ``sw``'s usable ids, ``buckets[c]`` the set of switches with
+    exactly ``c`` of them, and ``size`` their total.  The
+    :class:`~repro.cluster.pool.MachinePool` keeps its index in step
+    with every write to ``free``/``blacklist``; policies only read it.
     """
-    spans: Dict[str, float] = {}
-    for dim in ("tp", "pp", "dp"):
-        per_group: List[int] = []
-        for group in topology.groups(dim):
-            slots = topology.machines_of_group(group[0], dim)
-            per_group.append(switch_span(
-                cluster, (machine_ids[s] for s in slots)))
-        spans[dim] = sum(per_group) / len(per_group)
-    return spans
+
+    def __init__(self, cluster: Cluster, machine_ids: Iterable[int]):
+        self.per = per = cluster.spec.machines_per_switch
+        self.groups: List[Set[int]] = [set() for _ in cluster.switches]
+        for mid in machine_ids:
+            self.groups[mid // per].add(mid)
+        self.buckets: List[Set[int]] = [set() for _ in range(per + 1)]
+        for sw, group in enumerate(self.groups):
+            self.buckets[len(group)].add(sw)
+        self.size = sum(map(len, self.groups))
+
+    def update(self, machine_ids: Iterable[int], free: AbstractSet[int],
+               blocked: AbstractSet[int]) -> None:
+        """Re-derive the machines' membership from the pool's ``free``
+        and ``blacklist``; buckets move once per switch touched."""
+        groups, per = self.groups, self.per
+        before: Dict[int, int] = {}
+        for mid in machine_ids:
+            sw = mid // per
+            group = groups[sw]
+            if sw not in before:
+                before[sw] = len(group)
+            if mid in free and mid not in blocked:
+                group.add(mid)
+            else:
+                group.discard(mid)
+        for sw, old in before.items():
+            new = len(groups[sw])
+            if new != old:
+                self.buckets[old].discard(sw)
+                self.buckets[new].add(sw)
+                self.size += new - old
+
+
+def lowest_ids(index: UsableIndex, count: int) -> List[int]:
+    """The ``count`` lowest usable ids (all of them if fewer): switches
+    in id order, each one's lowest ids."""
+    chosen: List[int] = []
+    for group in index.groups:
+        if len(chosen) >= count:
+            break
+        if group:
+            chosen += sorted(group)[:count - len(chosen)]
+    return chosen
 
 
 class PlacementPolicy:
     """Chooses which free machines an allocation gets.
 
-    ``select`` receives the usable candidates (FREE and not
-    blacklisted, in no particular order) and must return exactly
-    ``count`` of them as a sorted list.  Policies never mutate pool
-    state — the pool executes the choice.
+    ``select`` receives the pool's :class:`UsableIndex` and must return
+    exactly ``count`` (at most ``index.size``) of its machines as a
+    sorted list.  Policies never mutate the index — the pool executes
+    the choice.
     """
 
     name = "base"
 
-    def select(self, cluster: Cluster, candidates: Collection[int],
-               count: int) -> List[int]:
+    def select(self, index: UsableIndex, count: int) -> List[int]:
         raise NotImplementedError
-
-    def score(self, cluster: Cluster, machine_ids: Iterable[int]) -> int:
-        """Lower = more packed: the allocation's switch span."""
-        return switch_span(cluster, machine_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -115,51 +121,32 @@ class AnyFreePolicy(PlacementPolicy):
 
     name = "any-free"
 
-    def select(self, cluster: Cluster, candidates: Collection[int],
-               count: int) -> List[int]:
-        # a set of ints iterates near-ascending, so this C sort is a
-        # run merge: 1.6-3x faster than heapq.nsmallest at 10k ids
-        return sorted(candidates)[:count]
+    def select(self, index: UsableIndex, count: int) -> List[int]:
+        return lowest_ids(index, count)
 
 
 class PackPolicy(PlacementPolicy):
     """Minimize switch span: fill the emptiest-first switches whole.
 
-    Switches are taken in order of descending free-candidate count
-    (switch id breaks ties), so an allocation that fits under one
-    switch lands on a single switch, and larger ones touch as few
-    switches as the current free pool allows.
-
-    The grouping is one numpy pass over the cluster's static
-    machine->switch array, not a Python dict build per allocation.
+    Switches are taken in order of descending usable count (switch id
+    breaks ties), so an allocation that fits under one switch lands on
+    a single switch, and larger ones touch as few switches as the
+    current free pool allows.  The index's count buckets yield those
+    switches without sorting the others.
     """
 
     name = "pack"
 
-    def select(self, cluster: Cluster, candidates: Collection[int],
-               count: int) -> List[int]:
-        cand = np.sort(np.fromiter(candidates, dtype=np.intp,
-                                   count=len(candidates)))
-        sw = cluster.store.machine_switch[cand]
-        # stable sort by switch keeps each group's machines in
-        # ascending-id order
-        by_switch = np.argsort(sw, kind="stable")
-        uniq, starts, counts = np.unique(sw[by_switch],
-                                         return_index=True,
-                                         return_counts=True)
-        # descending group size, switch id breaking ties (lexsort's
-        # last key is primary)
-        order = np.lexsort((uniq, -counts))
-        chosen: List[np.ndarray] = []
-        left = count
-        for gi in order:
-            take = min(left, int(counts[gi]))
-            start = int(starts[gi])
-            chosen.append(cand[by_switch[start:start + take]])
-            left -= take
-            if left == 0:
+    def select(self, index: UsableIndex, count: int) -> List[int]:
+        chosen: List[int] = []
+        for size in range(index.per, 0, -1):
+            left = count - len(chosen)
+            if left <= 0:
                 break
-        return np.sort(np.concatenate(chosen)).tolist()
+            # ceil(left / size) switches of this bucket fill the rest
+            for sw in heapq.nsmallest(-(-left // size), index.buckets[size]):
+                chosen += sorted(index.groups[sw])[:count - len(chosen)]
+        return sorted(chosen)
 
 
 class SpreadPolicy(PlacementPolicy):
@@ -172,20 +159,16 @@ class SpreadPolicy(PlacementPolicy):
 
     name = "spread"
 
-    def select(self, cluster: Cluster, candidates: Collection[int],
-               count: int) -> List[int]:
-        groups = machines_by_switch(cluster, candidates)
-        queues = [groups[sw] for sw in sorted(groups)]
-        chosen: List[int] = []
-        while len(chosen) < count:
-            progressed = False
-            for queue in queues:
-                if queue and len(chosen) < count:
-                    chosen.append(queue.pop(0))
-                    progressed = True
-            if not progressed:  # pragma: no cover - guarded by caller
-                break
-        return sorted(chosen)
+    def select(self, index: UsableIndex, count: int) -> List[int]:
+        groups = [group for group in index.groups if group]
+        rounds = taken = 0
+        while taken < count and rounds < index.per:
+            rounds += 1
+            taken += sum(len(group) >= rounds for group in groups)
+        queues = [heapq.nsmallest(rounds, group) for group in groups]
+        chosen = [queue[r] for r in range(rounds)
+                  for queue in queues if r < len(queue)]
+        return sorted(chosen[:count])
 
 
 PLACEMENT_POLICIES: Dict[str, Type[PlacementPolicy]] = {

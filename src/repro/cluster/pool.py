@@ -5,7 +5,10 @@ Every machine of the cluster is in exactly one of the pool's records:
 ``provisioning`` or ``repairing``.  ``evicted`` and ``blacklist`` are
 labels on top: evicted machines are in repair, and blacklisted ones are
 in repair or reclaimed from ``free`` (spot capacity).  Nothing outside
-this module mutates those records.
+this module mutates those records, and inside it every write to
+``free`` or ``blacklist`` goes through :meth:`MachinePool._mark`, which
+keeps :attr:`MachinePool.usable` — the usable machines by leaf switch
+that placement picks from — in step.
 
 Owner rule: every allocation names its owner (a job name) and the pool
 records it, so the active machines are exactly the owned ones.  A
@@ -31,9 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, KeysView, List, Optional, Set
+from typing import (Callable, Collection, Dict, Iterable, KeysView, List,
+                    Optional, Set)
 
-from repro.cluster.placement import AnyFreePolicy, PlacementPolicy
+from repro.cluster.placement import (AnyFreePolicy, PlacementError,
+                                     PlacementPolicy, UsableIndex, lowest_ids)
 from repro.cluster.topology import Cluster
 from repro.sim import Simulator
 
@@ -139,6 +144,8 @@ class MachinePool:
         self.evicted: Set[int] = set()
         self.blacklist: Set[int] = set()
         self.free: Set[int] = {m.id for m in cluster.machines}
+        #: ``free - blacklist`` by leaf switch (written by :meth:`_mark`)
+        self.usable = UsableIndex(cluster, self.free)
         #: Called with the machine id whenever a standby becomes ready.
         self.on_standby_ready: Optional[Callable[[int], None]] = None
         #: Called with the machine id when offline repair completes —
@@ -158,7 +165,21 @@ class MachinePool:
 
     def available(self) -> int:
         """Free machines an allocation may take (not blacklisted)."""
-        return len(self.free) - len(self.free & self.blacklist)
+        return self.usable.size
+
+    def _mark(self, machine_ids: Collection[int],
+              free: Optional[bool] = None,
+              blocked: Optional[bool] = None) -> None:
+        """The one writer of ``free`` and ``blacklist``: add the
+        machines to (True) or drop them from (False) each record, or
+        leave it (None), and keep :attr:`usable` in step."""
+        if free is not None:
+            (self.free.update if free
+             else self.free.difference_update)(machine_ids)
+        if blocked is not None:
+            (self.blacklist.update if blocked
+             else self.blacklist.difference_update)(machine_ids)
+        self.usable.update(machine_ids, self.free, self.blacklist)
 
     # ------------------------------------------------------------------
     # initial allocation
@@ -177,23 +198,17 @@ class MachinePool:
         return chosen
 
     def _take_free(self, count: int) -> List[int]:
-        # set difference in C and no sort: at fleet scale this runs on
-        # every allocation over ~10k free machines, and each policy
-        # orders only what it needs
-        usable = self.free - self.blacklist
-        if len(usable) < count:
+        if self.usable.size < count:
             raise InsufficientMachines(
-                f"need {count} machines, only {len(usable)} free")
-        chosen = self.placement.select(self.cluster, usable, count)
-        # validate in O(chosen), not by materializing usable as a set
-        if (len(set(chosen)) != count
-                or not all(m in self.free and m not in self.blacklist
-                           for m in chosen)):
-            from repro.cluster.placement import PlacementError
+                f"need {count} machines, only {self.usable.size} free")
+        chosen = self.placement.select(self.usable, count)
+        # validate in O(chosen)
+        if (len(set(chosen)) != count or not self.free.issuperset(chosen)
+                or not self.blacklist.isdisjoint(chosen)):
             raise PlacementError(
                 f"placement policy {self.placement.name!r} returned an "
                 f"invalid selection ({len(chosen)} of {count} asked)")
-        self.free.difference_update(chosen)
+        self._mark(chosen, free=False)
         return chosen
 
     # ------------------------------------------------------------------
@@ -203,13 +218,13 @@ class MachinePool:
         """Block up to ``count`` idle machines, lowest ids first: they
         stay in ``free`` but no allocation takes them until
         :meth:`return_idle` (spot capacity taken back)."""
-        idle = sorted(self.free - self.blacklist)[:max(0, count)]
-        self.blacklist.update(idle)
+        idle = lowest_ids(self.usable, count)
+        self._mark(idle, blocked=True)
         return idle
 
-    def return_idle(self, machine_ids: Iterable[int]) -> None:
+    def return_idle(self, machine_ids: Collection[int]) -> None:
         """Lift a :meth:`reclaim_idle` block."""
-        self.blacklist.difference_update(machine_ids)
+        self._mark(machine_ids, blocked=False)
 
     # ------------------------------------------------------------------
     # warm standby provisioning
@@ -270,7 +285,7 @@ class MachinePool:
             self.standby.discard(mid)
             idle = self.sim.now - self._standby_since.pop(mid, self.sim.now)
             self.standby_idle_machine_seconds += idle
-            self.free.add(mid)
+        self._mark(chosen, free=True)
         return sorted(chosen)
 
     @property
@@ -293,13 +308,17 @@ class MachinePool:
         are freed and the rest are skipped; without, every machine
         must be active.
         """
-        for mid in machine_ids:
-            holder = self.owners.get(mid)
-            if owner is None and holder is None:
-                raise ValueError(f"machine {mid} is not active")
-            if owner is None or holder == owner:
-                del self.owners[mid]
-                self.free.add(mid)
+        freed: List[int] = []
+        try:
+            for mid in machine_ids:
+                holder = self.owners.get(mid)
+                if owner is None and holder is None:
+                    raise ValueError(f"machine {mid} is not active")
+                if owner is None or holder == owner:
+                    del self.owners[mid]
+                    freed.append(mid)
+        finally:
+            self._mark(freed, free=True)
 
     # ------------------------------------------------------------------
     # eviction & repair
@@ -307,16 +326,15 @@ class MachinePool:
     def evict(self, machine_ids: List[int], blacklist: bool = True) -> None:
         """Send machines to repair from wherever they are (their job,
         the standby pool); optionally block their IPs."""
+        self._mark(machine_ids, free=False,
+                   blocked=True if blacklist else None)
         for mid in machine_ids:
             self.owners.pop(mid, None)
-            self.free.discard(mid)
             self.provisioning.discard(mid)      # cancels the build
             if mid in self.standby:
                 self.standby.discard(mid)
                 self._standby_since.pop(mid, None)
             self.evicted.add(mid)
-            if blacklist:
-                self.blacklist.add(mid)
             self._send_to_repair(mid)
 
     def _send_to_repair(self, mid: int) -> None:
@@ -332,10 +350,11 @@ class MachinePool:
             self.on_repair(mid)
         self.cluster.machine(mid).reset_health()
         self.evicted.discard(mid)
-        self.blacklist.discard(mid)
         if mid in self.repairing:
             self.repairing.discard(mid)
-            self.free.add(mid)
+            self._mark((mid,), free=True, blocked=False)
+        else:
+            self._mark((mid,), blocked=False)
 
     # ------------------------------------------------------------------
     def counts(self) -> dict:

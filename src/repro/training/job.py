@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import add
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.cluster.faults import (
     Fault,
@@ -236,7 +236,7 @@ class TrainingJob:
         self.slot_to_machine: Dict[int, int] = {}
         self._machines_cache: Optional[List[int]] = None
         self._machine_to_slot: Optional[Dict[int, int]] = None
-        self._switch_ids: Optional[List[int]] = None
+        self._switch_ids: Optional[FrozenSet[int]] = None
         self._committed = 0
         self._nan_active = False
         self._loss_spike_factor = 1.0
@@ -680,31 +680,23 @@ class TrainingJob:
         active = injector.active_faults
         return [active[i] for i in sorted(ids)]
 
-    def _job_switches(self) -> List[int]:
+    def _job_switches(self) -> FrozenSet[int]:
         switches = self._switch_ids
         if switches is None:
             machines = self._injector._cluster.machines
-            switches = sorted({machines[mid].switch_id
-                               for mid in self.machines
-                               if 0 <= mid < len(machines)})
+            switches = frozenset(machines[mid].switch_id
+                                 for mid in self.machines
+                                 if 0 <= mid < len(machines))
             self._switch_ids = switches
         return switches
-
-    def _switch_machines(self, switch_id: int) -> List[int]:
-        if self._injector is None:
-            return []
-        cluster = self._injector._cluster
-        return [m.id for m in cluster.machines_on_switch(switch_id)]
 
     def _fault_touches_job(self, fault: Fault) -> bool:
         if not fault.machine_ids and fault.switch_id is None:
             return True             # service-level: affects any job
-        if any(self.uses_machine(m) for m in fault.machine_ids):
+        if not self._slot_map().keys().isdisjoint(fault.machine_ids):
             return True
-        if fault.switch_id is not None:
-            return any(self.uses_machine(m)
-                       for m in self._switch_machines(fault.switch_id))
-        return False
+        return (fault.switch_id is not None and self._injector is not None
+                and fault.switch_id in self._job_switches())
 
     def _reapply_if_running(self, fault: Fault) -> None:
         if (self.state is JobState.RUNNING and fault.active

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from repro.cluster import (
 )
 from repro.cluster.components import Machine, MachineSpec
 from repro.cluster.faults import FaultCategory, JobEffect, RootCauseDetail
+from repro.cluster.placement import (make_placement_policy,
+                                     placement_policy_names)
 from repro.cluster.pool import InsufficientMachines
 from repro.sim import Simulator
 
@@ -408,10 +411,74 @@ POOL_OPS = st.lists(st.tuples(
     max_size=40)
 
 
+def _switch_groups(cluster, ids):
+    """switch id -> sorted ids, for the given machines only."""
+    groups = {}
+    for mid in sorted(ids):
+        groups.setdefault(cluster.machine(mid).switch_id, []).append(mid)
+    return groups
+
+
+def _numpy_pack_oracle(cluster, candidates, count):
+    """The numpy pack selection the count-bucket index replaced."""
+    if count == 0:
+        return []
+    cand = np.sort(np.fromiter(candidates, dtype=np.intp,
+                               count=len(candidates)))
+    sw = cluster.store.machine_switch[cand]
+    by_switch = np.argsort(sw, kind="stable")
+    uniq, starts, counts = np.unique(sw[by_switch], return_index=True,
+                                     return_counts=True)
+    order = np.lexsort((uniq, -counts))
+    chosen = []
+    left = count
+    for gi in order:
+        take = min(left, int(counts[gi]))
+        start = int(starts[gi])
+        chosen.append(cand[by_switch[start:start + take]])
+        left -= take
+        if left == 0:
+            break
+    return np.sort(np.concatenate(chosen)).tolist()
+
+
+def _dict_spread_oracle(cluster, candidates, count):
+    """The dict-of-lists round-robin the index replaced."""
+    groups = _switch_groups(cluster, candidates)
+    queues = [groups[sw] for sw in sorted(groups)]
+    chosen = []
+    while len(chosen) < count:
+        for queue in queues:
+            if queue and len(chosen) < count:
+                chosen.append(queue.pop(0))
+    return sorted(chosen)
+
+
+#: policy name -> the selection it must reproduce, over the usable set
+PICK_ORACLES = {
+    "any-free": lambda cluster, usable, n: sorted(usable)[:n],
+    "pack": _numpy_pack_oracle,
+    "spread": _dict_spread_oracle,
+}
+
+
 class TestPoolLedger:
     """The pool's records partition the fleet and record ownership."""
 
     N = 12
+
+    def check_index(self, pool):
+        """The usable index equals a fresh grouping of free - blacklist."""
+        usable = pool.free - pool.blacklist
+        fresh = _switch_groups(pool.cluster, usable)
+        index = pool.usable
+        assert index.groups == [set(fresh.get(sw, ()))
+                                for sw in range(len(index.groups))]
+        assert index.buckets == [
+            {sw for sw in range(len(index.groups))
+             if len(fresh.get(sw, ())) == size}
+            for size in range(len(index.buckets))]
+        assert index.size == len(usable)
 
     def check(self, pool):
         records = [pool.free, set(pool.active), pool.standby,
@@ -431,20 +498,30 @@ class TestPoolLedger:
     @settings(max_examples=60, deadline=None)
     @given(POOL_OPS)
     def test_random_operations_keep_the_ledger(self, ops):
+        for name in placement_policy_names():
+            self.run_ops(ops, name)
+
+    def run_ops(self, ops, placement):
         sim = Simulator()
         cluster = make_cluster(n=self.N)
-        pool = MachinePool(sim, cluster)
+        pool = MachinePool(sim, cluster,
+                           placement=make_placement_policy(placement))
+        oracle = PICK_ORACLES[placement]
         reclaimed = []
         for op, k, owner, flag in ops:
             count = k % 4 + 1
+            usable = pool.free - pool.blacklist
             if op == "allocate" and pool.available() >= count:
                 ids = pool.allocate_active(count, owner)
+                assert ids == oracle(cluster, usable, count)
                 assert all(pool.owners[m] == owner for m in ids)
             elif op == "take":
                 for mid in pool.take_standbys(count, owner):
                     assert pool.owners[mid] == owner
             elif op == "provision":
-                ids = pool.provision_standbys(min(count, pool.available()))
+                count = min(count, pool.available())
+                ids = pool.provision_standbys(count)
+                assert ids == oracle(cluster, usable, count)
                 if flag and ids:    # this one fails its self-check
                     cluster.machine(ids[0]).host.kernel_panic = True
             elif op == "release":
@@ -468,11 +545,14 @@ class TestPoolLedger:
                 sim.run(until=sim.now + (pool.times.repair_s / 2 if flag
                                          else 60.0 * (k + 1)))
             elif op == "reclaim":
-                reclaimed += pool.reclaim_idle(count)
+                idle = pool.reclaim_idle(count)
+                assert idle == sorted(usable)[:count]
+                reclaimed += idle
             elif op == "return":
                 pool.return_idle(reclaimed[:count])
                 del reclaimed[:count]
             self.check(pool)
+            self.check_index(pool)
 
     def test_second_repair_of_a_machine_changes_nothing(self):
         sim = Simulator()

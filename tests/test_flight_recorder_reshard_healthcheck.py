@@ -1,6 +1,8 @@
 """Unit + property tests: flight recorder, checkpoint resharding, and
 machine self-checks."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.cluster import (
     SelfCheckRunner,
     default_check_battery,
 )
+from repro.cluster.components import Gpu, HostState, Nic
 from repro.parallelism import ParallelismConfig, RankTopology
 from repro.sim import Simulator
 
@@ -234,3 +237,74 @@ class TestSelfChecks:
         assert ids[0] not in pool.standby
         assert ids[0] in pool.repairing
         assert pool.standby_count == 1
+
+
+#: the view-based battery the column predicates replaced, in order
+VIEW_BATTERY = [
+    ("container_runtime", lambda m: m.host.container_healthy),
+    ("filesystem_mounts", lambda m: m.host.fs_mounted
+     and not m.host.disk_faulty
+     and m.host.disk_free_gb > m.host.DISK_MIN_FREE_GB),
+    ("kernel_health", lambda m: not m.host.kernel_panic),
+    ("gpu_presence", lambda m: all(g.available for g in m.gpus)),
+    ("dcgm_status", lambda m: all(g.dcgm_healthy and not g.driver_hung
+                                  for g in m.gpus)),
+    ("hbm_row_remaps", lambda m: all(not g.hbm_faulty
+                                     and g.pending_row_remaps < 8
+                                     for g in m.gpus)),
+    ("gpu_thermals", lambda m: all(not g.overheating for g in m.gpus)),
+    ("pcie_bandwidth", lambda m: all(g.pcie_bandwidth_frac >= 0.8
+                                     for g in m.gpus)),
+    ("nic_link_state", lambda m: all(n.up and not n.flapping
+                                     for n in m.nics)),
+    ("nic_loopback", lambda m: all(n.packet_loss_rate
+                                   < n.FLAP_LOSS_THRESHOLD
+                                   for n in m.nics)),
+]
+
+#: each battery threshold, written exactly and on either side of it
+EDGES = {"temperature_c": 88.0, "pcie_bandwidth_frac": 0.8,
+         "pending_row_remaps": 8, "packet_loss_rate": 0.01,
+         "disk_free_gb": 5.0}
+
+
+def field_values(name, default):
+    if isinstance(default, bool):
+        return st.booleans()
+    edge = EDGES.get(name, default)
+    if isinstance(default, int):
+        return st.sampled_from([edge - 1, edge, edge + 1]) | st.integers(0, 64)
+    return (st.sampled_from([edge, math.nextafter(edge, -math.inf),
+                             math.nextafter(edge, math.inf), math.nan])
+            | st.floats(-1.0, 600.0))
+
+
+#: one write: (view kind, field, component index, value)
+WRITES = st.lists(st.one_of(*[
+    st.tuples(st.just(kind), st.just(name), st.integers(0, 7),
+              field_values(name, default))
+    for kind in (Gpu, Nic, HostState)
+    for name, default in kind.FIELDS.items()]), max_size=6)
+
+
+class TestSelfCheckColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(WRITES)
+    def test_column_battery_matches_view_battery(self, writes):
+        machine = Cluster(ClusterSpec(num_machines=2,
+                                      machines_per_switch=1)).machine(1)
+        for kind, name, index, value in writes:
+            view = (machine.host if kind is HostState
+                    else (machine.gpus if kind is Gpu
+                          else machine.nics)[index])
+            setattr(view, name, value)
+        items_run, failed = [], None
+        for name, passes in VIEW_BATTERY:
+            items_run.append(name)
+            if not passes(machine):
+                failed = name
+                break
+        result = SelfCheckRunner().run(machine)
+        assert result.passed is (failed is None)
+        assert result.failed_item == failed
+        assert result.items_run == items_run

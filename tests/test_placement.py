@@ -23,14 +23,12 @@ from repro.cluster import (
     PlacementError,
     make_placement_policy,
     placement_policy_names,
-    switch_span,
 )
 from repro.cluster.placement import (
     AnyFreePolicy,
     PackPolicy,
     SpreadPolicy,
-    intra_job_switch_spans,
-    machines_by_switch,
+    UsableIndex,
 )
 from repro.controller.standby import (
     StandbyPolicy,
@@ -38,8 +36,6 @@ from repro.controller.standby import (
     StandbyResizer,
 )
 from repro.core.platform import JobSpec, PlatformConfig, TrainingPlatform
-from repro.parallelism import ParallelismConfig
-from repro.parallelism.topology import RankTopology
 from repro.sim import Simulator
 from repro.workloads.fleet import fleet_job_config
 
@@ -58,41 +54,41 @@ def make_pool(machines=16, per_switch=4, placement=None):
 class TestPolicies:
     def test_any_free_takes_lowest_ids(self):
         cluster = make_cluster()
-        chosen = AnyFreePolicy().select(cluster, list(range(16)), 5)
+        chosen = AnyFreePolicy().select(UsableIndex(cluster, range(16)), 5)
         assert chosen == [0, 1, 2, 3, 4]
 
     def test_pack_fits_one_switch_when_possible(self):
         cluster = make_cluster()
         # switch 0 partially used: machines 1, 2 free; switch 2 empty
         candidates = [1, 2, 8, 9, 10, 11, 13]
-        chosen = PackPolicy().select(cluster, candidates, 4)
+        chosen = PackPolicy().select(UsableIndex(cluster, candidates), 4)
         assert chosen == [8, 9, 10, 11]
-        assert switch_span(cluster, chosen) == 1
+        assert cluster.switch_span(chosen) == 1
 
     def test_pack_minimizes_span_across_switches(self):
         cluster = make_cluster()
         candidates = list(range(16))
-        chosen = PackPolicy().select(cluster, candidates, 8)
-        assert switch_span(cluster, chosen) == 2
+        chosen = PackPolicy().select(UsableIndex(cluster, candidates), 8)
+        assert cluster.switch_span(chosen) == 2
 
     def test_spread_maximizes_span(self):
         cluster = make_cluster()
-        chosen = SpreadPolicy().select(cluster, list(range(16)), 4)
+        chosen = SpreadPolicy().select(UsableIndex(cluster, range(16)), 4)
         # one machine per switch, lowest id from each
         assert chosen == [0, 4, 8, 12]
-        assert switch_span(cluster, chosen) == 4
+        assert cluster.switch_span(chosen) == 4
 
     def test_spread_wraps_after_each_round(self):
         cluster = make_cluster()
-        chosen = SpreadPolicy().select(cluster, list(range(16)), 6)
+        chosen = SpreadPolicy().select(UsableIndex(cluster, range(16)), 6)
         assert chosen == [0, 1, 4, 5, 8, 12]
-        assert switch_span(cluster, chosen) == 4
+        assert cluster.switch_span(chosen) == 4
 
     def test_policies_return_sorted_counts(self):
         cluster = make_cluster()
         for name in placement_policy_names():
             chosen = make_placement_policy(name).select(
-                cluster, list(range(16)), 7)
+                UsableIndex(cluster, range(16)), 7)
             assert len(chosen) == 7
             assert chosen == sorted(chosen)
 
@@ -100,22 +96,12 @@ class TestPolicies:
         with pytest.raises(PlacementError, match="any-free"):
             make_placement_policy("round-robin")
 
-    def test_machines_by_switch_groups_sorted(self):
+    def test_usable_index_groups_by_switch(self):
         cluster = make_cluster()
-        groups = machines_by_switch(cluster, [9, 1, 8, 2])
-        assert groups == {0: [1, 2], 2: [8, 9]}
-
-    def test_intra_job_spans_use_rank_topology(self):
-        cluster = make_cluster(machines=16, per_switch=2)
-        topo = RankTopology(ParallelismConfig(tp=2, pp=1, dp=4,
-                                              gpus_per_machine=2))
-        # 4 machines packed on 2 switches: tp stays machine-local,
-        # dp crosses the whole allocation
-        spans = intra_job_switch_spans(cluster, topo, [0, 1, 2, 3])
-        assert spans["tp"] == 1.0
-        assert spans["dp"] == 2.0
-        spread = intra_job_switch_spans(cluster, topo, [0, 2, 4, 6])
-        assert spread["dp"] == 4.0
+        index = UsableIndex(cluster, [9, 1, 8, 2])
+        assert index.groups == [{1, 2}, set(), {8, 9}, set()]
+        assert index.buckets == [{1, 3}, set(), {0, 2}, set(), set()]
+        assert index.size == 4
 
 
 class TestPoolRouting:
@@ -128,12 +114,12 @@ class TestPoolRouting:
         sim, cluster, pool = make_pool(placement=PackPolicy())
         pool.allocate_active(2, "job")      # takes the emptiest switch whole
         chosen = pool.allocate_active(4, "job")
-        assert switch_span(cluster, chosen) == 1
+        assert cluster.switch_span(chosen) == 1
 
     def test_spread_pool_allocates_across_switches(self):
         sim, cluster, pool = make_pool(placement=SpreadPolicy())
         chosen = pool.allocate_active(4, "job")
-        assert switch_span(cluster, chosen) == 4
+        assert cluster.switch_span(chosen) == 4
 
     def test_platform_config_selects_policy(self):
         platform = TrainingPlatform(

@@ -1,15 +1,16 @@
 """Fleet-scale substrate equivalence: numpy paths vs scalar oracles.
 
 The numpy substrate — batched hazard draws
-(:class:`~repro.cluster.faults.MachineHazardProcess`), pack placement,
-the columnar :class:`~repro.cluster.components.ComponentStore` and the
+(:class:`~repro.cluster.faults.MachineHazardProcess`), the columnar
+:class:`~repro.cluster.components.ComponentStore` and the
 mask-driven inspection sweeps — claims to be *byte-identical* to the
 per-machine loops it replaced.  These tests pin that claim against
 scalar references:
 
-* property tests drive the hazard draw and pack selection over random
-  fleet shapes and seeds and compare them with test-local copies of
-  the deleted per-machine loops;
+* property tests drive the hazard draw and pack selection (from the
+  pool's count-bucket index) over random fleet shapes and seeds and
+  compare them with test-local copies of the deleted per-machine
+  loops;
 * the store's rollup masks are checked against the per-view scalar
   predicates after arbitrary write sequences;
 * scripted sweep runs of three engines on one cluster assert each
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterSpec
 from repro.cluster.components import Machine, MachineSpec
 from repro.cluster.faults import MachineHazardProcess
-from repro.cluster.placement import PackPolicy, machines_by_switch
+from repro.cluster.placement import PackPolicy, UsableIndex
 from repro.monitor.inspections import InspectionEngine
 from repro.perf import seed_baseline
 from repro.sim import Simulator
@@ -383,8 +384,11 @@ def test_job_machines_is_a_new_list_after_every_binding_change():
 # ---------------------------------------------------------------------------
 
 def _scalar_pack_select(cluster, candidates, count):
-    """Oracle: the dict-of-sorted-lists selection numpy replaced."""
-    groups = machines_by_switch(cluster, candidates)
+    """Oracle: the dict-of-sorted-lists selection, regrouping the
+    candidates on every call."""
+    groups = {}
+    for mid in sorted(candidates):
+        groups.setdefault(cluster.machine(mid).switch_id, []).append(mid)
     order = sorted(groups, key=lambda sw: (-len(groups[sw]), sw))
     chosen = []
     for sw in order:
@@ -406,7 +410,7 @@ def _scalar_pack_select(cluster, candidates, count):
 def test_pack_placement_matches_scalar_selection(machines, per_switch,
                                                  free_frac, count_frac,
                                                  seed):
-    """Numpy pack selection ≡ the dict-of-sorted-lists scalar."""
+    """Pack from the count buckets ≡ the dict-of-sorted-lists scalar."""
     cluster = Cluster(ClusterSpec(num_machines=machines,
                                   machines_per_switch=per_switch))
     rng = np.random.default_rng(seed)
@@ -414,7 +418,7 @@ def test_pack_placement_matches_scalar_selection(machines, per_switch,
     candidates = sorted(rng.choice(machines, size=n_free,
                                    replace=False).tolist())
     count = max(1, int(len(candidates) * count_frac))
-    chosen = PackPolicy().select(cluster, candidates, count)
+    chosen = PackPolicy().select(UsableIndex(cluster, candidates), count)
     assert chosen == _scalar_pack_select(cluster, candidates, count)
     assert len(chosen) == count
 
