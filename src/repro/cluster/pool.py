@@ -8,7 +8,9 @@ in repair or reclaimed from ``free`` (spot capacity).  Nothing outside
 this module mutates those records, and inside it every write to
 ``free`` or ``blacklist`` goes through :meth:`MachinePool._mark`, which
 keeps :attr:`MachinePool.usable` — the usable machines by leaf switch
-that placement picks from — in step.
+that placement picks from — in step and then calls
+:attr:`MachinePool.on_change`, the fleet scheduler's wake, so a queued
+job starts at the instant its capacity frees.
 
 Owner rule: every allocation names its owner (a job name) and the pool
 records it, so the active machines are exactly the owned ones.  A
@@ -154,6 +156,10 @@ class MachinePool:
         #: (quarter-long fleets otherwise accumulate tens of thousands
         #: of stale entries that every job (re)start then scans).
         self.on_repair: Optional[Callable[[int], None]] = None
+        #: Called after every write of ``free``/``blacklist``; a
+        #: :class:`~repro.cluster.scheduler.FleetScheduler` wires its
+        #: wake here.
+        self.on_change: Optional[Callable[[], None]] = None
         #: Total machine-seconds spent idling in the standby pool.
         self.standby_idle_machine_seconds = 0.0
         self._standby_since: dict = {}
@@ -172,7 +178,8 @@ class MachinePool:
               blocked: Optional[bool] = None) -> None:
         """The one writer of ``free`` and ``blacklist``: add the
         machines to (True) or drop them from (False) each record, or
-        leave it (None), and keep :attr:`usable` in step."""
+        leave it (None), keep :attr:`usable` in step and report the
+        write to :attr:`on_change`."""
         if free is not None:
             (self.free.update if free
              else self.free.difference_update)(machine_ids)
@@ -180,6 +187,8 @@ class MachinePool:
             (self.blacklist.update if blocked
              else self.blacklist.difference_update)(machine_ids)
         self.usable.update(machine_ids, self.free, self.blacklist)
+        if self.on_change is not None:
+            self.on_change()
 
     # ------------------------------------------------------------------
     # initial allocation

@@ -20,12 +20,14 @@ that churn:
   spare).  Requests without a planned duration cannot be reasoned
   about, so when the reservation is uncomputable the scheduler falls
   back to aggressive (reservation-less) backfill;
-* **retry** — a dispatch that finds no capacity re-arms itself, so
-  machines freed asynchronously (job completion, repair finishing) are
-  picked up without the platform polling forever while the queue is
-  empty; a retry that finds nothing dispatch reads changed since a
-  dispatch that started and planned nothing skips the dispatch and
-  only re-arms;
+* **wake** — dispatch runs on change, not on a poll: ``submit``,
+  ``complete``, ``preempted`` and ``resized`` dispatch synchronously,
+  and every other write dispatch reads — each pool write of ``free``
+  or ``blacklist`` (releases, repairs, spot returns, evictions,
+  standby moves), ``resize_aborted`` and ``note_preempting`` — calls
+  :meth:`FleetScheduler._wake`.  While the queue is non-empty a wake
+  arms one zero-delay event that dispatches once for every write up
+  to it; with an empty queue it arms nothing;
 * **preemption** — when a higher-priority request stays blocked, the
   scheduler plans victim releases from strictly-lower-priority running
   jobs (lowest priority first, newest first within a class) and asks
@@ -43,7 +45,7 @@ The scheduler owns *when* a job starts; *which* machines it gets is
 delegated per-allocation to the pool's placement policy
 (:mod:`repro.cluster.placement`), so dispatch routes through
 ``pool.allocate_active()`` and a pack/spread/any-free choice applies
-uniformly to queued starts, backfills and retries.  What a "job" is
+uniformly to queued starts, backfills and woken dispatches.  What a "job" is
 stays the owner's business — the platform hands in a ``start``
 callback and calls :meth:`complete` when a job ends.
 """
@@ -121,7 +123,6 @@ class FleetScheduler:
     def __init__(self, sim: Simulator, pool: MachinePool,
                  start: Callable[[JobRequest, List[int]], None],
                  backfill: bool = True,
-                 retry_interval_s: float = 60.0,
                  preemption: str = "none",
                  preempt: Optional[Callable[[JobRequest], None]] = None,
                  resize: Optional[
@@ -132,7 +133,6 @@ class FleetScheduler:
         self.pool = pool
         self.start = start
         self.backfill = backfill
-        self.retry_interval_s = retry_interval_s
         #: "none" | "kill" | "checkpoint" — *whether* victims are
         #: preempted is decided here; *how* (immediate kill vs wait
         #: for the checkpoint boundary) is the owner's business.
@@ -147,23 +147,18 @@ class FleetScheduler:
         self.queue: List[JobRequest] = []
         self.running: Dict[str, JobRequest] = {}
         self._seq = 0
-        self._retry_armed = False
+        self._wake_armed = False
         #: machines promised back by in-flight preemptions/shrinks,
         #: keyed by job name — keeps re-dispatch from over-preempting
         #: while a victim is still draining to its boundary
         self._pending_release: Dict[str, int] = {}
         #: names with a resize (either direction) in flight
         self._resizing: set = set()
-        #: bumped by every change to the queue, the running set,
-        #: ``_pending_release`` or ``_resizing``
-        self._version = 0
-        #: ``(version, pool.available())`` after the last dispatch that
-        #: started and planned nothing; None once anything else ran
-        self._quiet: Optional[Tuple[int, int]] = None
         #: dispatch bookkeeping for fleet reports
         self.stats = {"submitted": 0, "started": 0, "completed": 0,
                       "backfilled": 0, "rejected": 0, "preempted": 0,
                       "resumed": 0, "shrunk": 0, "grown": 0}
+        pool.on_change = self._wake
 
     # ------------------------------------------------------------------
     def check_admission(self, name: str, num_machines: int,
@@ -212,7 +207,6 @@ class FleetScheduler:
                              max_machines=max_machines,
                              preemptible=preemptible)
         self._seq += 1
-        self._version += 1
         self.stats["submitted"] += 1
         self.queue.append(request)
         return request
@@ -241,7 +235,6 @@ class FleetScheduler:
         # completion beats any in-flight preemption/resize of the job
         self._pending_release.pop(name, None)
         self._resizing.discard(name)
-        self._version += 1
         self.stats["completed"] += 1
         self.dispatch()
 
@@ -259,7 +252,6 @@ class FleetScheduler:
         if request is None:
             raise KeyError(f"no running job {name!r}")
         self._pending_release.pop(name, None)
-        self._version += 1
         self.stats["preempted"] += 1
         request.preemptions += 1
         request.was_preempted = True
@@ -279,7 +271,6 @@ class FleetScheduler:
         delta = new_size - request.num_machines
         self._pending_release.pop(name, None)
         self._resizing.discard(name)
-        self._version += 1
         request.num_machines = new_size
         if delta < 0:
             self.stats["shrunk"] += 1
@@ -292,7 +283,7 @@ class FleetScheduler:
         vanished before the boundary): clear the in-flight marks."""
         self._pending_release.pop(name, None)
         self._resizing.discard(name)
-        self._version += 1
+        self._wake()
 
     def note_preempting(self, name: str) -> None:
         """The owner started preempting ``name`` on its own initiative
@@ -301,7 +292,7 @@ class FleetScheduler:
         request = self.running.get(name)
         if request is not None:
             self._pending_release[name] = request.num_machines
-            self._version += 1
+            self._wake()
 
     # ------------------------------------------------------------------
     def _head_reservation(self, head_need: int
@@ -344,7 +335,6 @@ class FleetScheduler:
         ``backfill=False`` nothing passes a blocked head at all.
         Returns the number of jobs started.
         """
-        version = self._version
         started = 0
         reservation: Optional[Tuple[Optional[float], int]] = None
         for request in sorted(self.queue,
@@ -379,7 +369,6 @@ class FleetScheduler:
                         continue  # would delay the head: stay queued
                 self.stats["backfilled"] += 1
             self.queue.remove(request)
-            self._version += 1
             machines = self.pool.allocate_active(request.num_machines,
                                                  request.name)
             request.started_at = self.sim.now
@@ -392,32 +381,26 @@ class FleetScheduler:
             self.start(request, machines)
         if self.queue:
             self._plan_preemption()
-            if not self._retry_armed:
-                # capacity frees asynchronously (repair completions) —
-                # re-arm a single retry timer while anything is waiting
-                self._retry_armed = True
-                self.sim.schedule(self.retry_interval_s, self._retry)
         elif self.resize is not None:
             self._grow_elastic()
-        self._quiet = ((version, self.pool.available())
-                       if self._version == version else None)
         return started
 
-    def _retry(self) -> None:
-        self._retry_armed = False
-        if not self.queue:
-            return
-        if self._quiet == (self._version, self.pool.available()):
-            # Nothing dispatch reads changed since a dispatch that
-            # started and planned nothing, so this one would do the
-            # same: a later ``now`` cannot start a request that an
-            # identical state could not, because the reservation does
-            # not depend on ``now`` and ``ends_in_time`` only gets
-            # harder as time passes.  Re-arm as that dispatch would.
-            self._retry_armed = True
-            self.sim.schedule(self.retry_interval_s, self._retry)
-            return
-        self.dispatch()
+    def _wake(self) -> None:
+        """Something dispatch reads changed outside a dispatching call:
+        dispatch once at this instant, after the writes queued up to
+        here.  With an empty queue nothing is armed, and a blocked
+        queue that sees no write needs no dispatch: a later ``now``
+        alone cannot start a request that the same state could not
+        (the reservation does not depend on ``now``, and
+        ``ends_in_time`` only gets harder as time passes)."""
+        if self.queue and not self._wake_armed:
+            self._wake_armed = True
+            self.sim.schedule(0.0, self._on_wake)
+
+    def _on_wake(self) -> None:
+        self._wake_armed = False
+        if self.queue:
+            self.dispatch()
 
     # ------------------------------------------------------------------
     # preemption planning / elastic growth
@@ -477,7 +460,6 @@ class FleetScheduler:
                     break
         if recoverable < shortfall:
             return      # even the full plan cannot start the head
-        self._version += 1
         for victim, floor in shrinks.values():
             self._pending_release[victim.name] = \
                 victim.num_machines - floor
@@ -505,7 +487,6 @@ class FleetScheduler:
             if target <= request.num_machines:
                 continue
             available -= target - request.num_machines
-            self._version += 1
             self._resizing.add(request.name)
             self.resize(request, target)
 

@@ -260,8 +260,6 @@ class PlatformConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     #: let smaller queued jobs start past a blocked head-of-queue job
     backfill: bool = True
-    #: how often a blocked queue re-checks for freed capacity
-    scheduler_retry_s: float = 60.0
     #: which free machines an allocation gets: "any-free" (baseline,
     #: lowest ids first), "pack" (fewest leaf switches) or "spread"
     #: (stripe across switches) — see :mod:`repro.cluster.placement`
@@ -314,7 +312,6 @@ class TrainingPlatform:
         self.scheduler = FleetScheduler(
             self.sim, self.pool, start=self._on_dispatch,
             backfill=self.config.backfill,
-            retry_interval_s=self.config.scheduler_retry_s,
             preemption=self.config.preemption,
             preempt=(self._on_preempt_request
                      if self.config.preemption != "none" else None),

@@ -338,8 +338,8 @@ class FleetScenario:
         blacklisting keeps them unallocatable without a repair detour
         — and fall back to preempting running jobs (lowest priority,
         newest first) whose machines the next event can then pick up
-        from the pool.  Returns simply lift the blacklist and
-        re-dispatch the queue.
+        from the pool.  Returns simply lift the blacklist; that pool
+        write wakes the scheduler.
         """
         self._schedule_next_spot_churn()
         self._spot_stats["events"] += 1
@@ -370,7 +370,6 @@ class FleetScenario:
             pool.return_idle(back)
             self._spot_offline.difference_update(back)
             self._spot_stats["returned"] += len(back)
-            self.platform.scheduler.dispatch()
 
     def _machine_hazard_hit(self, machine_id: int) -> None:
         """One hazard arrival: a machine-bound hardware fault.
@@ -605,8 +604,7 @@ _FLEET_CADENCES = dict(
     inspections=InspectionConfig(network_interval_s=120.0,
                                  gpu_interval_s=120.0,
                                  host_interval_s=60.0),
-    detector=DetectorConfig(hang_zero_rdma_s=300.0),
-    scheduler_retry_s=60.0)
+    detector=DetectorConfig(hang_zero_rdma_s=300.0))
 
 #: 90-day / 100k-GPU cadences: with ~300 s steps and a quarter-long
 #: window, minute-level polling would dominate wall clock for no
@@ -618,8 +616,7 @@ _QUARTER_CADENCES = dict(
     inspections=InspectionConfig(network_interval_s=600.0,
                                  gpu_interval_s=600.0,
                                  host_interval_s=300.0),
-    detector=DetectorConfig(hang_zero_rdma_s=1800.0),
-    scheduler_retry_s=600.0)
+    detector=DetectorConfig(hang_zero_rdma_s=1800.0))
 
 
 def _build_fleet(*, total_machines: int, duration_s: float, seed: int,
@@ -673,7 +670,6 @@ def _build_fleet(*, total_machines: int, duration_s: float, seed: int,
             collector=cad["collector"],
             inspections=cad["inspections"],
             detector=cad["detector"],
-            scheduler_retry_s=cad["scheduler_retry_s"],
             checkpoint=checkpointing,
             remote_checkpoint_every_steps=remote_every,
             preemption=preemption))

@@ -4,7 +4,7 @@ Three layers under test:
 
 * :class:`~repro.cluster.scheduler.FleetScheduler` mechanism —
   admission, priority order, backfill, completion-driven dispatch,
-  asynchronous capacity pickup;
+  dispatch on every write that frees or blocks capacity;
 * the dynamic :class:`~repro.core.platform.TrainingPlatform` —
   ``submit()`` at any sim time, planned completions returning
   machines, standby-shortfall accounting, and the single-job facade
@@ -142,10 +142,13 @@ class TestFleetScheduler:
         sched.submit("b", 4)
         assert len(started) == 1
         # machines freed outside complete() (e.g. finished repair):
-        # the armed retry timer must notice without an explicit poke
+        # the pool's write wakes a dispatch at the same instant,
+        # without an explicit poke and without waiting for a timer
         pool.release(sorted(pool.active)[:4])
-        sim.run(until=sched.retry_interval_s + 1.0)
+        assert len(started) == 1        # a wake, not a nested dispatch
+        sim.run(until=sim.now)
         assert [n for n, _ in started] == ["a", "b"]
+        assert sched.running["b"].started_at == 0.0
 
     def test_complete_unknown_job_raises(self):
         sim, pool, sched, started = make_scheduler()
@@ -451,9 +454,9 @@ def make_preempting_scheduler(machines=8, preemption="checkpoint",
     return sim, pool, sched, started, preempts, resizes, allocated
 
 
-def quiet_scheduler():
+def blocked_scheduler():
     """A blocked head with no victim: ``b`` waits for 4 of 8 machines
-    while high-priority ``a`` holds 6.  ``calls`` records every real
+    while high-priority ``a`` holds 6.  ``calls`` records every
     dispatch from the submit of ``b`` on."""
     sim, pool, sched, started, preempts, resizes, alloc = \
         make_preempting_scheduler(elastic=True)
@@ -470,63 +473,124 @@ def quiet_scheduler():
     return sim, pool, sched, alloc, calls
 
 
-class TestQuietRetry:
-    def test_unchanged_retries_skip_dispatch_but_keep_cadence(self):
-        sim, pool, sched, alloc, calls = quiet_scheduler()
-        sim.run(until=10 * sched.retry_interval_s + 1.0)
-        assert calls == [0.0]           # the submit's own dispatch
-        # still armed, on the same 60 s cadence
-        assert sim.pending_count() == 1
-        assert sim.peek() == 11 * sched.retry_interval_s
+def provision_then_release(sim, sched, pool, alloc):
+    # building the standby is itself a write; run past it first
+    pool.provision_standbys(1)
+    sim.run(until=sim.now + pool.times.pod_build_s
+            + pool.times.self_check_s)
+    assert pool.standby_count == 1
+    return lambda: pool.release_standbys(1)
 
-    @pytest.mark.parametrize("wake", [
-        lambda sched, pool, alloc: pool.release(alloc["a"][:2]),
-        lambda sched, pool, alloc: sched.enqueue("c", 8),
-        lambda sched, pool, alloc: sched.complete("a"),
-        lambda sched, pool, alloc: sched.preempted("a", remaining_s=60.0),
-        lambda sched, pool, alloc: sched.resized("a", 6),
-        lambda sched, pool, alloc: sched.resize_aborted("a"),
-        lambda sched, pool, alloc: sched.note_preempting("a"),
-    ], ids=["release", "enqueue", "complete", "preempted", "resized",
-            "resize_aborted", "note_preempting"])
-    def test_each_wake_source_makes_the_next_retry_dispatch(self, wake):
-        sim, pool, sched, alloc, calls = quiet_scheduler()
+
+def reclaim_then_return(sim, sched, pool, alloc):
+    idle = pool.reclaim_idle(1)
+    sim.run(until=sim.now + 1.0)
+    return lambda: pool.return_idle(idle)
+
+
+class TestDispatchOnChange:
+    @pytest.mark.parametrize("prepare", [
+        lambda sim, sched, pool, alloc:
+            lambda: pool.release(alloc["a"][:2]),
+        reclaim_then_return,
+        provision_then_release,
+        lambda sim, sched, pool, alloc:
+            lambda: pool.evict(sorted(pool.free)[:1]),
+        lambda sim, sched, pool, alloc:
+            lambda: pool.provision_standbys(1),
+        lambda sim, sched, pool, alloc:
+            lambda: sched.resize_aborted("a"),
+        lambda sim, sched, pool, alloc:
+            lambda: sched.note_preempting("a"),
+    ], ids=["release", "return_idle", "release_standbys", "evict",
+            "provision_standbys", "resize_aborted", "note_preempting"])
+    def test_each_write_dispatches_at_its_instant(self, prepare):
+        sim, pool, sched, alloc, calls = blocked_scheduler()
         sim.run(until=90.0)
-        assert calls == [0.0]
-        counting = sched.dispatch
-        # a mutator's own dispatch would refresh the quiet state; stub
-        # it so the retry alone has to notice the change
-        sched.dispatch = lambda: 0
-        wake(sched, pool, alloc)
-        sched.dispatch = counting
-        sim.run(until=121.0)
-        assert calls == [0.0, 120.0]
+        write = prepare(sim, sched, pool, alloc)
+        before, now = len(calls), sim.now
+        write()
+        assert len(calls) == before     # a wake, not a nested dispatch
+        sim.run(until=now)
+        assert calls[before:] == [now]
 
-    def test_a_dispatch_that_starts_a_job_is_not_quiet(self):
-        # a second pass may start more: the started jobs' planned ends
-        # move the head's reservation
-        sim, pool, sched, alloc, calls = quiet_scheduler()
+    def test_a_finished_repair_dispatches_at_its_instant(self):
+        sim, pool, sched, alloc, calls = blocked_scheduler()
+        pool.evict(sorted(pool.free)[:1])   # available 2 -> 1
+        sim.run(until=1.0)
+        assert calls == [0.0, 0.0]
+        repaired = pool.times.repair_s
+        sim.run(until=repaired)
+        assert pool.available() == 2
+        assert calls == [0.0, 0.0, repaired]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda sched: sched.submit("c", 8),
+        lambda sched: sched.complete("a"),
+        lambda sched: sched.preempted("a", remaining_s=60.0),
+        lambda sched: sched.resized("a", 6),
+    ], ids=["submit", "complete", "preempted", "resized"])
+    def test_mutators_dispatch_inside_the_call(self, mutate):
+        sim, pool, sched, alloc, calls = blocked_scheduler()
+        sim.run(until=90.0)
+        mutate(sched)
+        assert calls == [0.0, 90.0]
+
+    def test_a_blocked_queue_without_writes_schedules_nothing(self):
+        sim, pool, sched, alloc, calls = blocked_scheduler()
+        assert sim.pending_count() == 0
+        sim.run(until=10 * 86400.0)
+        assert sim.pending_count() == 0
+        assert calls == [0.0]
+        assert sched.queued_names() == ["b"]
+
+    def test_a_dispatch_that_starts_a_job_dispatches_again(self):
+        # the started job's planned end moves the head's reservation,
+        # so its allocation wakes a second pass at the same instant
+        sim, pool, sched, alloc, calls = blocked_scheduler()
         sched.enqueue("c", 8)
         pool.release(alloc["a"][:2])
-        sim.run(until=121.0)
-        assert sched.queued_names() == ["c"]
-        assert calls == [0.0, 60.0, 120.0]
         sim.run(until=600.0)
-        assert calls == [0.0, 60.0, 120.0]
+        assert sched.queued_names() == ["c"]
+        assert calls == [0.0, 0.0, 0.0]
+        assert sim.pending_count() == 0
 
-    def test_a_finished_repair_makes_the_next_retry_dispatch(self):
-        sim, pool, sched, alloc, calls = quiet_scheduler()
-        spare = sorted(pool.free)[0]
-        pool.evict([spare])             # available 2 -> 1
-        sim.run(until=61.0)
-        assert calls == [0.0, 60.0]
-        repaired = pool.times.repair_s
-        sim.run(until=repaired - 1.0)
-        assert calls == [0.0, 60.0]     # 1 free all along: quiet
-        sim.run(until=repaired + sched.retry_interval_s)
-        assert pool.available() == 2
-        assert len(calls) == 3
-        assert repaired <= calls[2] < repaired + sched.retry_interval_s
+
+def run_with_wake_probe(name, cadence_s=7.0, **params):
+    """Run scenario ``name`` with a probe that, every ``cadence_s``
+    while the queue is non-empty and no wake is armed, calls
+    ``dispatch()`` and records each call that starts or plans anything
+    or moves ``stats``: each such call is a write that did not wake
+    the scheduler.  Returns ``(misses, probes)``."""
+    scenario = get_scenario(name).build(**params)
+    sim, sched = scenario.platform.sim, scenario.platform.scheduler
+    misses, probes = [], []
+
+    def probe():
+        if not sched.queue or sched._wake_armed:
+            return
+        probes.append(sim.now)
+        state = (dict(sched.stats), dict(sched._pending_release),
+                 set(sched._resizing))
+        if sched.dispatch() or state != (
+                dict(sched.stats), dict(sched._pending_release),
+                set(sched._resizing)):
+            misses.append(sim.now)
+
+    sim.every(cadence_s, probe)
+    scenario.run()
+    return misses, probes
+
+
+class TestNoMissedWake:
+    @pytest.mark.parametrize("name,params", [
+        ("fleet-preemption", {}),
+        ("fleet-spot-churn", {"duration_s": 86400.0}),
+    ], ids=["fleet-preemption", "fleet-spot-churn-day"])
+    def test_a_probe_dispatch_finds_nothing_to_do(self, name, params):
+        misses, probes = run_with_wake_probe(name, **params)
+        assert probes                   # the queue was blocked at times
+        assert misses == []
 
 
 class TestSchedulerPreemption:

@@ -33,10 +33,12 @@ GOLDEN = [
      "6f1303bb52437bf51c0746480cf1429497d110784041d4c14252769b7e904206"),
     ("fleet-quarter", {"duration_s": 86400.0},
      "71b47b388e33b35bf44e06dc506c4d2f4371451a028d9c780d0e744e169cae53"),
-    # pinned with one step chain per job: a boundary preemption that its
-    # own dispatch resumes commits no zero-duration steps
+    # pinned with one step chain per job (a boundary preemption that its
+    # own dispatch resumes commits no zero-duration steps) and dispatch
+    # on change: a queued job starts at the instant a repair frees its
+    # machines, not at the next 60 s poll
     ("fleet-preemption", {},
-     "3d20c157df6a046ec30e2ea9b6820ed63a35a8fe80dd00d928df0c28a41643b7"),
+     "9792092e6ef300de5f54c7ef5df38ed900a4fa52fee4d9fb5565e23e19e10b8f"),
 ]
 
 #: ``fleet-quarter`` at full width over two days, the window in which
@@ -48,10 +50,11 @@ FULL_WIDTH = [
 ]
 
 #: ``fleet-spot-churn`` over ten days, the spot-tenancy benchmark cell
-#: (~166 checkpoint-boundary preemptions; the six-hour ``CATALOG`` window
-#: sees a handful), pinned with one step chain per job
+#: (~160 checkpoint-boundary preemptions; the six-hour ``CATALOG`` window
+#: sees a handful), pinned with one step chain per job and dispatch on
+#: change
 SPOT_TEN_DAYS = (
-    "77298f7f347d70fa7f01c35583b4145e1b5a9a749511fb40fe7f10559bae8094")
+    "68b2dcd32f0443b7157d44dd88e1f054e9e3680f99dab5f1f3f715ce4014ee5a")
 
 #: Every other registered scenario: defaults, with ``duration_s`` capped at
 #: ``min(default, 21600.0)`` where the scenario declares it.
