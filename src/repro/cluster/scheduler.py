@@ -27,7 +27,8 @@ that churn:
   standby moves), ``resize_aborted`` and ``note_preempting`` — calls
   :meth:`FleetScheduler._wake`.  While the queue is non-empty a wake
   arms one zero-delay event that dispatches once for every write up
-  to it; with an empty queue it arms nothing;
+  to it, and a dispatch that runs first (a synchronous one) cancels
+  it; with an empty queue it arms nothing;
 * **preemption** — when a higher-priority request stays blocked, the
   scheduler plans victim releases from strictly-lower-priority running
   jobs (lowest priority first, newest first within a class) and asks
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.pool import MachinePool
-from repro.sim import Simulator
+from repro.sim import EventHandle, Simulator
 
 
 class AdmissionError(ValueError):
@@ -147,7 +148,8 @@ class FleetScheduler:
         self.queue: List[JobRequest] = []
         self.running: Dict[str, JobRequest] = {}
         self._seq = 0
-        self._wake_armed = False
+        #: the armed wake's event, or None
+        self._wake_armed: Optional[EventHandle] = None
         #: machines promised back by in-flight preemptions/shrinks,
         #: keyed by job name — keeps re-dispatch from over-preempting
         #: while a victim is still draining to its boundary
@@ -335,6 +337,10 @@ class FleetScheduler:
         ``backfill=False`` nothing passes a blocked head at all.
         Returns the number of jobs started.
         """
+        if self._wake_armed is not None:
+            # this dispatch reads every write the armed wake was for
+            self._wake_armed.cancel()
+            self._wake_armed = None
         started = 0
         reservation: Optional[Tuple[Optional[float], int]] = None
         for request in sorted(self.queue,
@@ -393,12 +399,11 @@ class FleetScheduler:
         alone cannot start a request that the same state could not
         (the reservation does not depend on ``now``, and
         ``ends_in_time`` only gets harder as time passes)."""
-        if self.queue and not self._wake_armed:
-            self._wake_armed = True
-            self.sim.schedule(0.0, self._on_wake)
+        if self.queue and self._wake_armed is None:
+            self._wake_armed = self.sim.schedule(0.0, self._on_wake)
 
     def _on_wake(self) -> None:
-        self._wake_armed = False
+        self._wake_armed = None
         if self.queue:
             self.dispatch()
 

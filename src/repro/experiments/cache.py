@@ -3,7 +3,9 @@
 A cell is identified by a *stable* content hash of everything that
 determines its output: scenario name, fully-resolved parameters, seed,
 the package version, and a schema version bumped whenever the report
-format changes.
+format changes.  :func:`key_template` assembles that hash's canonical
+JSON blob once per family of cells, with a hole for each value that
+varies; :func:`cell_key` is the template of one cell.
 
 Entries live in append-only segment logs, one set per scenario, after
 Bitcask (Sheehy & Smith, 2010)::
@@ -20,7 +22,11 @@ Nothing is fsynced: a killed process loses at most the batch it was
 writing, and an operating-system crash whatever the page cache had
 not yet written back.
 
-Probes are dict lookups in an in-memory index from key to record.
+Probes are dict lookups in an in-memory index from key to record,
+and a hit decodes its record with one pass of the json module's
+scanner (``json.loads`` takes over for any record the scanner does not
+consume whole, so every record decodes, or fails to, exactly as
+``json.loads`` would have it).
 Each process keeps one index per (directory, scenario), shared by
 every :class:`ResultCache` over that directory and guarded by a lock.
 It is built by one scan of the segments and revalidated on every
@@ -57,15 +63,16 @@ older one-file-per-cell layout (``<key>.json``) are never read.  Run
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 import tempfile
 import threading
 import weakref
+from hashlib import sha256
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro import __version__
 
@@ -89,85 +96,97 @@ CACHE_SCHEMA_VERSION = 4
 STATS_FILENAME = "_stats.json"
 
 
-#: One preconstructed encoder for cell_key: ``json.dumps`` with
+#: One preconstructed encoder for the key blob: ``json.dumps`` with
 #: keyword arguments builds a fresh ``JSONEncoder`` per call, which a
 #: million-key expansion pays dearly for.  Byte-identical output.
 _KEY_ENCODE = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), default=str).encode
 
 #: Strings the JSON encoder emits verbatim between quotes: printable
-#: ASCII with no ``"`` or ``\`` — anything else takes the encoder
-#: fallback below.
+#: ASCII with no ``"`` or ``\`` — anything else takes the encoder.
 _PLAIN_STR = re.compile(r'^[ !#-\[\]-~]*$').match
 
 _INF = float("inf")
 
 
-def _key_scalar(value: Any) -> Optional[str]:
-    """``value`` as JSON-encoder-identical text, or None to punt.
+def _key_text(value: Any) -> str:
+    """``value`` exactly as the key encoder writes it.
 
-    Covers exactly the scalar cases whose encoding is trivially
-    byte-stable (ints, finite floats, plain ASCII strings, bools,
-    None); every other value — containers, NaN/inf, exotic strings,
-    non-JSON types hitting ``default=str`` — falls back to the real
-    encoder so fast-path keys can never drift from it.
+    The scalars whose encoding is trivially byte-stable (ints, finite
+    floats, plain ASCII strings, bools, None) are written by hand —
+    several times cheaper than an encoder call; every other value
+    (containers, NaN/inf, exotic strings, non-JSON types hitting
+    ``default=str``) goes through the encoder itself, so the text can
+    never drift from it.
     """
     t = type(value)
     if t is int:
         return repr(value)
     if t is float:
-        if value != value or value == _INF or value == -_INF:
-            return None
-        return repr(value)
-    if t is str:
+        if value == value and value != _INF and value != -_INF:
+            return repr(value)
+    elif t is str:
         if _PLAIN_STR(value):
             return f'"{value}"'
-        return None
-    if t is bool:
+    elif t is bool:
         return "true" if value else "false"
-    if value is None:
+    elif value is None:
         return "null"
-    return None
+    return _KEY_ENCODE(value)
 
 
-#: Constant fragments of every key blob, around the two per-cell holes
-#: (sorted key order is params, scenario, schema, seed, version — the
-#: schema/version pieces never vary within a process); None disables
-#: the fast path entirely if the version string itself would need
-#: escaping.
-_KEY_MID = f'","schema":{CACHE_SCHEMA_VERSION},"seed":'
-_KEY_END = (f',"version":"{__version__}"}}'
-            if _PLAIN_STR(__version__) else None)
+def _key_field(name: Any) -> str:
+    """``"name":`` as the encoder writes a dict key."""
+    return _KEY_ENCODE({name: None})[1:-len("null}")]
+
+
+def key_template(scenario: str, params: Dict[str, Any],
+                 holes: Sequence[str] = ()
+                 ) -> Callable[[Dict[str, Any], Any], str]:
+    """The key function of a family of cells: ``key(params, seed)``.
+
+    A cell's key is the sha256 of ``{"params":{...},"scenario":...,
+    "schema":...,"seed":...,"version":...}`` as the key encoder writes
+    it (sorted keys, no spaces).  Cells of one sweep spec differ only
+    in the values of their grid axes and seed, so the blob is built
+    once, from ``params``, as a ``%``-format string: the fixed fields
+    are written out, and each name in ``holes`` and the seed leave a
+    ``%s`` hole.  Per cell, ``key`` fills the holes with
+    :func:`_key_text` and hashes.  ``params`` passed to ``key`` must
+    hold the same fixed values as the ones the template was built from.
+    """
+    names = sorted(params)
+    hole_names = [name for name in names if name in holes]
+    # the blob's pieces, None marking a hole
+    pieces: List[Optional[str]] = ['{"params":{']
+    for i, name in enumerate(names):
+        pieces.append(("," if i else "") + _key_field(name))
+        pieces.append(None if name in holes else _key_text(params[name]))
+    pieces += ['},"scenario":' + _KEY_ENCODE(scenario)
+               + f',"schema":{CACHE_SCHEMA_VERSION},"seed":', None,
+               ',"version":' + _KEY_ENCODE(__version__) + "}"]
+    fmt = "".join("%s" if piece is None else piece.replace("%", "%%")
+                  for piece in pieces)
+
+    def key(params: Dict[str, Any], seed: Any) -> str:
+        texts = []
+        for name in hole_names:
+            texts.append(_key_text(params[name]))
+        texts.append(_key_text(seed))
+        return sha256((fmt % tuple(texts)).encode("utf-8")).hexdigest()
+
+    return key
 
 
 def cell_key(scenario: str, params: Dict[str, Any], seed: int) -> str:
     """Stable hex digest identifying one sweep cell's configuration."""
-    # hand-assemble the canonical blob for the plain-scalar case —
-    # ~3x cheaper than a JSONEncoder call, and grid expansion computes
-    # one key per cell.  Output is byte-identical to the encoder
-    # (property-tested); any value outside the fast scalar set punts
-    # to the encoder itself.
-    if _KEY_END is not None and type(seed) is int:
-        parts = []
-        for name in sorted(params):
-            if not _PLAIN_STR(name):
-                parts = None
-                break
-            text = _key_scalar(params[name])
-            if text is None:
-                parts = None
-                break
-            parts.append(f'"{name}":{text}')
-        if parts is not None and _PLAIN_STR(scenario):
-            blob = (f'{{"params":{{{",".join(parts)}}},'
-                    f'"scenario":"{scenario}{_KEY_MID}{seed}'
-                    f'{_KEY_END}')
-            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    blob = _KEY_ENCODE(
-        {"scenario": scenario, "params": params, "seed": seed,
-         "schema": CACHE_SCHEMA_VERSION, "version": __version__})
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return key_template(scenario, params)(params, seed)
 
+
+#: The json module's scanner (its C implementation where there is
+#: one): ``scan(text, 0)`` decodes the JSON value at the start of
+#: ``text`` and returns it with the offset where it ends.
+_SCAN = json.JSONDecoder().scan_once
 
 #: A segment log's file name: ``<pid>-<12 hex digits>.log``.
 _SEGMENT_NAME = re.compile(r"\d+-[0-9a-f]{12}\.log\Z").match
@@ -400,14 +419,17 @@ class ResultCache:
 
         The batch probe used by ``SweepRunner.stream()``: one call per
         chunk of cells.  Each scenario's index is revalidated once per
-        call, then every probe is a dict lookup and a ``json.loads``.
-        A record that does not decode is a miss, counted in
+        call, then every probe is a dict lookup and one pass of the
+        json module's C scanner over the record (``json.loads`` takes
+        over for any text the scanner does not consume whole, so a
+        record decodes exactly as ``json.loads`` would decode it).  A
+        record that does not decode is a miss, counted in
         ``stats()["corrupt"]`` and dropped from the index.
         """
         out: List[Optional[Dict[str, Any]]] = []
         append = out.append
         hits = misses = 0
-        loads = json.loads
+        scan = _SCAN
         # chunks are near-always single-scenario
         fresh: Dict[Optional[str], Dict[str, str]] = {}
         last_scenario: Any = False
@@ -422,7 +444,18 @@ class ResultCache:
             text = records.get(key)
             if text is not None:
                 try:
-                    append(loads(text))
+                    # a record put_many wrote is one JSON value from
+                    # its first byte to its last: the scanner decodes
+                    # it without json.loads's per-call checks; any
+                    # other text takes json.loads, which accepts or
+                    # rejects it as it always has
+                    try:
+                        payload, end = scan(text, 0)
+                        if end != len(text):
+                            payload = json.loads(text)
+                    except StopIteration:
+                        payload = json.loads(text)
+                    append(payload)
                     hits += 1
                     continue
                 except ValueError:

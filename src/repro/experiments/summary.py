@@ -157,8 +157,13 @@ class StreamingSummary:
         report = result.report
         if "cumulative_ettr" in report:
             metrics = _sim_row(report)
-        else:
+        elif self.keep_rows:
             metrics = _analytic_row(report)
+        else:
+            # no row to keep: the rolling stats below read only the
+            # numeric fields, and the analytic row holds every one of
+            # them in report order, so fold the report itself
+            metrics = report
         varies = self._varies
         first_value = self._first_value
         first_repr = self._first_repr
@@ -195,16 +200,17 @@ class StreamingSummary:
                 if isinstance(value, bool) or not isinstance(
                         value, (int, float)):
                     continue
-            stats = metric_stats.get(name)
-            if stats is None:
+            try:
+                stats = metric_stats[name]
+            except KeyError:
                 metric_stats[name] = [1, value, value, value]
-            else:
-                stats[0] += 1
-                stats[1] += value
-                if value < stats[2]:
-                    stats[2] = value
-                if value > stats[3]:
-                    stats[3] = value
+                continue
+            stats[0] += 1
+            stats[1] += value
+            if value < stats[2]:
+                stats[2] = value
+            if value > stats[3]:
+                stats[3] = value
         if self.keep_rows:
             self._entries.append((cell.index, cell.scenario,
                                   cell.params, metrics, cell.seed,

@@ -56,7 +56,7 @@ from typing import (
     Union,
 )
 
-from repro.experiments.cache import cell_key
+from repro.experiments.cache import key_template
 from repro.experiments.executor import (
     Executor,
     InlineExecutor,
@@ -329,10 +329,14 @@ def _iter_cells(resolved: Sequence[Tuple[SweepSpec, Any]]
         # cells reuse its resolved dict and re-coerce only the keys
         # that actually change (grid axes + the derived seed) — the
         # O(params) per-cell resolve cost is what separates a 1M-cell
-        # warm resume from the 30 s budget
+        # warm resume from the 30 s budget.  Likewise the first cell
+        # builds the spec's key template (the canonical key blob of
+        # the fixed params, with a hole per changing key), and later
+        # cells only fill its holes and hash
         base: Optional[Dict[str, Any]] = None
         grid_coerce: List[Tuple[str, Any]] = []
         seed_coerce: Any = None
+        key_of: Any = None
         combos = itertools.product(*(spec.grid[k] for k in grid_keys))
         for local_index, values in enumerate(combos):
             if base is None:
@@ -345,8 +349,11 @@ def _iter_cells(resolved: Sequence[Tuple[SweepSpec, Any]]
                 base = params
                 grid_coerce = [(k, param_specs[k].coerce)
                                for k in grid_keys]
+                holes = list(grid_keys)
                 if derived:
                     seed_coerce = param_specs["seed"].coerce
+                    holes.append("seed")
+                key_of = key_template(scen_name, params, holes)
             else:
                 params = dict(base)
                 for (k, coerce), value in zip(grid_coerce, values):
@@ -365,7 +372,7 @@ def _iter_cells(resolved: Sequence[Tuple[SweepSpec, Any]]
             object.__setattr__(cell, "__dict__", {
                 "index": index, "scenario": scen_name,
                 "params": params, "seed": seed,
-                "key": cell_key(scen_name, params, seed),
+                "key": key_of(params, seed),
                 "seed_derived": derived})
             yield cell
             index += 1
@@ -518,8 +525,9 @@ class SweepRunner:
                             segment.append(cell)
                             continue
                         done += 1
-                        result = CellResult(cell=cell, report=payload,
-                                            cached=True)
+                        # positional: cheaper than keywords on this
+                        # per-hit path
+                        result = CellResult(cell, payload, True)
                         if progress is not None:
                             progress(SweepProgress(
                                 done=done, total=total, result=result,

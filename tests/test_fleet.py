@@ -536,6 +536,23 @@ class TestDispatchOnChange:
         mutate(sched)
         assert calls == [0.0, 90.0]
 
+    @pytest.mark.parametrize("released", [1, 6],
+                             ids=["head-stays-blocked", "head-starts"])
+    def test_a_synchronous_dispatch_cancels_the_armed_wake(self,
+                                                           released):
+        # the owner hands machines back, then completes at the same
+        # instant: complete()'s own dispatch reads the release, so the
+        # wake the release armed must neither fire nor dispatch again
+        sim, pool, sched, alloc, calls = blocked_scheduler()
+        sim.run(until=90.0)
+        pool.release(alloc["a"][:released])
+        assert sim.pending_count() == 1     # the release's wake
+        sched.complete("a")
+        assert sim.pending_count() == 0
+        sim.run(until=90.0)
+        assert calls == [0.0, 90.0]
+        assert sched.queued_names() == ([] if released == 6 else ["b"])
+
     def test_a_blocked_queue_without_writes_schedules_nothing(self):
         sim, pool, sched, alloc, calls = blocked_scheduler()
         assert sim.pending_count() == 0

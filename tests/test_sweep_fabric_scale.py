@@ -44,6 +44,7 @@ from repro.experiments import (
     RemoteExecutor,
     ResultCache,
     StreamingSummary,
+    SweepResult,
     SweepRunner,
     SweepSpec,
     count_cells,
@@ -134,6 +135,11 @@ class TestLazyExpansion:
                       grid={"num_machines": [64, 128],
                             "mtbf_scale": [0.005, 0.01]},
                       base_seed=11),
+            # two key-template holes, one of them re-coerced (10 ->
+            # 10.0), around fixed params on both sides
+            SweepSpec("sweep-stress", params={"machines": 128},
+                      grid={"shard": [0, 5, 9],
+                            "mtbf_hours": [10, 40.5]}),
         ]
         import itertools
 
@@ -223,6 +229,87 @@ class TestLazyExpansion:
         expected = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         assert cell_key("sweep-stress", params, seed) == expected
 
+    @given(data=st.data())
+    @settings(**{**SETTINGS, "max_examples": 60})
+    def test_key_template_matches_encoder_over_random_grids(self, data):
+        # every key expand_cells fills into a spec's template must
+        # hash like the json.dumps reference, over grids of every
+        # param type, values the hand-written text punts on, and every
+        # seed mode (derived, explicit, gridded, none)
+        import hashlib
+        import itertools
+        from repro import __version__
+        from repro.experiments.cache import CACHE_SCHEMA_VERSION
+        from repro.experiments.sweep import derive_cell_seed
+
+        draw = data.draw
+        texts = st.one_of(
+            st.text(max_size=6),
+            st.sampled_from(['"', "\\", "unié", "%s", "100%",
+                             'a"b%%c', "\u2028", "\x00", "tab\there"]))
+        values = {
+            "int": st.one_of(st.integers(-10**6, 10**6),
+                             st.sampled_from([10**30, -10**30])),
+            "float": st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([float("nan"), float("inf"),
+                                 float("-inf"), -0.0, 1e16])),
+            "bool": st.booleans(),
+            "str": texts,
+        }
+        # (scenario, {type: param}) for axes and for fixed overrides
+        scenario, axes, fixed = draw(st.sampled_from([
+            ("fleet-preemption",
+             {"int": "initial_jobs", "float": "standby_target",
+              "bool": "backfill", "str": "placement"},
+             {"int": "machines_per_switch", "float": "fault_mtbf_s",
+              "str": "preemption"}),
+            ("sweep-stress", {"int": "shard", "float": "mtbf_hours"},
+             {"int": "machines"}),
+        ]))
+        gridded = draw(st.lists(st.sampled_from(sorted(axes)),
+                                min_size=1, max_size=len(axes),
+                                unique=True))
+        grid = {axes[kind]: draw(st.lists(values[kind], min_size=1,
+                                          max_size=3))
+                for kind in gridded}
+        params = {fixed[kind]: draw(values[kind])
+                  for kind in draw(st.lists(st.sampled_from(
+                      sorted(fixed)), max_size=len(fixed),
+                      unique=True))}
+        takes_seed = scenario != "sweep-stress"
+        seed_mode = draw(st.sampled_from(
+            ["derived", "explicit", "gridded"] if takes_seed
+            else ["none"]))
+        if seed_mode == "explicit":
+            params["seed"] = draw(st.integers(0, 2**32))
+        elif seed_mode == "gridded":
+            grid["seed"] = draw(st.lists(st.integers(0, 2**32),
+                                         min_size=1, max_size=3))
+        spec = SweepSpec(scenario, params=params, grid=grid,
+                         base_seed=draw(st.integers(0, 2**16)))
+
+        resolver = get_scenario(scenario)
+        keys = sorted(grid)
+        cells = list(expand_cells([spec]))
+        combos = list(itertools.product(*(grid[k] for k in keys)))
+        assert len(cells) == len(combos)
+        for local_index, (cell, combo) in enumerate(zip(cells, combos)):
+            overrides = dict(params)
+            overrides.update(zip(keys, combo))
+            if seed_mode == "derived":
+                overrides["seed"] = derive_cell_seed(spec.base_seed,
+                                                     local_index)
+            expected = resolver.resolve(overrides)
+            seed = int(expected["seed"]) if takes_seed else 0
+            blob = json.dumps(
+                {"scenario": scenario, "params": expected, "seed": seed,
+                 "schema": CACHE_SCHEMA_VERSION, "version": __version__},
+                sort_keys=True, separators=(",", ":"), default=str)
+            assert cell.seed == seed
+            assert cell.key == hashlib.sha256(
+                blob.encode("utf-8")).hexdigest(), (spec, combo)
+
     def test_cells_stay_frozen_and_pickle(self):
         # cells are built through __dict__ for speed; the frozen
         # contract and multiprocessing pickling must survive that
@@ -300,6 +387,53 @@ def segments(directory):
     return sorted(os.path.join(root, name)
                   for root, _dirs, names in os.walk(str(directory))
                   for name in names if name.endswith(".log"))
+
+
+#: record text -> what it is; each decodes (or fails to) as json.loads
+#: has it, whichever way the probe decodes
+ODD_RECORDS = [
+    ('{"a": 1, "b": [1.5, null]}', "plain"),
+    ('{"a": 1}garbage', "trailing garbage"),
+    (' {"a": 1}', "leading whitespace"),
+    ('{"a": 1} \t ', "trailing whitespace"),
+    ('\ufeff{"a": 1}', "UTF-8 BOM"),
+    ('{"a": 1}{"b": 2}', "two concatenated objects"),
+    ('{"a": 1, "b": [1', "truncated object"),
+    ("NaN", "bare NaN"),
+    ('[1, "x"]', "not an object"),
+    ("", "empty"),
+    ("   ", "only whitespace"),
+]
+
+
+class TestProbeDecode:
+    def test_odd_records_decode_exactly_as_json_loads(self, tmp_path):
+        with open(os.path.join(str(tmp_path), SEGMENT), "w",
+                  encoding="utf-8") as fh:
+            for i, (text, _what) in enumerate(ODD_RECORDS):
+                fh.write(f"k{i}\t{text}\n")
+        expected, corrupt = [], 0
+        for text, _what in ODD_RECORDS:
+            try:
+                expected.append(json.loads(text))
+            except ValueError:
+                expected.append(None)
+                corrupt += 1
+        items = [(f"k{i}", None) for i in range(len(ODD_RECORDS))]
+        cache = ResultCache(tmp_path)
+        got = cache.get_many(items + [("missing", None)])
+        # json.dumps renders NaN, so equal text means equal objects
+        assert [json.dumps(g) for g in got] == \
+            [json.dumps(e) for e in expected] + ["null"]
+        for (text, what), g, e in zip(ODD_RECORDS, got, expected):
+            assert type(g) is type(e), what
+        hits = len(ODD_RECORDS) - corrupt
+        assert cache.stats() == {"hits": hits, "misses": corrupt + 1,
+                                 "writes": 0, "corrupt": corrupt}
+        # the undecodable records left the index: plain misses now
+        assert [g is None for g in cache.get_many(items)] == \
+            [e is None for e in expected]
+        assert cache.stats()["corrupt"] == corrupt
 
 
 class TestQuarantine:
@@ -629,6 +763,62 @@ class TestStreamingSummaryEquivalence:
         assert slim.digest() == folded.digest()
         with pytest.raises(ValueError, match="keep_rows"):
             slim.summary()
+
+    @given(data=st.data())
+    @settings(**SETTINGS)
+    def test_digest_only_fold_matches_row_fold(self, data):
+        # keep_rows=False folds analytic reports without building
+        # their rows: it must give the digest keep_rows=True gives,
+        # and that digest must summarize exactly the numeric columns
+        # of summarize()'s table, whatever the reports carry
+        from repro.experiments.sweep import CellResult, SweepCell
+
+        draw = data.draw
+        scalar = st.one_of(
+            st.integers(-10**20, 10**20), st.booleans(), st.none(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.text(max_size=4))
+        value = st.one_of(
+            scalar, st.lists(scalar, max_size=3),
+            st.dictionaries(st.text(max_size=3),
+                            st.one_of(scalar, st.lists(scalar,
+                                                       max_size=2)),
+                            max_size=3))
+        analytic = st.dictionaries(
+            st.sampled_from(["m1", "m2", "m3", "flag", "label",
+                             "series", "nested"]), value, max_size=6)
+        finite = st.floats(0.0, 1.0)
+        sim = st.fixed_dictionaries({
+            "cumulative_ettr": finite, "min_sliding_ettr": finite,
+            "incidents": st.lists(st.fixed_dictionaries(
+                {"recovered_at": st.integers(-1, 100)}), max_size=3),
+            "unproductive_breakdown": st.fixed_dictionaries(
+                {"total_s": finite, "recompute_s": finite}),
+            "mean_mfu": finite, "extra": value})
+        reports = draw(st.lists(st.one_of(analytic, sim), min_size=1,
+                                max_size=12))
+        results = [
+            CellResult(cell=SweepCell(index=i, scenario="s",
+                                      params={"p": i % 3}, seed=0,
+                                      key=f"k{i}"),
+                       report=report, cached=draw(st.booleans()))
+            for i, report in enumerate(reports)]
+        slim, rows = self.fold(results, False), self.fold(results)
+        assert slim.digest() == rows.digest()
+        table = summarize(SweepResult(results=results))
+        assert rows.summary().to_dict() == table.to_dict()
+        reference = {}
+        for row in table.rows:
+            for name in table.metric_columns():
+                v = row.get(name)
+                if isinstance(v, (int, float)) and \
+                        not isinstance(v, bool):
+                    stats = reference.setdefault(name, [])
+                    stats.append(v)
+        assert slim.digest()["metrics"] == {
+            name: {"count": len(vs), "mean": sum(vs) / len(vs),
+                   "min": min(vs), "max": max(vs)}
+            for name, vs in sorted(reference.items())}
 
     def test_digest_metric_stats(self):
         folded = SweepRunner(workers=1, cache=None).fold(STRESS_SPEC)
