@@ -30,7 +30,7 @@ from repro.parallelism import ShardedStateSizes
 from repro.sim import Simulator
 from repro.training.job import (
     SegmentListener,
-    StepRecord,
+    StepRun,
     StepSegment,
     TrainingJob,
 )
@@ -166,35 +166,35 @@ class CheckpointManager(SegmentListener):
             self.saves_started += 1
             self._save(metrics.step, metrics.time, *self._delays())
 
-    def on_steps(self, segment: StepSegment,
-                 records: Sequence[StepRecord]) -> None:
+    def on_steps(self, segment: StepSegment, run: StepRun) -> None:
         """Every step kicks off a save: the marks already due land now
         (no read or write of the durable state can have come between
         them and now, or it would have committed these steps), the
         others wait on the due heap."""
         if not self.enabled:
             return
-        self.saves_started += len(records)
+        self.saves_started += run.count
         local, backup, remote = self._delays()
         now = self.sim.now
+        first = run.first
+        ends = run.ends()
         for kind, delay in enumerate((local, backup)):
-            i = len(records)
-            while i and records[i - 1].end + delay > now:
+            i = run.count
+            while i and float(ends[i - 1]) + delay > now:
                 i -= 1
-                heappush(self._due, (records[i].end + delay, kind,
-                                     records[i].step))
+                heappush(self._due, (float(ends[i]) + delay, kind,
+                                     first + i))
             if i:
-                self._mark(kind, records[i - 1].step)
+                self._mark(kind, first + i - 1)
         if remote is not None:
             every = self.remote_every_steps
-            first = records[0].step
-            for i in range(-first % every, len(records), every):
-                record = records[i]
-                if record.end + remote > now:
-                    heappush(self._due, (record.end + remote, _REMOTE,
-                                         record.step))
+            skip = -first % every
+            for step, end in zip(range(first + skip, first + run.count,
+                                       every), ends[skip::every].tolist()):
+                if end + remote > now:
+                    heappush(self._due, (end + remote, _REMOTE, step))
                 else:
-                    self._mark(_REMOTE, record.step)
+                    self._mark(_REMOTE, step)
 
     def _save(self, step: int, end: float, local: float, backup: float,
               remote: Optional[float]) -> None:

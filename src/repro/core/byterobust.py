@@ -18,7 +18,8 @@ name, and reads it back:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import repeat
+from typing import Dict, List, Optional
 
 from repro.cluster.components import MachineSpec
 from repro.controller.controller import ControllerConfig
@@ -32,7 +33,7 @@ from repro.monitor.detectors import DetectorConfig
 from repro.monitor.inspections import InspectionConfig
 from repro.training.job import (
     SegmentListener,
-    StepRecord,
+    StepRun,
     StepSegment,
     TrainingJobConfig,
 )
@@ -167,10 +168,8 @@ class _MfuSampler(SegmentListener):
     def __call__(self, metrics: StepMetrics) -> None:
         self.samples.append((metrics.step, metrics.mfu))
 
-    def on_steps(self, segment: StepSegment,
-                 records: Sequence[StepRecord]) -> None:
-        mfu = segment.mfu
-        self.samples.extend((r.step, mfu) for r in records)
+    def on_steps(self, segment: StepSegment, run: StepRun) -> None:
+        self.samples.extend(zip(run.steps, repeat(segment.mfu)))
 
 
 class ByteRobustSystem:
@@ -225,7 +224,7 @@ class ByteRobustSystem:
                samples: int = 200) -> RunReport:
         end = run_end if run_end is not None else self.sim.now
         tracker = EttrTracker()
-        ettr = tracker.series(self.job.step_records, run_end=end,
+        ettr = tracker.series(self.job.step_runs, run_end=end,
                               samples=samples)
         breakdown = tracker.breakdown(
             self.incident_log.resolved(),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from repro.training.job import StepRecord
+from repro.training.job import StepRun
 
 
 @dataclass
@@ -62,16 +62,19 @@ class UnproductiveBreakdown:
 
 
 class EttrTracker:
-    """Computes ETTR curves from a job's step execution records."""
+    """Computes ETTR curves from a job's step history."""
 
     def __init__(self, window_s: float = 3600.0):
         self.window_s = window_s
 
     # ------------------------------------------------------------------
-    def productive_intervals(self, records: Iterable[StepRecord]
+    def productive_intervals(self, runs: Iterable[StepRun]
                              ) -> List[Tuple[float, float]]:
-        """Committed step execution intervals, sorted and disjoint."""
-        intervals = sorted((r.start, r.end) for r in records if r.committed)
+        """Committed step execution intervals, sorted and disjoint.  The
+        steps of a run share their boundaries exactly, so merging runs
+        gives what merging their steps would (a step record is a run of
+        one step)."""
+        intervals = sorted((r.start, r.end) for r in runs if r.committed)
         merged: List[Tuple[float, float]] = []
         for start, end in intervals:
             if merged and start <= merged[-1][1] + 1e-12:
@@ -90,14 +93,14 @@ class EttrTracker:
             total += min(end, t) - start
         return total
 
-    def series(self, records: Iterable[StepRecord], run_end: float,
+    def series(self, runs: Iterable[StepRun], run_end: float,
                samples: int = 200, run_start: float = 0.0) -> EttrSeries:
         """Sample cumulative + sliding ETTR over [run_start, run_end]."""
         if run_end <= run_start:
             raise ValueError("run_end must exceed run_start")
         if samples < 2:
             raise ValueError("need at least 2 samples")
-        intervals = self.productive_intervals(records)
+        intervals = self.productive_intervals(runs)
         times, cumulative, sliding = [], [], []
         span = run_end - run_start
         for i in range(samples):
@@ -113,9 +116,9 @@ class EttrTracker:
         return EttrSeries(times=times, cumulative=cumulative,
                           sliding=sliding, window_s=self.window_s)
 
-    def cumulative_at(self, records: Iterable[StepRecord],
+    def cumulative_at(self, runs: Iterable[StepRun],
                       t: float, run_start: float = 0.0) -> float:
-        intervals = self.productive_intervals(records)
+        intervals = self.productive_intervals(runs)
         elapsed = t - run_start
         if elapsed <= 0:
             return 0.0

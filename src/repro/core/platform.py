@@ -565,9 +565,7 @@ class TrainingPlatform:
             managed._complete_handle = None
         # committed progress past the resume step is wasted: the job
         # will re-run it (count before restart() marks it uncommitted)
-        wasted_wall = sum(
-            rec.end - rec.start for rec in job.step_records
-            if rec.step > resume_step and rec.committed)
+        wasted_wall = job.step_seconds(committed=True, after=resume_step)
         managed.wasted_machine_seconds += wasted_wall * job.num_machines
         if managed.remaining_s is not None:
             elapsed = self.sim.now - (managed.segment_started_at
@@ -684,7 +682,7 @@ class TrainingPlatform:
             # robustness one
             job_start = (managed.started_at
                          if managed.started_at is not None else job_end)
-            ettr = tracker.cumulative_at(managed.job.step_records,
+            ettr = tracker.cumulative_at(managed.job.step_runs,
                                          job_end, run_start=job_start)
             resolved = managed.incident_log.resolved()
             total_incidents += len(resolved)

@@ -17,7 +17,7 @@ gauges only move with its MFU model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional
 
 from repro.sim import Simulator, TickMember
 from repro.training.job import (
@@ -25,7 +25,7 @@ from repro.training.job import (
     LogEvent,
     SegmentListener,
     StepListener,
-    StepRecord,
+    StepRun,
     StepSegment,
     TrainingJob,
     deliver_steps,
@@ -144,18 +144,12 @@ class MetricsCollector(SegmentListener):
     # call: at fleet scale most collectors poll with no listeners at
     # all, and the per-poll allocation is pure overhead.
     def first_acting_step(self, segment: StepSegment) -> Optional[int]:
-        acting = None
-        for listener in self._step_listeners:
-            step = first_acting_step(listener, segment)
-            if step is not None and (acting is None or step < acting):
-                acting = step
-        return acting
+        return first_acting_step(self._step_listeners, segment)
 
-    def on_steps(self, segment: StepSegment,
-                 records: Sequence[StepRecord]) -> None:
+    def on_steps(self, segment: StepSegment, run: StepRun) -> None:
         if self._step_listeners:
             for listener in tuple(self._step_listeners):
-                deliver_steps(listener, segment, records)
+                deliver_steps(listener, segment, run)
 
     def __call__(self, metrics: StepMetrics) -> None:
         if self._step_listeners:

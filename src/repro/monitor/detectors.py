@@ -20,14 +20,14 @@ import enum
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.monitor.collectors import GaugeSample, MetricsCollector
 from repro.sim import Simulator
 from repro.training.job import (
     LogEvent,
     SegmentListener,
-    StepRecord,
+    StepRun,
     StepSegment,
 )
 from repro.training.metrics import BLOCK_STEPS, StepMetrics
@@ -204,15 +204,16 @@ class AnomalyDetector(SegmentListener):
                 length -= keep
         return None
 
-    def on_steps(self, segment: StepSegment,
-                 records: Sequence[StepRecord]) -> None:
+    def on_steps(self, segment: StepSegment, run: StepRun) -> None:
         """No step here is NaN or a spike: only the losses the trimmed
-        history ends up holding are computed."""
-        final = self._trimmed_length(len(records))
-        fresh = min(final, len(records))
+        history ends up holding are computed, as one block slice."""
+        final = self._trimmed_length(run.count)
+        fresh = min(final, run.count)
         kept = self._loss_history[len(self._loss_history)
                                   - (final - fresh):] if final > fresh else []
-        history = kept + [segment.loss(r.step) for r in records[-fresh:]]
+        history = kept + segment.loss_curve.losses(
+            run.last + 1 - fresh, run.last, nan=segment.nan,
+            spike_factor=segment.spike_factor)
         self._loss_history = history
         self._window = sorted(history[-self.config.spike_history:])
 

@@ -32,10 +32,22 @@ event per step.  A :class:`SegmentListener` says at which step of a
 NaN or a loss spike); the job schedules one entry at the earliest such
 *acting* step, or else at the end of the current loss-noise block, and
 commits every other step in bulk (:meth:`TrainingJob.materialize`)
-when something reads ``current_step``/``step_records`` or perturbs the
+when something reads ``current_step``/``step_runs`` or perturbs the
 job.  A plain callable listener acts at every step: the per-step path
 is the segment of length one.  End times are the same sequential
-``t + d`` float additions a per-step chain makes.
+``t + d`` float additions a per-step chain makes; a plan folds them
+once, in C (:func:`fold_ends`), and a commit bisects that fold.
+
+Step history as runs
+--------------------
+
+A job keeps its steps as :class:`StepRun` objects, not one record per
+step: a commit extends the last run or appends one, a rollback splits
+the run it cuts, and ETTR and waste read the runs.  Waste sums
+(:meth:`TrainingJob.step_seconds`) still add each step's
+``end - start`` with the builtin ``sum`` in execution order, so they
+keep their bytes under Python 3.12's compensated ``sum`` too.
+``step_records`` expands the runs into records on each read.
 
 A job holds at most one step chain: the entries of its latest
 :meth:`~TrainingJob.start`.  A start supersedes the step in flight, so
@@ -51,11 +63,11 @@ before the running entry's (:attr:`~repro.sim.Simulator.current_key`).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import repeat
-from operator import add
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+
+import numpy as np
 
 from repro.cluster.faults import (
     Fault,
@@ -104,6 +116,67 @@ class StepRecord:
     committed: bool = True      # flipped to False if rolled back
 
 
+def fold_ends(end: float, duration: float, count: int) -> np.ndarray:
+    """``count`` step ends from ``end``, each ``duration`` after the one
+    before: the sequential ``t + d`` additions of a per-step chain
+    (``np.add.accumulate`` adds left to right)."""
+    ends = np.full(count, duration)
+    ends[0] = end
+    return np.add.accumulate(ends, out=ends)
+
+
+@dataclass
+class StepRun:
+    """Steps ``first..last`` run back to back under one step time.
+
+    The first step ran from ``start`` to ``first_end``; every later one
+    ends ``duration`` after the one before, so :meth:`ends` gives each
+    step's end bit for bit.  ``end`` is the last step's end.  A run
+    handed to :meth:`SegmentListener.on_steps` is valid for that call.
+    """
+
+    first: int
+    count: int
+    start: float
+    first_end: float
+    duration: float
+    end: float
+    committed: bool = True      # flipped to False if rolled back
+
+    @property
+    def last(self) -> int:
+        return self.first + self.count - 1
+
+    @property
+    def steps(self) -> range:
+        return range(self.first, self.first + self.count)
+
+    def ends(self) -> np.ndarray:
+        return fold_ends(self.first_end, self.duration, self.count)
+
+    def durations(self, after: int = 0) -> List[float]:
+        """``end - start`` of each step past step ``after``."""
+        spans = np.diff(self.ends(), prepend=self.start)
+        return spans[max(0, after + 1 - self.first):].tolist()
+
+    def records(self) -> List[StepRecord]:
+        ends = self.ends().tolist()
+        return [StepRecord(step, start, end, self.committed)
+                for step, start, end in zip(self.steps,
+                                            [self.start] + ends, ends)]
+
+    def split(self, step: int) -> "StepRun":
+        """Keep steps up to ``step``; return the rest as a new run."""
+        ends = self.ends()
+        keep = step + 1 - self.first
+        rest = StepRun(step + 1, self.count - keep, float(ends[keep - 1]),
+                       float(ends[keep]), self.duration, self.end,
+                       self.committed)
+        self.count = keep
+        self.end = rest.start
+        return rest
+
+
 @dataclass
 class TrainingJobConfig:
     model: ModelSpec
@@ -143,11 +216,9 @@ class StepSegment:
         return self.loss_curve.loss(step, nan=self.nan,
                                     spike_factor=self.spike_factor)
 
-    def metrics(self, record: StepRecord) -> StepMetrics:
-        step = record.step
+    def metrics(self, step: int, start: float, end: float) -> StepMetrics:
         return StepMetrics(
-            step=step, time=record.end,
-            duration_s=record.end - record.start,
+            step=step, time=end, duration_s=end - start,
             loss=self.loss(step),
             grad_norm=self.loss_curve.grad_norm(
                 step, nan=self.nan, spike_factor=self.spike_factor),
@@ -164,9 +235,8 @@ class SegmentListener:
         listener must be called for on time, or None."""
         return None
 
-    def on_steps(self, segment: StepSegment,
-                 records: Sequence[StepRecord]) -> None:
-        """Consecutive non-acting steps of ``segment``, in order."""
+    def on_steps(self, segment: StepSegment, run: StepRun) -> None:
+        """Consecutive non-acting steps of ``segment``, as one run."""
 
     def __call__(self, metrics: StepMetrics) -> None:
         raise NotImplementedError
@@ -175,23 +245,29 @@ class SegmentListener:
 StepListener = Callable[[StepMetrics], None]
 
 
-def first_acting_step(listener: StepListener,
+def first_acting_step(listeners: Sequence[StepListener],
                       segment: StepSegment) -> Optional[int]:
-    """When ``listener`` must first act in ``segment``: a plain
-    callable acts at every step."""
-    if isinstance(listener, SegmentListener):
-        return listener.first_acting_step(segment)
-    return segment.first
+    """The first step of ``segment`` at which one of ``listeners`` must
+    act, or None: a plain callable acts at every step."""
+    acting = None
+    for listener in listeners:
+        step = (listener.first_acting_step(segment)
+                if isinstance(listener, SegmentListener) else segment.first)
+        if step is not None and (acting is None or step < acting):
+            acting = step
+            if step == segment.first:
+                break
+    return acting
 
 
 def deliver_steps(listener: StepListener, segment: StepSegment,
-                  records: Sequence[StepRecord]) -> None:
-    """Hand ``records`` of ``segment`` to ``listener`` in bulk."""
+                  run: StepRun) -> None:
+    """Hand the steps of ``run`` to ``listener`` in bulk."""
     if isinstance(listener, SegmentListener):
-        listener.on_steps(segment, records)
+        listener.on_steps(segment, run)
     else:
-        for record in records:
-            listener(segment.metrics(record))
+        for record in run.records():
+            listener(segment.metrics(record.step, record.start, record.end))
 
 
 class _Chain:
@@ -240,7 +316,7 @@ class TrainingJob:
         self._committed = 0
         self._nan_active = False
         self._loss_spike_factor = 1.0
-        self._records: List[StepRecord] = []
+        self._runs: List[StepRun] = []
         self.log_events: List[LogEvent] = []
         self.hung_since: Optional[float] = None
         self.hang_scenario: HangScenario = HangScenario.BACKWARD_COMM
@@ -256,10 +332,12 @@ class TrainingJob:
         #: the step chain of the latest start (None once the job stops)
         self._chain: Optional[_Chain] = None
         #: frozen parameters of a running job's lazy segment, the step
-        #: time of every step after the in-flight ones, and the step
-        #: the planned entry completes (an acting step or the last)
+        #: time of every step after the in-flight ones, the ends of
+        #: its steps up to one past the step the planned entry
+        #: completes (an acting step or the last), and that step
         self._segment: Optional[StepSegment] = None
         self._duration = 0.0
+        self._ends: Optional[np.ndarray] = None
         self._target_step = 0
         self._target_acts = False
         self._step_started_at = sim.now
@@ -302,9 +380,17 @@ class TrainingJob:
         return self._committed
 
     @property
-    def step_records(self) -> List[StepRecord]:
+    def step_runs(self) -> List[StepRun]:
+        """Executed steps as runs, in execution order (read only)."""
         self.materialize()
-        return self._records
+        return self._runs
+
+    @property
+    def step_records(self) -> List[StepRecord]:
+        """One record per executed step, in execution order, expanded
+        from :attr:`step_runs` on every read."""
+        return [record for run in self.step_runs
+                for record in run.records()]
 
     @property
     def nan_active(self) -> bool:
@@ -465,7 +551,10 @@ class TrainingJob:
         self._step_started_at = now
         end = now + self.step_time()
         target = end
-        if not self._dispatching:
+        if self._dispatching:
+            # planned once the listeners return; nothing commits before
+            self._segment = self._ends = None
+        else:
             target = self._lazy_target(end)
         # the one seq this start allocates: every entry of the chain
         # carries it
@@ -496,9 +585,15 @@ class TrainingJob:
         """
         if replacements:
             self.replace_machines(replacements)
-        for rec in self.step_records:
-            if rec.step > from_step:
-                rec.committed = False
+        self.materialize()
+        runs = self._runs
+        for index in range(len(runs) - 1, -1, -1):
+            run = runs[index]
+            if run.committed and run.last > from_step:
+                if run.first <= from_step:
+                    run = run.split(from_step)
+                    runs.insert(index + 1, run)
+                run.committed = False
         self._nan_active = False
         self._loss_spike_factor = 1.0
         self.stalled_ranks = []
@@ -534,17 +629,12 @@ class TrainingJob:
         first = self._committed + 1
         segment = self._segment_now(first)
         self._segment = segment
-        acting = None
-        for listener in self._step_listeners:
-            step = first_acting_step(listener, segment)
-            if step is not None and (acting is None or step < acting):
-                acting = step
-                if step == first:
-                    break
+        acting = first_acting_step(self._step_listeners, segment)
         self._target_acts = acting is not None
         self._target_step = segment.last if acting is None else acting
-        return reduce(add, repeat(self._duration, self._target_step - first),
-                      end)
+        self._ends = fold_ends(end, self._duration,
+                               self._target_step - first + 2)
+        return float(self._ends[-2])
 
     def _plan(self) -> None:
         """Point a running job's one entry at its segment's first acting
@@ -553,7 +643,7 @@ class TrainingJob:
             return
         chain = self._chain
         if self._state is not JobState.RUNNING or chain is None:
-            self._segment = None
+            self._segment = self._ends = None
             return
         target = self._lazy_target(chain.end)
         if target == chain.target:
@@ -582,31 +672,43 @@ class TrainingJob:
         chain = self._chain
         if chain is None or chain.end is None:
             return
-        now = self.sim.now
-        done = (0, chain.key) < bound
-        duration = self._duration
-        start = self._step_started_at
-        end = chain.end
-        step = self._committed
-        records = []
-        while step < limit and (end < now or (end == now and done)):
-            step += 1
-            records.append(StepRecord(step, start, end))
-            start = end
-            end += duration
-        if not records:
-            return
-        chain.end = end
-        self._records.extend(records)
-        self._committed = step
-        self._step_started_at = start
         segment = self._segment
+        ends = self._ends
+        done = (0, chain.key) < bound
+        # ends[i] is the end of the step in flight, chain.end
+        i = self._committed + 1 - segment.first
+        j = min(int(ends.searchsorted(self.sim.now,
+                                      "right" if done else "left")),
+                limit + 1 - segment.first)
+        if j <= i:
+            return
+        run = StepRun(self._committed + 1, j - i, self._step_started_at,
+                      float(ends[i]), self._duration, float(ends[j - 1]))
+        chain.end = float(ends[j])
+        self._committed = run.last
+        self._step_started_at = run.end
+        self._extend(run)
         self._dispatching += 1
         try:
             for listener in list(self._step_listeners):
-                deliver_steps(listener, segment, records)
+                deliver_steps(listener, segment, run)
         finally:
             self._dispatching -= 1
+
+    def _extend(self, run: StepRun) -> None:
+        """Append ``run`` to the history, or grow the last run by it
+        when its steps continue that run's times exactly."""
+        runs = self._runs
+        if runs:
+            last = runs[-1]
+            if (last.committed and last.first + last.count == run.first
+                    and last.end == run.start
+                    and last.duration == run.duration
+                    and last.end + run.duration == run.first_end):
+                last.count += run.count
+                last.end = run.end
+                return
+        runs.append(run)
 
     def _cancel_step(self) -> None:
         """Stop the step in flight.  While a completed step's listeners
@@ -643,9 +745,9 @@ class TrainingJob:
         chain.end = None
         step = self._committed + 1
         self._committed = step
-        record = StepRecord(step, self._step_started_at, now)
-        self._records.append(record)
-        metrics = self._segment_now(step).metrics(record)
+        start = self._step_started_at
+        self._extend(StepRun(step, 1, start, now, self._duration, now))
+        metrics = self._segment_now(step).metrics(step, start, now)
         self._dispatching += 1
         try:
             for listener in list(self._step_listeners):
@@ -801,17 +903,22 @@ class TrainingJob:
                 1e-9, self.mfu_model.profile.base_mfu)
         return 0.0
 
-    def committed_steps(self) -> List[StepRecord]:
-        return [r for r in self.step_records if r.committed]
+    def step_seconds(self, committed: bool, after: int = 0) -> float:
+        """Wall seconds of the (un)committed steps past step ``after``,
+        summed as a per-step scan sums them (see the module notes)."""
+        return sum(itertools.chain.from_iterable(
+            run.durations(after) for run in self.step_runs
+            if run.committed == committed and run.last > after))
 
     def wasted_step_seconds(self) -> float:
-        return sum(r.end - r.start for r in self.step_records
-                   if not r.committed)
+        return self.step_seconds(committed=False)
 
     def loss_series(self) -> List[tuple]:
         """(step, loss) for committed steps, in execution order."""
-        return [(r.step, self.loss_curve.loss(r.step))
-                for r in self.committed_steps()]
+        curve = self.loss_curve
+        return [pair for run in self.step_runs if run.committed
+                for pair in zip(run.steps, curve.losses(run.first,
+                                                        run.last))]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TrainingJob {self.config.model.name} "

@@ -129,6 +129,26 @@ class LossCurve:
             return float("nan")
         return (self.base(step) + self.noise(step)) * spike_factor
 
+    def losses(self, first: int, last: int, nan: bool = False,
+               spike_factor: float = 1.0) -> List[float]:
+        """``[loss(s, nan, spike_factor) for s in first..last]``, bit for
+        bit: the noise is read as slices of its blocks, and the base is
+        the same scalar float arithmetic as :meth:`base`."""
+        if nan:
+            return [float("nan")] * (last + 1 - first)
+        scale, power, s0 = self.l0 - self.l_inf, -self.alpha, self.s0
+        out: List[float] = []
+        while first <= last:
+            index, offset = divmod(first, BLOCK_STEPS)
+            stop = min(last + 1, first - offset + BLOCK_STEPS)
+            noise = self._block(self._noise_blocks, "loss-block", index,
+                                self.noise_scale)[offset:offset + stop - first]
+            out += [(scale * (1.0 + step / s0) ** power + self.l_inf + eps)
+                    * spike_factor
+                    for step, eps in zip(range(first, stop), noise.tolist())]
+            first = stop
+        return out
+
     def grad_norm(self, step: int, nan: bool = False,
                   spike_factor: float = 1.0) -> float:
         """Gradient norm tracks loss decay (scaled), same determinism."""

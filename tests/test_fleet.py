@@ -330,9 +330,10 @@ class TestDynamicPlatform:
         for managed in live:
             assert (managed.job.loss_curve.cached_blocks()
                     <= 2 * LossCurve._MAX_CACHED_BLOCKS)
-        job = max((m.job for m in done),
-                  key=lambda j: len(j.committed_steps()))
-        steps = [r.step for r in job.committed_steps()][::50]
+        job = max((m.job for m in done), key=lambda j: sum(
+            r.count for r in j.step_runs if r.committed))
+        steps = [s for r in job.step_runs if r.committed
+                 for s in r.steps][::50]
         fresh = LossCurve(seed=job.config.loss_seed)
         assert steps
         assert [job.loss_curve.loss(s) for s in steps] \

@@ -8,8 +8,9 @@ the old code.  ``GOLDEN`` holds the big cells at hand-picked windows:
 single-job runs (``dense``, ``degraded-network``), the ~10k-GPU
 ``dense-xl``, a day of the 100k-GPU ``fleet-quarter`` (vectorized
 substrate) and the multi-tenant ``fleet-preemption``; ``FULL_WIDTH``
-adds two days of ``fleet-quarter`` at three seeds, and
-``SPOT_TEN_DAYS`` ten days of ``fleet-spot-churn``.  ``CATALOG``
+adds two days of ``fleet-quarter`` at three seeds, ``FLEET_TWO_WEEKS``
+its two-week benchmark window, and ``SPOT_TEN_DAYS`` ten days of
+``fleet-spot-churn``.  ``CATALOG``
 covers every other registered scenario at its defaults, with
 ``duration_s`` (where the scenario has one) capped at six hours.
 
@@ -48,6 +49,12 @@ FULL_WIDTH = [
     (1, "34611f7e36b3bc8be1f845e1fb39a926480cd579b56b4ab4866cd2288108fe12"),
     (2, "cc3b45dee28b4b2a82fa8dbc2d1c38e8d2b9ff380a3031e112cb9551272d7a6d"),
 ]
+
+#: ``fleet-quarter`` at full width over two weeks with checkpointing off,
+#: at seed 3: the ``fleet-100k`` benchmark window, long enough that
+#: most jobs complete and their step histories are read for ETTR
+FLEET_TWO_WEEKS = (
+    "4bc914020211a4b6ec1fb683644add6bda0d3760d68be58642f0d103040775c0")
 
 #: ``fleet-spot-churn`` over ten days, the spot-tenancy benchmark cell
 #: (~160 checkpoint-boundary preemptions; the six-hour ``CATALOG`` window
@@ -150,6 +157,12 @@ def test_fleet_quarter_full_width_digest(seed, digest):
     params = {"duration_s": 172800.0, "checkpoint_interval_s": 0.0,
               "seed": seed}
     assert _digest("fleet-quarter", params) == digest
+
+
+def test_fleet_quarter_two_weeks_digest():
+    params = {"duration_s": 14 * 86400.0, "checkpoint_interval_s": 0.0,
+              "seed": 3}
+    assert _digest("fleet-quarter", params) == FLEET_TWO_WEEKS
 
 
 def test_spot_churn_ten_days_digest():

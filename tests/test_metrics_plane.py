@@ -10,9 +10,10 @@ after a rollback, Fig. 2) rests on exactly that.
 """
 
 import math
+import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cache import CACHE_SCHEMA_VERSION
@@ -152,3 +153,37 @@ class TestPythonFloats:
             assert block.dtype == np.float64
             assert block.shape == (BLOCK_STEPS,)
             assert block.nbytes == 32768
+
+
+class TestLossSlices:
+    """``LossCurve.losses(first, last)`` reads the noise as slices of its
+    blocks; it must give what per-step ``loss`` gives, bit for bit, as
+    Python floats."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**31),
+           first=st.integers(min_value=0, max_value=12 * BLOCK_STEPS),
+           length=st.integers(min_value=1, max_value=3 * BLOCK_STEPS),
+           nan=st.booleans(),
+           spike=st.sampled_from([1.0, 0.5, 3.0]) | st.floats(0.1, 10.0),
+           evict=st.booleans())
+    @example(seed=0, first=BLOCK_STEPS - 3, length=BLOCK_STEPS + 6,
+             nan=False, spike=1.0, evict=True)
+    @settings(max_examples=40, deadline=None)
+    def test_slices_equal_per_step_losses(self, seed, first, length, nan,
+                                          spike, evict):
+        curve = LossCurve(seed=seed)
+        last = first + length - 1
+        if evict:
+            # read the range once, then tour far blocks until its blocks
+            # are evicted: the slices below come from rebuilt blocks
+            curve.losses(first, last)
+            for block in range(100, 100 + LossCurve._MAX_CACHED_BLOCKS):
+                curve.noise(block * BLOCK_STEPS)
+            assert first // BLOCK_STEPS not in curve._noise_blocks
+        got = curve.losses(first, last, nan=nan, spike_factor=spike)
+        reference = LossCurve(seed=seed)
+        want = [reference.loss(s, nan=nan, spike_factor=spike)
+                for s in range(first, last + 1)]
+        assert all(type(v) is float for v in got)
+        assert ([struct.pack("<d", v) for v in got]
+                == [struct.pack("<d", v) for v in want])

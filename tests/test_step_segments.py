@@ -17,17 +17,26 @@ or perturbs the job.  These tests pin what that must not change:
 * *the every-step oracle* — a run with one extra plain per-step
   listener (which makes every step an acting step) produces the same
   step records, anomalies, recovery decisions and report payloads as
-  the same run without it.
+  the same run without it;
+* *the run history* — a job keeps its steps as runs: the C-level fold
+  of step ends is the sequential chain of additions, a split run and
+  its per-step durations expand to the records they stand for, and an
+  undisturbed job holds one run and no per-step record objects.
 """
+
+import gc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.ettr import EttrTracker
 from repro.core.platform import JobSpec, PlatformConfig, TrainingPlatform
 from repro.parallelism import ParallelismConfig
 from repro.sim import Simulator
 from repro.training import JobState, TrainingJob, TrainingJobConfig
+from repro.training.job import StepRecord, StepRun, fold_ends
+from repro.training.metrics import BLOCK_STEPS
 from repro.training.model import ModelSpec
 from repro.workloads.fleet import fleet_job_config
 
@@ -188,6 +197,8 @@ class TestOneChain:
 ACTIONS = ("crash", "hang", "slow", "nan", "tolerated", "service", "mfu",
            "hot_update", "spike", "rollback0", "plan", "preempt",
            "pressure")
+#: rollbacks to a step inside the history, which split the run they cut
+SPLITS = ("rollback",)
 HORIZON = 12_000.0
 
 
@@ -212,9 +223,10 @@ def _fault(rng, effect, machine, **kw):
                  exit_code=134, **kw)
 
 
-def _scripted(seed, actions, facade, every_step):
-    """A one-job facade or a two-job platform under ``actions`` at
-    seeded random times; returns everything a run reports."""
+def _scripted(seed, actions, facade, every_step, kill=False):
+    """A one-job facade or a two-job platform (preempting at a step
+    boundary, or with ``kill`` on the spot) under ``actions`` at seeded
+    random times; returns everything a run reports."""
     import json
 
     import numpy as np
@@ -240,7 +252,8 @@ def _scripted(seed, actions, facade, every_step):
     else:
         platform = TrainingPlatform(total_machines=16, config=PlatformConfig(
             seed=seed, machines_per_switch=4, checkpoint=True,
-            preemption="checkpoint", detector=detector))
+            preemption="kill" if kill else "checkpoint",
+            detector=detector))
         handles = [
             platform.submit(JobSpec("a", config, min_machines=2,
                                     max_machines=4)),
@@ -292,6 +305,15 @@ def _scripted(seed, actions, facade, every_step):
             job.restart(from_step=0)
             if ckpt is not None:
                 ckpt.after_recovery(0)
+        elif action == "rollback":
+            # back to a step inside the history: splits the run it cuts
+            job.suspend()
+            step = int(rng.integers(job.current_step + 1))
+            decisions.append((handle.name, sim.now, "rollback", step,
+                              job.current_step))
+            job.restart(from_step=step)
+            if ckpt is not None:
+                ckpt.after_recovery(step)
         elif action == "plan" and ckpt is not None:
             d = ckpt.plan_recovery([machine])
             decisions.append((handle.name, sim.now, d.restart_step,
@@ -319,6 +341,13 @@ def _scripted(seed, actions, facade, every_step):
         # step takes time
         assert all(start < end for _s, start, end, _c in records)
         assert all(b[1] >= a[2] for a, b in zip(records, records[1:]))
+    # what the readers take from the runs: productive intervals, waste
+    # (the job's and, on the platform, the preemptions')
+    tracker = EttrTracker()
+    steps["readers"] = {h.name: (
+        tracker.productive_intervals(h.job.step_runs),
+        h.job.wasted_step_seconds(), h.wasted_machine_seconds)
+        for h in platform.jobs.values()}
     # what the next step would be judged and restored against
     state = {h.name: (h.detector._loss_history, None
                       if h.stack.ckpt_manager is None else (
@@ -337,11 +366,12 @@ class TestEveryStepOracle:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**16),
-           actions=st.lists(st.sampled_from(ACTIONS), max_size=8),
-           facade=st.booleans())
-    def test_lazy_run_matches_every_step_run(self, seed, actions, facade):
-        lazy, lazy_events = _scripted(seed, actions, facade, False)
-        eager, eager_events = _scripted(seed, actions, facade, True)
+           actions=st.lists(st.sampled_from(ACTIONS + SPLITS), max_size=8),
+           facade=st.booleans(), kill=st.booleans())
+    def test_lazy_run_matches_every_step_run(self, seed, actions, facade,
+                                             kill):
+        lazy, lazy_events = _scripted(seed, actions, facade, False, kill)
+        eager, eager_events = _scripted(seed, actions, facade, True, kill)
         assert lazy == eager
         # the oracle is not vacuous: the lazy run skipped most steps
         assert lazy_events < eager_events
@@ -362,3 +392,128 @@ class TestEveryStepOracle:
             jobs = json.loads(lazy[3])["jobs"]
             assert sum(j["preemptions"] for j in jobs.values()) > 0
             assert sum(len(j["resize_events"]) for j in jobs.values()) > 0
+
+    def test_kill_preemptions_waste_the_same_steps(self):
+        import json
+
+        lazy, lazy_events = _scripted(12, ACTIONS * 2, False, False, True)
+        eager, eager_events = _scripted(12, ACTIONS * 2, False, True, True)
+        assert lazy == eager
+        assert lazy_events < eager_events
+        jobs = json.loads(lazy[3])["jobs"]
+        assert sum(j["preemptions"] for j in jobs.values()) > 0
+        # a kill wastes the steps past the resume point
+        assert sum(j["wasted_machine_seconds"] for j in jobs.values()) > 0
+
+    @pytest.mark.parametrize("facade", [True, False])
+    def test_rollbacks_that_split_runs(self, facade):
+        actions = ACTIONS * 2 + SPLITS * 4
+        lazy, lazy_events = _scripted(12, actions, facade, False)
+        eager, eager_events = _scripted(12, actions, facade, True)
+        assert lazy == eager
+        assert lazy_events < eager_events
+        # some rollback went back to a step inside the history
+        assert any(0 < d[3] < d[4] for d in lazy[2] if d[2] == "rollback")
+
+
+# ----------------------------------------------------------------------
+# the run history
+# ----------------------------------------------------------------------
+
+def _chain_of_additions(end, duration, count):
+    ends = [end]
+    for _ in range(count - 1):
+        ends.append(ends[-1] + duration)
+    return ends
+
+
+def _records_alive():
+    gc.collect()
+    return sum(isinstance(o, StepRecord) for o in gc.get_objects())
+
+
+class TestRunHistory:
+    @settings(max_examples=200, deadline=None)
+    @given(end=st.floats(0.0, 1e8), duration=st.floats(1e-6, 1e4),
+           count=st.integers(1, BLOCK_STEPS + 1))
+    def test_fold_is_the_sequential_chain(self, end, duration, count):
+        ends = fold_ends(end, duration, count).tolist()
+        assert ends == _chain_of_additions(end, duration, count)
+        assert all(type(e) is float for e in ends)
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=st.floats(0.0, 1e7), first_span=st.floats(1e-3, 1e3),
+           duration=st.floats(1e-3, 1e3), first=st.integers(1, 10**6),
+           count=st.integers(1, 500), data=st.data())
+    def test_split_and_durations_expand_to_the_records(
+            self, start, first_span, duration, first, count, data):
+        """A run stands for the records of a per-step chain whose first
+        step kept its own end; splitting it and summing its durations
+        past any step read the same values in the same order."""
+        ends = _chain_of_additions(start + first_span, duration, count)
+        run = StepRun(first, count, start, ends[0], duration, ends[-1])
+        records = [(r.step, r.start, r.end, r.committed)
+                   for r in run.records()]
+        assert records == [(first + i, ([start] + ends)[i], ends[i], True)
+                           for i in range(count)]
+        after = data.draw(st.integers(first - 2, first + count))
+        assert run.durations(after) == [e - b for s, b, e, _c in records
+                                        if s > after]
+        if count > 1:
+            cut = data.draw(st.integers(first, first + count - 2))
+            rest = run.split(cut)
+            assert (run.last, rest.first, rest.last) == (cut, cut + 1,
+                                                        first + count - 1)
+            assert [(r.step, r.start, r.end) for r in
+                    run.records() + rest.records()] == \
+                [r[:3] for r in records]
+
+    def test_rollback_splits_the_run_it_cuts(self):
+        sim = Simulator()
+        job = small_job(sim)
+        job.start()
+        step = job.step_time()
+        sim.run(until=step * 10 + 0.1)
+        before = [(r.step, r.start, r.end) for r in job.step_records]
+        assert len(job.step_runs) == 1
+        job.suspend()
+        job.restart(from_step=6)
+        assert [(r.first, r.last, r.committed) for r in job.step_runs] == \
+            [(1, 6, True), (7, 10, False)]
+        assert [(r.step, r.start, r.end) for r in job.step_records] == before
+        assert job.wasted_step_seconds() == sum(
+            e - b for s, b, e in before if s > 6)
+
+    def test_kill_preemption_wastes_the_steps_past_its_resume_point(self):
+        platform = TrainingPlatform(total_machines=4, config=PlatformConfig(
+            preemption="kill", checkpoint=True,
+            remote_checkpoint_every_steps=10))
+        a = platform.submit(JobSpec("a", fleet_job_config(
+            4, step_time_factor=0.05)))
+        platform.start()
+        platform.run_until(3600.0)
+        records = a.job.step_records
+        assert platform.preempt_job("a")
+        platform.run_until(3601.0)
+        # resumed from the remote tier, inside the run it then splits
+        assert 0 < a.resume_step < records[-1].step
+        assert [(r.first, r.last, r.committed) for r in a.job.step_runs] \
+            == [(1, a.resume_step, True),
+                (a.resume_step + 1, records[-1].step, False)]
+        assert a.wasted_machine_seconds == a.job.num_machines * sum(
+            r.end - r.start for r in records
+            if r.step > a.resume_step and r.committed)
+
+    def test_undisturbed_job_holds_one_run_and_no_records(self):
+        alive = _records_alive()
+        sim = Simulator()
+        job = small_job(sim)
+        job.start()
+        sim.run(until=job.step_time() * (3 * BLOCK_STEPS + 100))
+        assert job.current_step > 3 * BLOCK_STEPS
+        (run,) = job.step_runs
+        assert (run.first, run.last) == (1, job.current_step)
+        assert _records_alive() == alive
+        records = job.step_records
+        assert len(records) == job.current_step
+        assert _records_alive() == alive + len(records)

@@ -418,8 +418,9 @@ class TestTrainingJob:
         job.suspend()
         job.restart(from_step=2)
         sim.run(until=sim.now + step * 4 + 0.1)
-        for rec in job.committed_steps():
-            assert job.loss_curve.loss(rec.step) == losses_first[rec.step]
+        for step in [s for r in job.step_runs if r.committed
+                     for s in r.steps]:
+            assert job.loss_curve.loss(step) == losses_first[step]
 
 
 class TestRecipe:
